@@ -171,6 +171,8 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
     when any hypothesis fails or stays undetermined.
     """
     budgets = budgets or default_budgets()
+    # the bound check is cheap: refuse an out-of-bound p before any p-adic work
+    inertia_group = build_group(f.p, INERTIA, budgets.group_p_bound)
     assumptions = validate_assumptions(f, K)
     if not assumptions.maximal_inertia:
         raise ClassificationRefused(assumptions.failed_conditions(), assumptions)
@@ -178,7 +180,7 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
     parity = "even" if n % 2 == 0 else "odd"
     g = (p - 1) // 2
 
-    inertia_table = character_table(build_group(p, INERTIA, budgets.group_p_bound))
+    inertia_table = character_table(inertia_group)
     inertia_summary = GroupSummary(inertia_table.group.order, inertia_table.group.b,
                                    len(inertia_table.classes))
     full_summary = None

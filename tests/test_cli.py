@@ -45,6 +45,17 @@ class TestClassifyCommand:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "degree_mismatch"
 
+    def test_huge_exponent_exit_two(self, capsys):
+        code, out = run(capsys, "classify", "--p", "5", "--f", "x^99999999999+x^5", "--n", "1")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "degree_mismatch"
+
+    def test_text_format_honours_group_bound(self, capsys):
+        code, out = run(capsys, "classify", "--p", "17", "--f", "x^17-17", "--n", "1",
+                        "--group-bound", "17", "--format", "text")
+        assert code == 0
+        assert "trace of psi at the sigma*phi class" in out
+
     def test_unparsable_exit_two(self, capsys):
         code, out = run(capsys, "classify", "--p", "5", "--f", "x**5-5", "--n", "1")
         assert code == 2
@@ -145,14 +156,6 @@ class TestDeterminism:
         first = subprocess.run(cmd, capture_output=True, check=True).stdout
         second = subprocess.run(cmd, capture_output=True, check=True).stdout
         assert first == second and first
-
-    def test_worker_count_does_not_change_output(self, capsys):
-        outputs = []
-        for workers in ("1", "3", "4"):
-            _, out = run(capsys, "count", "--mode", "curve", "--p", "3", "--m", "4",
-                         "--workers", workers)
-            outputs.append(out)
-        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_chartab_round_trips_through_json(self, capsys):
         _, out = run(capsys, "chartab", "--p", "5", "--group", "full")

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galrep.errors import InputError, UsageError
+from galrep.errors import InputError, InternalCheckError, UsageError
 from galrep.padic import (
     CERTIFIED,
     UNDETERMINED,
@@ -45,6 +45,11 @@ class TestInputValidation:
     def test_degree_mismatch(self):
         with pytest.raises(InputError) as err:
             poly(5, "x^4-5")
+        assert err.value.code == "degree_mismatch"
+
+    def test_huge_exponent_rejected_before_allocating(self):
+        with pytest.raises(InputError) as err:
+            poly(5, "x^99999999999+x^5")
         assert err.value.code == "degree_mismatch"
 
     def test_p_not_odd_prime(self):
@@ -203,25 +208,57 @@ class TestDifferenceRootValuations:
         disc = poly_discriminant(f)
         assert p * (p - 1) * w == Fraction(_vp(disc, p))
 
-    @pytest.mark.parametrize("p,text", [(3, "x^3-3"), (5, "x^5-5"), (5, "x^5-5*x^4+5")])
-    def test_difference_polynomial_against_sympy(self, p, text):
-        f = poly(p, text)
-        ours = difference_polynomial(f)
-        x, y = sympy.symbols("x y")
-        expr = sum(sympy.Rational(c) * x**i for i, c in enumerate(f.coeffs))
-        res = sympy.resultant(
-            sympy.Poly(expr.subs(x, y), y), sympy.Poly(expr.subs(x, x + y), y)
-        )
-        quotient, remainder = sympy.div(sympy.Poly(sympy.expand(res), x), sympy.Poly(x**p, x))
-        assert remainder == sympy.Poly(0, x)
-        theirs = [Fraction(str(c)) for c in reversed(quotient.all_coeffs())]
-        assert ours == theirs
+    @pytest.mark.parametrize(
+        "p,coeffs",
+        [
+            (3, "x^3-3"),
+            (5, "x^5-5"),
+            (5, "x^5-5*x^4+5"),
+            (7, "x^7-7"),
+            (5, [Fraction(5, 2), Fraction(5, 3), 0, 0, Fraction(1, 7), 1]),
+            (5, "x^5+x+1"),  # w = 0
+        ],
+    )
+    def test_difference_polynomial_against_sympy(self, p, coeffs):
+        if isinstance(coeffs, str):
+            f = poly(p, coeffs)
+        else:
+            f = InputPolynomial.from_coefficients(p, coeffs)
+        assert difference_polynomial(f) == sympy_difference_polynomial(f)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        p=st.sampled_from([3, 5]),
+        numerators=st.lists(st.integers(min_value=-30, max_value=30), min_size=5, max_size=5),
+        denominators=st.lists(st.sampled_from([1, 1, 2, 7]), min_size=5, max_size=5),
+    )
+    def test_difference_polynomial_property(self, p, numerators, denominators):
+        # random monic p-integral f: denominators are prime to p
+        coeffs = [Fraction(a, b) for a, b in zip(numerators[:p], denominators[:p])] + [1]
+        f = InputPolynomial.from_coefficients(p, coeffs)
+        assert difference_polynomial(f) == sympy_difference_polynomial(f)
+
+    def test_discriminant_identity_guard(self, monkeypatch):
+        f = poly(5, "x^5-5")
+        monkeypatch.setattr("galrep.padic.poly_discriminant", lambda g: Fraction(0))
+        with pytest.raises(InternalCheckError):
+            difference_polynomial(f)
 
     def test_not_squarefree_raises(self):
         f = InputPolynomial.from_coefficients(5, [1, 1, -2, -2, 1, 1])
         with pytest.raises(InputError) as err:
             difference_root_valuations(f)
         assert err.value.code == "not_squarefree"
+
+
+def sympy_difference_polynomial(f):
+    """Res_y(f(y), f(x + y)) / x^p, computed by sympy."""
+    x, y = sympy.symbols("x y")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f.coeffs))
+    res = sympy.resultant(sympy.Poly(expr.subs(x, y), y), sympy.Poly(expr.subs(x, x + y), y))
+    quotient, remainder = sympy.div(sympy.Poly(sympy.expand(res), x), sympy.Poly(x**f.p, x))
+    assert remainder.is_zero
+    return [Fraction(str(c)) for c in reversed(quotient.all_coeffs())]
 
 
 def _vp(x, p):
