@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .config import Budgets, default_budgets
 from .counting import count_twisted_fixed
@@ -138,6 +139,13 @@ def _signed_p(p: int) -> int:
     return -p if (p - 1) // 2 % 2 else p
 
 
+@lru_cache(maxsize=None)
+def _twisted_trace(p: int, n: int, budgets: Budgets) -> int:
+    """The counted trace, once per (p, n, budgets): like the character
+    tables, it depends on the model curve alone, not on the input."""
+    return count_twisted_fixed(p, n, budgets).trace_sigma_frob
+
+
 def verify_consistency(p: int, n: int, budgets: Budgets | None = None,
                        psi: CharacterRow | None = None) -> Verification:
     """Compare tr psi(s*f) * chi(Frob) against the counted twisted trace.
@@ -158,7 +166,7 @@ def verify_consistency(p: int, n: int, budgets: Budgets | None = None,
     if predicted_fraction.denominator != 1:
         raise InternalCheckError("predicted trace is not a rational integer")
     predicted = int(predicted_fraction)
-    counted = count_twisted_fixed(p, n, budgets).trace_sigma_frob
+    counted = _twisted_trace(p, n, budgets)
     status = "ok" if counted == predicted else "mismatch"
     return Verification(status=status, trace_counted=counted, trace_predicted=predicted,
                         match=counted == predicted)

@@ -215,9 +215,37 @@ def newton_polygon(f: InputPolynomial) -> NewtonPolygon:
     return newton_polygon_of(f.as_poly(), f.p)
 
 
+def _shifted(f: InputPolynomial, m: int) -> polys.Poly:
+    """Coefficients of f(x + m), shifted in integers once denominators are cleared."""
+    if not m:
+        return f.as_poly()
+    d = math.lcm(*(c.denominator for c in f.coeffs))
+    return [Fraction(c, d) for c in polys.shift([int(c * d) for c in f.coeffs], m)]
+
+
+def _centred(f: InputPolynomial) -> polys.Poly:
+    """Coefficients of f(x + m), m the integer nearest the mean of the roots.
+
+    A translation changes neither the discriminant nor any root difference,
+    and centring keeps the integers of both computations as small as the
+    spread of the roots allows, wherever the roots lie.
+    """
+    return _shifted(f, round(-f.coeffs[-2] / f.p))
+
+
+def _candidate_shift(f: InputPolynomial) -> int:
+    """The only c in [0, p) for which every root of f(x + c) can have positive valuation.
+
+    All roots of f(x + c) are then congruent to 0, so f = (x - c)^p = x^p - c
+    mod p, and c = -f(0) mod p.
+    """
+    c0 = f.coeffs[0]
+    return -c0.numerator * pow(c0.denominator, -1, f.p) % f.p
+
+
 def poly_discriminant(f: InputPolynomial) -> Fraction:
     """Exact discriminant; zero iff f has a repeated root."""
-    return polys.discriminant(f.as_poly())
+    return polys.discriminant(_centred(f))
 
 
 def irreducibility_certificate(f: InputPolynomial, K: BaseField) -> str:
@@ -227,18 +255,17 @@ def irreducibility_certificate(f: InputPolynomial, K: BaseField) -> str:
     f(x + c), 0 <= c < p, is one segment whose slope has denominator exactly
     p: each root then generates a degree-p totally ramified extension, over
     every unramified base (shifting by an integer changes neither the field
-    a root generates nor irreducibility).  Returns "undetermined" otherwise;
-    reducibility is never claimed.
+    a root generates nor irreducibility).  Such a slope is positive, so only
+    the shift c = -f(0) mod p can give the certificate, and it is the one
+    tried.  Returns "undetermined" otherwise; reducibility is never claimed.
     """
     _require_same_p(f, K)
-    fc = f.as_poly()
-    for c in range(f.p):
-        shifted = polys.shift(fc, Fraction(c)) if c else fc
-        if shifted[0] == 0:
-            continue  # c is a root, no certificate from this shift
-        polygon = newton_polygon_of(shifted, f.p)
-        if polygon.is_single_segment() and polygon.segments[0].root_valuation.denominator == f.p:
-            return CERTIFIED
+    shifted = _shifted(f, _candidate_shift(f))
+    if shifted[0] == 0:
+        return UNDETERMINED  # f(c) = 0: no certificate from this shift
+    polygon = newton_polygon_of(shifted, f.p)
+    if polygon.is_single_segment() and polygon.segments[0].root_valuation.denominator == f.p:
+        return CERTIFIED
     return UNDETERMINED
 
 
@@ -246,8 +273,9 @@ def difference_polynomial(f: InputPolynomial) -> polys.Poly:
     """Monic polynomial whose roots are the p(p-1) differences of roots of f.
 
     Built from power sums, as for composed differences in Bostan, Flajolet,
-    Salvy and Schost, "Fast computation of special resultants" (2006).  With
-    d the lcm of the coefficient denominators (prime to p), g(x) = d^p f(x/d)
+    Salvy and Schost, "Fast computation of special resultants" (2006).  The
+    differences are those of the centred f(x + m), m an integer.  With d the
+    lcm of its coefficient denominators (prime to p), g(x) = d^p f(x/d + m)
     is monic in Z[x].  Newton's identities give the power sums s_l of its
     roots; the differences of those roots have power sums
     S_k = sum_l C(k,l) (-1)^(k-l) s_l s_(k-l), where S_0 = p(p-1) leaves out
@@ -257,8 +285,9 @@ def difference_polynomial(f: InputPolynomial) -> polys.Poly:
     """
     p = f.p
     deg = p * p - p
-    d = math.lcm(*(c.denominator for c in f.coeffs))
-    s = polys.power_sums([int(c * d ** (p - i)) for i, c in enumerate(f.coeffs)], deg + 1)
+    h = _centred(f)
+    d = math.lcm(*(c.denominator for c in h))
+    s = polys.power_sums([int(c * d ** (p - i)) for i, c in enumerate(h)], deg + 1)
     sums = [deg] + [
         sum(math.comb(k, l) * (-1) ** (k - l) * s[l] * s[k - l] for l in range(k + 1))
         for k in range(1, deg + 1)
@@ -397,9 +426,10 @@ def conductor_exponent(
     Requires a passing assumption report.  When f becomes Eisenstein after
     some integer shift x -> x + c with 0 <= c < p, a root generates the full
     ring of integers of the (totally ramified, degree p) extension, and the
-    extension discriminant equals disc f up to a unit.  Otherwise returns
-    None: the formula would need the extension discriminant itself, which is
-    not computed here.
+    extension discriminant equals disc f up to a unit.  Only the shift
+    c = -f(0) mod p can make f Eisenstein, so it is the one tried.  Otherwise
+    returns None: the formula would need the extension discriminant itself,
+    which is not computed here.
     """
     if assumptions is None:
         assumptions = validate_assumptions(f, K)
@@ -408,10 +438,6 @@ def conductor_exponent(
             "assumptions_not_validated",
             "conductor_exponent requires a validated maximal-inertia report",
         )
-    p = f.p
-    fc = f.as_poly()
-    for c in range(p):
-        if _is_eisenstein(polys.shift(fc, Fraction(c)), p):
-            disc = poly_discriminant(f)
-            return vp(disc, p)
+    if _is_eisenstein(_shifted(f, _candidate_shift(f)), f.p):
+        return int(assumptions.disc_valuation)
     return None

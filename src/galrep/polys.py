@@ -28,8 +28,8 @@ def derivative(a: Sequence[Fraction]) -> Poly:
 
 
 def shift(a: Sequence[Fraction], h: Fraction) -> Poly:
-    """Taylor shift: coefficients of a(x + h)."""
-    out = [Fraction(c) for c in a]
+    """Taylor shift: coefficients of a(x + h), integers when a and h are."""
+    out = list(a)
     n = len(out)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):

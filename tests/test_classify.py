@@ -187,6 +187,26 @@ class TestConsistencyGate:
         assert v.trace_predicted == predicted == v.trace_counted
 
 
+class TestCountedTraceCache:
+    def test_counted_once_per_p_and_n(self, monkeypatch):
+        module = sys.modules["galrep.classify"]
+        calls = []
+        count = module.count_twisted_fixed
+
+        def counting(p, n, budgets=None):
+            calls.append((p, n))
+            return count(p, n, budgets)
+
+        monkeypatch.setattr(module, "count_twisted_fixed", counting)
+        module._twisted_trace.cache_clear()
+        try:
+            reports = [classify(model_input(5), BaseField(5, 1)).to_json() for _ in range(3)]
+            assert calls == [(5, 1)]
+            assert reports[0] == reports[1] == reports[2]
+        finally:
+            module._twisted_trace.cache_clear()
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self):
         a = classify(model_input(5), BaseField(5, 1)).to_json()

@@ -2,6 +2,7 @@
 conductor exponents.  sympy serves as the independent oracle for resultant
 and discriminant values."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galrep import polys
+from galrep.arith import vp
 from galrep.errors import InputError, InternalCheckError, UsageError
 from galrep.padic import (
     CERTIFIED,
@@ -35,6 +38,30 @@ def sympy_disc(coeffs):
     x = sympy.Symbol("x")
     expr = sum(sympy.Rational(c) * x**i for i, c in enumerate(coeffs))
     return Fraction(str(sympy.discriminant(sympy.Poly(expr, x))))
+
+
+def shifted_eisenstein(p, units, c):
+    """Coefficients of g(x - c), g = x^p + p * (sum of units[i] x^i): f(x + c)
+    is Eisenstein when units[0] is prime to p."""
+    g = [p * u for u in units] + [1]
+    f = [0] * (p + 1)
+    for i, a in enumerate(g):
+        for k in range(i + 1):
+            f[k] += a * math.comb(i, k) * (-c) ** (i - k)
+    return f
+
+
+@st.composite
+def shifted_inputs(draw):
+    """Monic f with f(x + c) Eisenstein, c an integer up to 40 away from 0, so
+    the roots lie far from 0; some get a unit added to the coefficient of x,
+    which spoils the Eisenstein shape."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    units = [draw(st.sampled_from([-2, -1, 1, 2]))]
+    units += draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=p - 1, max_size=p - 1))
+    coeffs = shifted_eisenstein(p, units, draw(st.integers(min_value=-40, max_value=40)))
+    coeffs[1] += draw(st.sampled_from([0, 0, 1, 5]))
+    return InputPolynomial.from_coefficients(p, coeffs)
 
 
 class TestInputValidation:
@@ -133,6 +160,12 @@ class TestDiscriminant:
         f = poly(p, text)
         assert poly_discriminant(f) == sympy_disc(f.coeffs)
 
+    @settings(max_examples=25, deadline=None)
+    @given(f=shifted_inputs())
+    def test_against_sympy_far_from_zero(self, f):
+        # poly_discriminant works on a translate of f; the value must not change
+        assert poly_discriminant(f) == sympy_disc(f.coeffs)
+
     def test_repeated_root_gives_zero(self):
         # (x-1)^2 (x+1)^3 = x^5 + x^4 - 2x^3 - 2x^2 + x + 1
         f = InputPolynomial.from_coefficients(5, [1, 1, -2, -2, 1, 1])
@@ -186,6 +219,21 @@ class TestIrreducibilityCertificate:
 
     def test_certified_non_eisenstein(self):
         assert irreducibility_certificate(poly(5, "x^5-25"), BaseField(5, 1)) == CERTIFIED
+
+    @settings(max_examples=25, deadline=None)
+    @given(f=shifted_inputs())
+    def test_same_as_search_over_every_shift(self, f):
+        # the certificate tries one shift; searching all p of them must agree
+        p = f.p
+        found = UNDETERMINED
+        for c in range(p):
+            shifted = polys.shift(f.as_poly(), Fraction(c))
+            if shifted[0] == 0:
+                continue
+            segments = newton_polygon_of(shifted, p).segments
+            if len(segments) == 1 and segments[0].root_valuation.denominator == p:
+                found = CERTIFIED
+        assert irreducibility_certificate(f, BaseField(p, 1)) == found
 
 
 class TestDifferenceRootValuations:
@@ -333,6 +381,21 @@ class TestConductorExponent:
         # (x+1)^5 - 5 becomes Eisenstein under x -> x + 4
         f = poly(5, "x^5+5*x^4+10*x^3+10*x^2+5*x-4")
         assert conductor_exponent(f, BaseField(5, 1)) == 9
+
+    @settings(max_examples=25, deadline=None)
+    @given(f=shifted_inputs())
+    def test_same_as_search_over_every_shift(self, f):
+        p = f.p
+        report = validate_assumptions(f, BaseField(p, 1))
+        if not report.maximal_inertia:
+            return
+        eisenstein = False
+        for c in range(p):
+            g = polys.shift(f.as_poly(), Fraction(c))
+            if all(a == 0 or vp(a, p) >= 1 for a in g[:-1]) and g[0] != 0 and vp(g[0], p) == 1:
+                eisenstein = True
+        expected = vp(sympy_disc(f.coeffs), p) if eisenstein else None
+        assert conductor_exponent(f, BaseField(p, 1), report) == expected
 
     def test_not_monogenic_not_computed(self):
         assert conductor_exponent(poly(5, "x^5-25"), BaseField(5, 1)) is None
