@@ -72,3 +72,14 @@ def legendre_symbol(a: int, p: int) -> int:
         return 0
     s = pow(a, (p - 1) // 2, p)
     return 1 if s == 1 else -1
+
+
+def power_exceeds(base: int, exponent: int, cap: int) -> bool:
+    """base^exponent > cap, for base >= 2, without forming a huge power.
+
+    cap < 2^(bit length of cap), so an exponent at least that bit length
+    decides the answer before any power is taken.
+    """
+    if exponent >= cap.bit_length():
+        return True
+    return base**exponent > cap

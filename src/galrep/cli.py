@@ -2,7 +2,8 @@
 
 Subcommands: classify, chartab, count, verify.  Exit codes: 0 success,
 2 invalid input (machine-readable error JSON on stdout), 3 classification
-refused (hypotheses not certified), 4 internal consistency failure.
+refused (hypotheses not certified), 4 internal consistency failure or any
+other unexpected error (an error JSON too, never a traceback).
 
 JSON output is exact and byte-deterministic; text output adds numeric
 approximations for readability.
@@ -289,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except InternalCheckError as exc:
         print(_dump({"error": {"code": "internal_check", "message": str(exc)}}))
+        return EXIT_INTERNAL
+    except Exception as exc:  # the CLI's boundary: any other fault still ends in an error JSON
+        print(_dump({"error": {"code": "unexpected_error", "message": f"{type(exc).__name__}: {exc}"}}))
         return EXIT_INTERNAL
 
 

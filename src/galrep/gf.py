@@ -9,20 +9,33 @@ explicit computations where needed (the subfield F_q inside F_{p^(n*p)} is
 materialized as the fixed space of the q-power map).
 
 Elements are immutable coefficient tuples wrapped in ``FieldElement``;
-``FieldSpec`` exposes tuple-level arithmetic for the counting loops.
+``FieldSpec`` exposes tuple-level arithmetic for the counting loops.  The
+counters read the quadratic character from a table over element indices
+(``quadratic_character_table``), built once per field by walking
+multiplication by a fixed element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Iterator
+from itertools import chain, product
+from operator import mul
+from typing import Callable, Iterator
 
 from .arith import is_odd_prime
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
 
 Coeffs = tuple[int, ...]
+
+
+def _digits(index: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of index, little-endian."""
+    digits = []
+    for _ in range(k):
+        index, r = divmod(index, p)
+        digits.append(r)
+    return digits
 
 
 @dataclass(frozen=True)
@@ -112,16 +125,32 @@ class FieldSpec:
 
     def element_from_index(self, index: int) -> Coeffs:
         """index in base p, little-endian digits; enumerates the whole field."""
-        p = self.p
-        digits = []
-        for _ in range(self.m):
-            index, r = divmod(index, p)
-            digits.append(r)
-        return tuple(digits)
+        return tuple(_digits(index, self.p, self.m))
 
     def elements_t(self) -> Iterator[Coeffs]:
         for index in range(self.size):
             yield self.element_from_index(index)
+
+    def chi_table(self) -> bytearray:
+        """The quadratic character chi as a table over element indices
+        (``quadratic_character_table``).
+
+        The walk multiplies by g = x + 1, or by g = 2 when m = 1: a shift by
+        one place, the top coefficient folded back through x^m, plus the
+        element itself.
+        """
+        p, m = self.p, self.m
+        if m == 1:
+            def times_g(v: list[int]) -> list[int]:
+                return [2 * v[0] % p]
+        else:
+            x_m = self._reduction_rows[0]
+            folds = [[c * r % p for r in x_m] for c in range(p)]
+
+            def times_g(v: list[int]) -> list[int]:
+                return [(a + b + c) % p for a, b, c in zip(v, chain((0,), v), folds[v[-1]])]
+
+        return quadratic_character_table(p, m, times_g, lambda v: _euler_sign(self, tuple(v), self.size))
 
     # -- wrapped API ---------------------------------------------------------
 
@@ -270,6 +299,58 @@ def quadratic_character(t: FieldElement, order: int | None = None) -> int:
     raise UsageError("not_in_subfield", f"element is not in the subfield of order {q}")
 
 
+def _euler_sign(field: FieldSpec, a: Coeffs, order: int) -> int:
+    """a^((order-1)/2) for a nonzero a in the subfield of that order: +1 or -1.
+
+    Any other value means a is outside that subfield, which every caller
+    rules out, so it is an internal fault.
+    """
+    s = field.pow_t(a, (order - 1) // 2)
+    if s == field.one_t():
+        return 1
+    if s == field.neg_t(field.one_t()):
+        return -1
+    raise InternalCheckError("Euler criterion returned a non-sign value")
+
+
+def quadratic_character_table(p: int, k: int, times_g: Callable[[list[int]], list[int]],
+                              euler: Callable[[list[int]], int]) -> bytearray:
+    """The quadratic character of a field of size q = p^k, over element indices.
+
+    Elements are coordinate lists (c_0, ..., c_{k-1}) with index sum c_j p^j,
+    in coordinates where (1, 0, ..., 0) is the field's 1.  The table holds 2
+    at a nonzero square, 1 at a non-square and 0 at 0.
+
+    ``times_g`` multiplies by a fixed nonzero g.  The walk labels each coset
+    h<g> of F_q* in turn, using chi(h g^j) = chi(h) chi(g)^j, so ``euler``
+    (chi of one element by Euler's criterion) runs once for g and once per
+    coset, and no primitive element is needed (Lidl and Niederreiter,
+    *Finite Fields*, ch. 2).  Each step is one call of ``times_g``.
+    """
+    q = p**k
+    powers = [p**j for j in range(k)]
+    table = bytearray(q)
+    flip = 0 if euler(times_g([1] + [0] * (k - 1))) > 0 else 3  # label ^ 3 swaps 2 and 1
+    seed = table.find(0, 1)
+    while seed != -1:
+        v = _digits(seed, p, k)
+        label = start = 2 if euler(v) > 0 else 1
+        index = seed
+        for _ in range(q):
+            table[index] = label
+            label ^= flip
+            v = times_g(v)
+            index = sum(map(mul, v, powers))
+            if index == seed:
+                break
+        else:
+            raise InternalCheckError("the walk by g did not return to its seed")
+        if label != start:
+            raise InternalCheckError("the walk by g returned with the other character value")
+        seed = table.find(0, seed + 1)
+    return table
+
+
 def _frobenius_matrix(field: FieldSpec) -> list[list[int]]:
     """Matrix of the p-power map on the polynomial basis (columns = images)."""
     m = field.m
@@ -309,11 +390,12 @@ def _mat_pow(a: list[list[int]], e: int, p: int) -> list[list[int]]:
     return result
 
 
-def _solve_and_kernel(mat: list[list[int]], rhs: list[int], p: int) -> tuple[list[int], list[list[int]]]:
-    """One solution of mat*x = rhs plus a kernel basis, over F_p.
+def _solve_and_kernel(mat: list[list[int]], rhs: list[int], p: int) -> tuple[list[int], list[list[int]], list[int]]:
+    """One solution of mat*x = rhs, a kernel basis and the free columns, over F_p.
 
-    Free variables are set to zero, making the result deterministic.
-    Raises when the system is inconsistent.
+    Free variables are set to zero, making the result deterministic; the
+    kernel vector of each free column is 1 there and 0 at the other free
+    columns.  Raises when the system is inconsistent.
     """
     n = len(mat)
     a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
@@ -350,7 +432,7 @@ def _solve_and_kernel(mat: list[list[int]], rhs: list[int], p: int) -> tuple[lis
         for r, col in enumerate(pivots):
             vec[col] = (-a[r][fc]) % p
         kernel.append(vec)
-    return solution, kernel
+    return solution, kernel, free_cols
 
 
 def _q_power_minus_identity(field: FieldSpec, n: int) -> list[list[int]]:
@@ -377,7 +459,7 @@ def frobenius_root_solve(p: int, n: int, solver_np: int = 21) -> tuple[FieldSpec
     field = build_field(p, np_)
     mat = _q_power_minus_identity(field, n)
     rhs = [(-1) % p] + [0] * (np_ - 1)
-    solution, _ = _solve_and_kernel(mat, rhs, p)
+    solution, _, _ = _solve_and_kernel(mat, rhs, p)
     x0 = tuple(solution)
     q = p**n
     if field.pow_t(x0, q) != field.sub_t(x0, field.one_t()):
@@ -385,24 +467,78 @@ def frobenius_root_solve(p: int, n: int, solver_np: int = 21) -> tuple[FieldSpec
     return field, FieldElement(field, x0)
 
 
-def frobenius_fixed_subfield(field: FieldSpec, n: int) -> list[FieldElement]:
-    """All p^n elements fixed by the q-power map, q = p^n (the copy of F_q).
+@dataclass(frozen=True)
+class FixedSubfield:
+    """The copy of F_q (q = p^n) inside ``field``: the fixed space of the
+    q-power map, with the kernel basis of (q-power map - id).
 
-    The fixed space is the kernel of (q-power map - id); enumeration is over
-    all F_p-combinations of a kernel basis, in a deterministic order.
+    ``basis[i]`` is 1 at ``columns[i]`` and 0 at the other columns listed,
+    so an element's coordinates are its entries at ``columns``: no solve is
+    needed.  Column 0 is always free (1^q = 1), so 1 has coordinates
+    (1, 0, ..., 0).
     """
-    p = field.p
+
+    field: FieldSpec
+    n: int
+    basis: tuple[Coeffs, ...]
+    columns: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return self.field.p**self.n
+
+    def embed(self, c) -> Coeffs:
+        """The ambient element with coordinates c."""
+        p = self.field.p
+        out = [0] * self.field.m
+        for ci, vec in zip(c, self.basis):
+            if ci:
+                out = [o + ci * b for o, b in zip(out, vec)]
+        return tuple(o % p for o in out)
+
+    def element_from_index(self, index: int) -> Coeffs:
+        """The ambient element whose coordinates are the base-p digits of
+        index, little-endian: enumerates F_q in the character table's order."""
+        return self.embed(_digits(index, self.field.p, self.n))
+
+    def coords(self, a: Coeffs) -> list[int]:
+        """Coordinates of an ambient element, which must lie in F_q."""
+        c = [a[j] for j in self.columns]
+        if self.embed(c) != tuple(a):
+            raise InternalCheckError(f"element is not in the subfield F_({self.field.p}^{self.n})")
+        return c
+
+    def chi_table(self) -> bytearray:
+        """The quadratic character chi of F_q as a table over coordinate
+        indices (``quadratic_character_table``).
+
+        The walk multiplies by g = 1 + basis[-1] (2 when n = 1), an n x n
+        matrix on the coordinates; Euler's criterion runs in the ambient field.
+        """
+        field, p, q = self.field, self.field.p, self.size
+        g = field.add_t(field.one_t(), self.basis[-1])
+        columns = [self.coords(field.mul_t(g, vec)) for vec in self.basis]
+        rows = [list(row) for row in zip(*columns)]
+
+        def times_g(v: list[int]) -> list[int]:
+            return [sum(map(mul, row, v)) % p for row in rows]
+
+        return quadratic_character_table(p, self.n, times_g, lambda v: _euler_sign(field, self.embed(v), q))
+
+
+def fixed_subfield(field: FieldSpec, n: int) -> FixedSubfield:
+    """F_q, q = p^n, inside ``field`` as the kernel of (q-power map - id)."""
     if field.m % n:
         raise UsageError("bad_subfield", f"F_(p^{n}) does not embed into F_(p^{field.m})")
     mat = _q_power_minus_identity(field, n)
-    _, kernel = _solve_and_kernel(mat, [0] * field.m, p)
+    _, kernel, columns = _solve_and_kernel(mat, [0] * field.m, field.p)
     if len(kernel) != n:
         raise InternalCheckError(f"fixed space of the q-power map has dimension {len(kernel)} != {n}")
-    elements: list[Coeffs] = [field.zero_t()]
-    for vec in kernel:
-        vt = tuple(vec)
-        scaled = [vt]
-        for _ in range(p - 2):
-            scaled.append(field.add_t(scaled[-1], vt))
-        elements = [field.add_t(e, s) for e in elements for s in [field.zero_t()] + scaled]
-    return [FieldElement(field, e) for e in elements]
+    return FixedSubfield(field, n, tuple(tuple(vec) for vec in kernel), tuple(columns))
+
+
+def frobenius_fixed_subfield(field: FieldSpec, n: int) -> list[FieldElement]:
+    """All p^n elements fixed by the q-power map, q = p^n (the copy of F_q),
+    in coordinate-index order (see ``FixedSubfield``)."""
+    subfield = fixed_subfield(field, n)
+    return [FieldElement(field, subfield.element_from_index(i)) for i in range(subfield.size)]

@@ -106,6 +106,15 @@ _TERM_RE = re.compile(
 )
 
 
+def _parse_int(digits: str) -> int:
+    # Python refuses to convert a number of more digits than its
+    # int-to-str limit; that is bad input, not a fault
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise InputError("poly_parse", f"a number of {len(digits)} digits is too long to read") from exc
+
+
 def parse_polynomial_string(text: str) -> dict[int, int]:
     """Parse a sum of integer-coefficient terms c*x^k into {k: c}.
 
@@ -127,12 +136,12 @@ def parse_polynomial_string(text: str) -> dict[int, int]:
             raise InputError("poly_parse", f"missing sign before position {pos} in '{text}'")
         sgn = -1 if sign == "-" else 1
         if match.group("x") is not None:
-            k = int(match.group("exp") or 1)
+            k = _parse_int(match.group("exp") or "1")
             c = sgn
         else:
-            c = sgn * int(match.group("coeff"))
+            c = sgn * _parse_int(match.group("coeff"))
             if match.group("xc"):
-                k = int(match.group("expc") or 1)
+                k = _parse_int(match.group("expc") or "1")
             else:
                 k = 0
         terms[k] = terms.get(k, 0) + c

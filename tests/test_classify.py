@@ -175,6 +175,10 @@ class TestInvariants:
         assert "budget" in report.verification.reason
         assert report.psi.label == "wild--"  # classification itself still completes
 
+    def test_skip_reason_writes_the_size_as_a_power(self):
+        report = classify(model_input(5), BaseField(5, 2001))
+        assert report.verification.reason == "subfield size 5^2001 exceeds the coset budget 1000000"
+
 
 class TestConsistencyGate:
     @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 """CLI surface: subcommands, exit codes, JSON validity, determinism."""
 
 import json
+import time
+
+import pytest
 
 
 import galrep.cli as cli
@@ -55,6 +58,12 @@ class TestClassifyCommand:
                         "--group-bound", "17", "--format", "text")
         assert code == 0
         assert "trace of psi at the sigma*phi class" in out
+
+    @pytest.mark.parametrize("f", ["x^5-" + "9" * 5000, "x^" + "9" * 5000])
+    def test_over_long_number_exit_two(self, capsys, f):
+        code, out = run(capsys, "classify", "--p", "5", "--f", f, "--n", "1")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "poly_parse"
 
     def test_unparsable_exit_two(self, capsys):
         code, out = run(capsys, "classify", "--p", "5", "--f", "x**5-5", "--n", "1")
@@ -118,6 +127,18 @@ class TestCountCommand:
         assert json.loads(out)["error"]["code"] == "budget_exceeded"
 
 
+    @pytest.mark.parametrize("mode,flag,k", [("curve", "--m", "20001"), ("twisted", "--n", "20001"),
+                                             ("twisted", "--n", "100000001"), ("twisted-naive", "--n", "100000001")])
+    def test_huge_degree_exit_two_quickly(self, capsys, mode, flag, k):
+        started = time.perf_counter()
+        code, out = run(capsys, "count", "--mode", mode, "--p", "3", flag, k)
+        assert time.perf_counter() - started < 5
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "budget_exceeded"
+        assert "size 3^" in error["message"]
+
+
 class TestVerifyCommand:
     def test_single_pair(self, capsys):
         code, out = run(capsys, "verify", "--p", "3", "--n", "1")
@@ -139,6 +160,17 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "--p", "3")
         assert code == 2
         assert json.loads(out)["error"]["code"] == "missing_flag"
+
+
+class TestUnexpectedErrors:
+    def test_exit_four_with_error_json(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "count_curve", broken)
+        code, out = run(capsys, "count", "--mode", "curve", "--p", "5", "--m", "2")
+        assert code == 4
+        assert json.loads(out)["error"] == {"code": "unexpected_error", "message": "RuntimeError: boom"}
 
 
 class TestDeterminism:

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galrep.errors import BudgetExceeded, InputError, UsageError
+from galrep.errors import BudgetExceeded, InputError, InternalCheckError, UsageError
 from galrep.gf import (
+    FieldElement,
     build_field,
+    fixed_subfield,
     frobenius_fixed_subfield,
     frobenius_root_solve,
     quadratic_character,
 )
+
+TABLE_VALUE = {0: 0, 1: 2, -1: 1}  # the character table's code for chi = 0, +1, -1
 
 
 class TestBuildField:
@@ -101,6 +105,42 @@ class TestQuadraticCharacter:
         field, x0 = frobenius_root_solve(3, 1)
         with pytest.raises(UsageError):
             quadratic_character(x0, order=3)
+
+
+class TestCharacterTable:
+    # F_81 and F_625 have no primitive x + a, so their walks need several cosets
+    @pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (5, 3), (5, 4)])
+    def test_against_euler_criterion(self, p, m):
+        field = build_field(p, m)
+        table = field.chi_table()
+        assert len(table) == field.size
+        for index, a in enumerate(field.elements_t()):
+            assert table[index] == TABLE_VALUE[quadratic_character(field.element(a))], a
+
+    def test_subfield_against_euler_criterion(self):
+        # F_27 inside F_(3^9), in its own coordinates
+        subfield = fixed_subfield(build_field(3, 9), 3)
+        table = subfield.chi_table()
+        assert len(table) == 27
+        for index in range(27):
+            element = FieldElement(subfield.field, subfield.element_from_index(index))
+            assert table[index] == TABLE_VALUE[quadratic_character(element, order=27)], index
+
+
+class TestFixedSubfield:
+    def test_coordinates_are_the_free_columns(self):
+        field = build_field(3, 9)
+        subfield = fixed_subfield(field, 3)
+        assert subfield.columns[0] == 0  # 1 has coordinates (1, 0, 0)
+        assert subfield.coords(field.one_t()) == [1, 0, 0]
+        for c in ([1, 2, 0], [0, 0, 1], [2, 1, 2]):
+            assert subfield.coords(subfield.embed(c)) == c
+        assert subfield.coords(subfield.element_from_index(1 + 2 * 3 + 2 * 9)) == [1, 2, 2]
+
+    def test_coords_reject_elements_outside(self):
+        field, x0 = frobenius_root_solve(3, 3)
+        with pytest.raises(InternalCheckError):
+            fixed_subfield(field, 3).coords(x0.coeffs)
 
 
 class TestFrobeniusRootSolve:
