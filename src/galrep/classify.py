@@ -14,14 +14,16 @@ produce byte-identical JSON.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .arith import power_exceeds
 from .config import Budgets, default_budgets
 from .counting import count_twisted_fixed
 from .cyclotomic import Cyclotomic
-from .errors import BudgetExceeded, GalrepError, InternalCheckError
+from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError
 from .groups import FULL, INERTIA, CharacterRow, CharacterTable, build_group, character_table, gauss_sum, identify_psi
 from .padic import AssumptionReport, BaseField, InputPolynomial, conductor_exponent, validate_assumptions
 
@@ -139,6 +141,22 @@ def _signed_p(p: int) -> int:
     return -p if (p - 1) // 2 % 2 else p
 
 
+def _gauss_sum_power(p: int, n: int) -> Cyclotomic:
+    """G^n for the Gauss sum G, from G^2 = (-1)^((p-1)/2) p: a rational for
+    even n, a rational multiple of G for odd n."""
+    scale = Fraction(_signed_p(p)) ** (n // 2)
+    return gauss_sum(p) * scale if n % 2 else Cyclotomic.rational(p, scale)
+
+
+def _check_printable(p: int, n: int) -> None:
+    """Refuse an n whose eigenvalues, of size p^(n//2), have more digits than
+    Python converts to a string; decided from the exponent alone."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and power_exceeds(p, n // 2, 10**limit - 1):
+        raise InputError("residue_degree_too_large",
+                         f"the Frobenius eigenvalues have size {p}^{n // 2}, more than {limit} digits")
+
+
 @lru_cache(maxsize=None)
 def _twisted_trace(p: int, n: int, budgets: Budgets) -> int:
     """The counted trace, once per (p, n, budgets): like the character
@@ -154,19 +172,20 @@ def verify_consistency(p: int, n: int, budgets: Budgets | None = None,
     (it would mean one of the two independent routes is wrong).
     """
     budgets = budgets or default_budgets()
+    group = build_group(p, FULL, budgets.group_p_bound)
+    # the count's budgets are decided from the exponent: they bound n before G^n is formed
+    counted = _twisted_trace(p, n, budgets)
     if psi is None:
         psi = identify_psi(p, "odd", budgets.group_p_bound)
-    table = character_table(build_group(p, FULL, budgets.group_p_bound))
+    table = character_table(group)
     trace_psi = psi.values[table.sigma_phi_class()]
-    chi_frob = gauss_sum(p) ** n
-    predicted_cyclo = trace_psi * chi_frob
+    predicted_cyclo = trace_psi * _gauss_sum_power(p, n)
     if not predicted_cyclo.is_rational():
         raise InternalCheckError("predicted trace of a Frobenius-coset element is not rational")
     predicted_fraction = predicted_cyclo.as_rational()
     if predicted_fraction.denominator != 1:
         raise InternalCheckError("predicted trace is not a rational integer")
     predicted = int(predicted_fraction)
-    counted = _twisted_trace(p, n, budgets)
     status = "ok" if counted == predicted else "mismatch"
     return Verification(status=status, trace_counted=counted, trace_predicted=predicted,
                         match=counted == predicted)
@@ -179,8 +198,9 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
     when any hypothesis fails or stays undetermined.
     """
     budgets = budgets or default_budgets()
-    # the bound check is cheap: refuse an out-of-bound p before any p-adic work
+    # the bound checks are cheap: refuse an out-of-bound p or n before any p-adic work
     inertia_group = build_group(f.p, INERTIA, budgets.group_p_bound)
+    _check_printable(f.p, K.n)
     assumptions = validate_assumptions(f, K)
     if not assumptions.maximal_inertia:
         raise ClassificationRefused(assumptions.failed_conditions(), assumptions)
@@ -200,10 +220,9 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
         psi_table = full_table
     psi = identify_psi(p, parity, budgets.group_p_bound)
 
-    chi_frob = gauss_sum(p) ** n
+    chi_frob = _gauss_sum_power(p, n)
     if parity == "even":
-        lam = Fraction(_signed_p(p)) ** (n // 2)
-        eigenvalues = (Eigenvalue(Cyclotomic.rational(p, lam), 2 * g),)
+        eigenvalues = (Eigenvalue(chi_frob, 2 * g),)
     else:
         eigenvalues = (Eigenvalue(chi_frob, g), Eigenvalue(-chi_frob, g))
 

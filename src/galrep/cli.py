@@ -3,7 +3,8 @@
 Subcommands: classify, chartab, count, verify.  Exit codes: 0 success,
 2 invalid input (machine-readable error JSON on stdout), 3 classification
 refused (hypotheses not certified), 4 internal consistency failure or any
-other unexpected error (an error JSON too, never a traceback).
+other unexpected error (an error JSON too, never a traceback).  When the
+reader closes stdout early, nothing more is written and the exit code is 4.
 
 JSON output is exact and byte-deterministic; text output adds numeric
 approximations for readability.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -275,6 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # inside the try: a closed pipe shows up here at the latest
+        return code
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so the interpreter's
+        # own flush at exit fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INTERNAL
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -291,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(_dump({"error": {"code": "internal_check", "message": str(exc)}}))
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        raise  # no error JSON can reach a closed stdout
     except Exception as exc:  # the CLI's boundary: any other fault still ends in an error JSON
         print(_dump({"error": {"code": "unexpected_error", "message": f"{type(exc).__name__}: {exc}"}}))
         return EXIT_INTERNAL

@@ -19,8 +19,8 @@ So each element costs a few additions and one table lookup.
 
       x^q = x - 1,   y^q = y,   y^2 = x^p - x        (q = p^n, n odd)
 
-  by the coset method: one linear solve yields a root x0 of the first
-  equation, the full solution set is the coset x0 + F_q, and on it
+  by the coset method: one linear elimination yields a root x0 of the first
+  equation and F_q, the full solution set is the coset x0 + F_q, and on it
   t = L(x0) + L(c) with c in F_q, worked in F_q's own coordinates.  This
   replaces a scan of F_{p^(n*p)} by q elements of F_q.
 * ``naive_twisted_oracle`` re-derives the same count by direct scan, for
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .arith import is_odd_prime, power_exceeds
 from .config import Budgets, default_budgets
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
-from .gf import Coeffs, FieldSpec, build_field, fixed_subfield, frobenius_root_solve
+from .gf import Coeffs, FieldSpec, build_field, frobenius_coset
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,7 @@ def count_twisted_fixed(p: int, n: int, budgets: Budgets | None = None) -> Twist
     if power_exceeds(p, n, budgets.coset_q):
         raise BudgetExceeded(f"subfield size {p}^{n} exceeds the coset budget {budgets.coset_q}")
     q = p**n
-    field, x0 = frobenius_root_solve(p, n, budgets.solver_np)
-    subfield = fixed_subfield(field, n)
+    field, x0, subfield = frobenius_coset(p, n, budgets.solver_np)
     one = field.one_t()
 
     # spot-check the root-set structure (x0 + c)^q = (x0 + c) - 1 on a

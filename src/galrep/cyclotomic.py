@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-import mpmath
-
 from .errors import UsageError
 
 _ZERO = Fraction(0)
@@ -214,8 +212,11 @@ class Cyclotomic:
         """Numeric image under zeta_m -> exp(2*pi*i/m).
 
         For display and sign disambiguation only; equality decisions always
-        use the exact coefficient vectors.
+        use the exact coefficient vectors.  mpmath is imported here, on
+        first use, so that JSON output never loads it.
         """
+        import mpmath
+
         with mpmath.workdps(precision):
             total = mpmath.mpc(0)
             for e, c in enumerate(self.coeffs):

@@ -444,14 +444,16 @@ def _q_power_minus_identity(field: FieldSpec, n: int) -> list[list[int]]:
     return qmat
 
 
-def frobenius_root_solve(p: int, n: int, solver_np: int = 21) -> tuple[FieldSpec, FieldElement]:
-    """A solution x0 of x^q = x - 1 with q = p^n, inside F_{p^(n*p)}.
+def frobenius_coset(p: int, n: int, solver_np: int = 21) -> tuple[FieldSpec, FieldElement, FixedSubfield]:
+    """The solutions of x^q = x - 1, q = p^n, as the coset x0 + F_q inside
+    F_{p^(n*p)}.
 
     Any solution satisfies x^(q^p) = x - p = x, so the ambient field
     F_{p^(n*p)} contains the whole solution set, which is the coset
-    x0 + F_q.  The equation is linear in x over F_p, so x0 comes from one
-    Gaussian solve of (q-power map - id) x = -1; the result is re-verified
-    by direct exponentiation before being returned.
+    x0 + F_q.  The equation is linear in x over F_p, so one Gaussian
+    elimination of (q-power map - id) gives both x0, a solution of
+    (q-power map - id) x = -1, and F_q, its kernel.  x0 is re-verified by
+    direct exponentiation before being returned.
     """
     np_ = n * p
     if np_ > solver_np:
@@ -459,12 +461,19 @@ def frobenius_root_solve(p: int, n: int, solver_np: int = 21) -> tuple[FieldSpec
     field = build_field(p, np_)
     mat = _q_power_minus_identity(field, n)
     rhs = [(-1) % p] + [0] * (np_ - 1)
-    solution, _, _ = _solve_and_kernel(mat, rhs, p)
+    solution, kernel, columns = _solve_and_kernel(mat, rhs, p)
     x0 = tuple(solution)
     q = p**n
     if field.pow_t(x0, q) != field.sub_t(x0, field.one_t()):
-        raise InternalCheckError("frobenius_root_solve: verification x0^q = x0 - 1 failed")
-    return field, FieldElement(field, x0)
+        raise InternalCheckError("frobenius_coset: verification x0^q = x0 - 1 failed")
+    return field, FieldElement(field, x0), _fixed_space(field, n, kernel, columns)
+
+
+def frobenius_root_solve(p: int, n: int, solver_np: int = 21) -> tuple[FieldSpec, FieldElement]:
+    """A solution x0 of x^q = x - 1 with q = p^n, inside F_{p^(n*p)}
+    (``frobenius_coset`` without the subfield)."""
+    field, x0, _ = frobenius_coset(p, n, solver_np)
+    return field, x0
 
 
 @dataclass(frozen=True)
@@ -532,6 +541,10 @@ def fixed_subfield(field: FieldSpec, n: int) -> FixedSubfield:
         raise UsageError("bad_subfield", f"F_(p^{n}) does not embed into F_(p^{field.m})")
     mat = _q_power_minus_identity(field, n)
     _, kernel, columns = _solve_and_kernel(mat, [0] * field.m, field.p)
+    return _fixed_space(field, n, kernel, columns)
+
+
+def _fixed_space(field: FieldSpec, n: int, kernel: list[list[int]], columns: list[int]) -> FixedSubfield:
     if len(kernel) != n:
         raise InternalCheckError(f"fixed space of the q-power map has dimension {len(kernel)} != {n}")
     return FixedSubfield(field, n, tuple(tuple(vec) for vec in kernel), tuple(columns))

@@ -16,6 +16,11 @@ modular additions with a twist:
 
     (i1,j1,k1)*(i2,j2,k2) = (i1 + b^j1 i2 mod p,  j1 + p^k1 j2 mod 2(p-1),  k1+k2 mod 2).
 
+Conjugacy classes are written down from the (j, k) parameters, with sizes
+1, p-1, p, 2 or 2p, and the class of an element is read off the same rules
+(``_class_list``, ``_class_rep``), so no orbit is ever enumerated; the
+tests compare them with brute-force orbits.
+
 Character tables are built from the semidirect-product recipe for A x| H
 with A abelian: pick orbit representatives of H on the characters of A; for
 each, induce the stabilizer's irreducibles up from A*Stab.  Here the orbits
@@ -133,29 +138,61 @@ class ConjClass(NamedTuple):
     size: int
 
 
+def _class_list(group: GroupSpec) -> list[ConjClass]:
+    """Class representatives and sizes, written down from the (j, k) parameters.
+
+    Conjugating s^i t^j by s^a moves i by a(1 - b^j), and by t^c multiplies
+    i by b^c.  So for j = 0 mod p-1 (b^j = 1) the classes are {t^j} and the
+    p-1 elements s^i t^j, i != 0; every other j gives one class t^j of size
+    p.  In the full group f maps t^j to t^(pj), which is t^(j + p-1) for odd
+    j: the odd classes merge in pairs.  Conjugating s^i t^j f by t^c gives
+    s^(b^c i) t^(j - (p-1)c) f, so j matters mod p-1 only: for j != 0 mod
+    p-1 all 2p such elements are one class, and for j = 0 mod p-1 they split
+    into {f, t^(p-1) f} and two classes of size p-1, told apart by whether i
+    is a square and whether j is 0.  Each representative is the lex-least
+    member of its class.
+    """
+    p, to = group.p, group.tau_order
+    classes = []
+    for j in range(to):
+        if j % (p - 1) == 0:
+            classes += [ConjClass(El(0, j, 0), 1), ConjClass(El(1, j, 0), p - 1)]
+        elif group.variant == INERTIA or j % 2 == 0:
+            classes.append(ConjClass(El(0, j, 0), p))
+        elif j < p - 1:  # odd j merges with j + p-1, the larger one
+            classes.append(ConjClass(El(0, j, 0), 2 * p))
+    if group.variant == FULL:
+        classes += [ConjClass(El(0, 0, 1), 2), ConjClass(El(1, 0, 1), p - 1), ConjClass(El(1, p - 1, 1), p - 1)]
+        classes += [ConjClass(El(0, j, 1), 2 * p) for j in range(1, p - 1)]
+    classes.sort(key=lambda cls: cls.rep)
+    return classes
+
+
+def _class_rep(group: GroupSpec, x: El) -> El:
+    """The representative of the class of x, by the rules of ``_class_list``."""
+    p = group.p
+    i, j, k = x
+    if not k:
+        if j % (p - 1) == 0:
+            return El(1 if i else 0, j, 0)
+        if group.variant == FULL and j % 2:
+            j = min(j, (j + p - 1) % group.tau_order)
+        return El(0, j, 0)
+    if j % (p - 1) or not i:
+        return El(0, j % (p - 1), 1)
+    # (square i, j = 0) and (non-square i, j = p-1) are one class, the others the other
+    return El(1, 0 if (legendre_symbol(i, p) == 1) == (j == 0) else p - 1, 1)
+
+
 @lru_cache(maxsize=None)
 def _classes_and_index(group: GroupSpec) -> tuple[tuple[ConjClass, ...], dict[El, int]]:
-    all_elements = list(group.elements())
-    seen: set[El] = set()
-    classes: list[tuple[El, frozenset[El]]] = []
-    for x in all_elements:
-        if x in seen:
-            continue
-        orbit = {group.conjugate(g, x) for g in all_elements}
-        seen |= orbit
-        classes.append((min(orbit), frozenset(orbit)))
-    classes.sort(key=lambda item: item[0])
-    index: dict[El, int] = {}
-    out = []
-    for idx, (rep, orbit) in enumerate(classes):
-        out.append(ConjClass(rep, len(orbit)))
-        for member in orbit:
-            index[member] = idx
-    return tuple(out), index
+    """The classes, and the position of each representative among them."""
+    classes = tuple(_class_list(group))
+    return classes, {cls.rep: idx for idx, cls in enumerate(classes)}
 
 
 def conjugacy_classes(group: GroupSpec) -> tuple[ConjClass, ...]:
-    """Conjugacy classes by brute-force orbit enumeration, lex-least reps."""
+    """Conjugacy classes in closed form, lex-least representatives, sorted by them."""
     return _classes_and_index(group)[0]
 
 
@@ -189,15 +226,14 @@ class CharacterRow:
 class CharacterTable:
     """Conjugacy classes plus exact character values for one group."""
 
-    def __init__(self, group: GroupSpec, classes: tuple[ConjClass, ...],
-                 class_index: dict[El, int], rows: tuple[CharacterRow, ...]):
+    def __init__(self, group: GroupSpec, classes: tuple[ConjClass, ...], rows: tuple[CharacterRow, ...]):
         self.group = group
         self.classes = classes
-        self._class_index = class_index
         self.rows = rows
 
     def class_of(self, element: El) -> int:
-        return self._class_index[element]
+        """Position of the class of ``element`` in ``classes``."""
+        return _classes_and_index(self.group)[1][_class_rep(self.group, element)]
 
     def value_at(self, row: CharacterRow, element: El) -> Cyclotomic:
         return row.values[self.class_of(element)]
@@ -319,85 +355,66 @@ def induced_character(group: GroupSpec, subgroup: str, inner: dict[str, int]) ->
         raise UsageError("bad_subgroup", "full-variant induction needs a phi sign")
     classes = conjugacy_classes(group)
     reps = [group.element(0, a, 0) for a in range(1, p)]
+    zero = Cyclotomic.zero(p)
     values = []
     for cls in classes:
+        if decompose(cls.rep) is None:
+            values.append(zero)
+            continue
         total: dict[int, Fraction] = {}
         for t in reps:
-            u = group.conjugate(t, cls.rep)
-            dec = decompose(u)
-            if dec is None:
-                continue
-            i, e, k = dec
+            i, e, k = decompose(group.conjugate(t, cls.rep))  # the subgroup is normal
             sign = (nu_sign ** e) * (phi_sign ** k if k else 1)
             total[i] = total.get(i, Fraction(0)) + sign
         values.append(Cyclotomic.from_terms(p, total))
     return tuple(values)
 
 
-def _kernel_size(group: GroupSpec, class_index: dict[El, int], values: tuple[Cyclotomic, ...],
-                 dimension: int) -> int:
+def _kernel_size(classes: tuple[ConjClass, ...], values: tuple[Cyclotomic, ...], dimension: int) -> int:
     target = Cyclotomic.rational(values[0].m, dimension)
-    kernel_classes = {idx for idx, v in enumerate(values) if v == target}
-    return sum(1 for element, idx in class_index.items() if idx in kernel_classes)
+    return sum(cls.size for cls, v in zip(classes, values) if v == target)
 
 
 def faithful_kernel(group: GroupSpec, row: CharacterRow) -> int:
     """Number of elements where the character reaches its dimension."""
-    _, class_index = _classes_and_index(group)
-    return _kernel_size(group, class_index, row.values, row.dimension)
+    return _kernel_size(conjugacy_classes(group), row.values, row.dimension)
 
 
-def _lifted_inertia_row(group: GroupSpec, classes, c: int) -> tuple[str, tuple[Cyclotomic, ...]]:
-    to = group.tau_order
-    values = tuple(Cyclotomic.root_of_unity(to, c * cls.rep.j) for cls in classes)
-    return f"tame{c}", values
+def _lifted_inertia_row(classes, roots, c: int) -> tuple[str, tuple[Cyclotomic, ...]]:
+    to = len(roots)
+    return f"tame{c}", tuple(roots[c * cls.rep.j % to] for cls in classes)
 
 
-def _lifted_full_1d_row(group: GroupSpec, classes, c: int, phi_sign: int):
-    to = group.tau_order
-    values = []
-    for cls in classes:
-        v = Cyclotomic.root_of_unity(to, c * cls.rep.j)
-        if cls.rep.k and phi_sign < 0:
-            v = -v
-        values.append(v)
+def _lifted_full_1d_row(classes, roots, c: int, phi_sign: int):
+    # -zeta^e = zeta^(e + p-1) for zeta of order 2(p-1)
+    to = len(roots)
+    flip = to // 2 if phi_sign < 0 else 0
+    values = tuple(roots[(c * cls.rep.j + (flip if cls.rep.k else 0)) % to] for cls in classes)
     label = f"tame{c}{'+' if phi_sign > 0 else '-'}"
-    return label, tuple(values)
+    return label, values
 
 
-def _lifted_full_2d_row(group: GroupSpec, classes, c: int):
-    to = group.tau_order
-    values = []
-    for cls in classes:
-        if cls.rep.k:
-            values.append(Cyclotomic.zero(to))
-        else:
-            values.append(
-                Cyclotomic.from_terms(to, _merge({c * cls.rep.j: 1}, {c * group.p * cls.rep.j: 1}, to))
-            )
-    return f"tame2d{c}", tuple(values)
-
-
-def _merge(a: dict[int, int], b: dict[int, int], m: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for src in (a, b):
-        for e, v in src.items():
-            e %= m
-            out[e] = out.get(e, Fraction(0)) + v
-    return out
+def _lifted_full_2d_row(classes, twice, zero, c: int):
+    # on t^j the value is zeta^(cj) + zeta^(cpj), and zeta^(cpj) = (-1)^(cj) zeta^(cj):
+    # twice zeta^(cj) for even j, 0 for odd j (c is odd); 0 off <t>
+    to = len(twice)
+    values = tuple(zero if cls.rep.k or cls.rep.j % 2 else twice[c * cls.rep.j % to] for cls in classes)
+    return f"tame2d{c}", values
 
 
 @lru_cache(maxsize=None)
 def character_table(group: GroupSpec) -> CharacterTable:
     """Complete irreducible character table of either variant."""
-    classes, class_index = _classes_and_index(group)
+    classes = conjugacy_classes(group)
     p = group.p
     to = group.tau_order
+    # the lifted rows take their values among the 2(p-1)-th roots of unity
+    roots = [Cyclotomic.root_of_unity(to, e) for e in range(to)]
     raw: list[tuple[str, int, tuple[Cyclotomic, ...], tuple]] = []
 
     if group.variant == INERTIA:
         for c in range(to):
-            label, values = _lifted_inertia_row(group, classes, c)
+            label, values = _lifted_inertia_row(classes, roots, c)
             raw.append((label, 1, values, ("lifted", c)))
         for nu_sign, tag in ((1, "wild+"), (-1, "wild-")):
             values = induced_character(group, SUBGROUP_C2P, {"nu": nu_sign})
@@ -407,15 +424,17 @@ def character_table(group: GroupSpec) -> CharacterTable:
         # fixes exactly the even characters of <t> and pairs up the odd ones
         for c in range(0, to, 2):
             for phi_sign in (1, -1):
-                label, values = _lifted_full_1d_row(group, classes, c, phi_sign)
+                label, values = _lifted_full_1d_row(classes, roots, c, phi_sign)
                 raw.append((label, 1, values, ("lifted", c, phi_sign)))
+        twice = [r + r for r in roots]
+        zero = Cyclotomic.zero(to)
         seen: set[int] = set()
         for c in range(1, to, 2):
             if c in seen:
                 continue
             partner = c * p % to
             seen |= {c, partner}
-            label, values = _lifted_full_2d_row(group, classes, min(c, partner))
+            label, values = _lifted_full_2d_row(classes, twice, zero, min(c, partner))
             raw.append((label, 2, values, ("lifted", min(c, partner), "pair")))
         for nu_sign in (1, -1):
             for phi_sign in (1, -1):
@@ -425,7 +444,7 @@ def character_table(group: GroupSpec) -> CharacterTable:
 
     rows = []
     for label, dim, values, construction in raw:
-        kernel = _kernel_size(group, class_index, values, dim)
+        kernel = _kernel_size(classes, values, dim)
         rows.append(CharacterRow(label, dim, values, kernel == 1, construction))
     rows.sort(key=lambda r: (r.dimension, r.label))
     if len(rows) != len(classes):
@@ -434,7 +453,7 @@ def character_table(group: GroupSpec) -> CharacterTable:
         )
     if sum(r.dimension**2 for r in rows) != group.order:
         raise InternalCheckError(f"sum of squared dimensions != group order for p={p} {group.variant}")
-    return CharacterTable(group, classes, class_index, tuple(rows))
+    return CharacterTable(group, classes, tuple(rows))
 
 
 def identify_psi(p: int, n_parity: str, p_bound: int = 13) -> CharacterRow:

@@ -278,6 +278,31 @@ def irreducibility_certificate(f: InputPolynomial, K: BaseField) -> str:
     return UNDETERMINED
 
 
+def _difference_power_sums(s: Sequence[int]) -> list[int]:
+    """Power sums S_0 .. S_D of the D = len(s) - 1 nonzero root differences,
+    from the power sums s_0 = p, s_1, .. of the roots.
+
+    S_k = sum_l C(k,l) (-1)^(k-l) s_l s_(k-l) over all ordered pairs of
+    roots, where the p zero differences add nothing for k > 0, and S_0 = D
+    counts the others.  The differences come in pairs +-(a - b), so S_k = 0
+    for odd k; for even k the terms l and k - l agree, so the half l < k/2
+    is summed, doubled, and the middle term added.  The binomials are taken
+    along the row.
+    """
+    deg = len(s) - 1
+    sums = [deg] + [0] * deg
+    for k in range(2, deg + 1, 2):
+        half = k // 2
+        c, total = 1, 0
+        for l in range(half):
+            term = c * s[l] * s[k - l]
+            total += -term if l % 2 else term
+            c = c * (k - l) // (l + 1)
+        middle = c * s[half] * s[half]
+        sums[k] = 2 * total + (-middle if half % 2 else middle)
+    return sums
+
+
 def difference_polynomial(f: InputPolynomial) -> polys.Poly:
     """Monic polynomial whose roots are the p(p-1) differences of roots of f.
 
@@ -286,22 +311,18 @@ def difference_polynomial(f: InputPolynomial) -> polys.Poly:
     differences are those of the centred f(x + m), m an integer.  With d the
     lcm of its coefficient denominators (prime to p), g(x) = d^p f(x/d + m)
     is monic in Z[x].  Newton's identities give the power sums s_l of its
-    roots; the differences of those roots have power sums
-    S_k = sum_l C(k,l) (-1)^(k-l) s_l s_(k-l), where S_0 = p(p-1) leaves out
-    the p zero differences; Newton's identities turn the S_k back into
-    integer coefficients.  Dividing coefficient j by d^(p(p-1)-j) undoes the
-    scaling.
+    roots; the differences of those roots have power sums S_k, formed from
+    the s_l in ``_difference_power_sums``; Newton's identities turn the S_k
+    back into integer coefficients.  Dividing coefficient j by
+    d^(p(p-1)-j) undoes the scaling.
     """
     p = f.p
     deg = p * p - p
     h = _centred(f)
     d = math.lcm(*(c.denominator for c in h))
     s = polys.power_sums([int(c * d ** (p - i)) for i, c in enumerate(h)], deg + 1)
-    sums = [deg] + [
-        sum(math.comb(k, l) * (-1) ** (k - l) * s[l] * s[k - l] for l in range(k + 1))
-        for k in range(1, deg + 1)
-    ]
-    d_poly = [Fraction(b, d ** (deg - j)) for j, b in enumerate(polys.from_power_sums(sums))]
+    b = polys.from_power_sums(_difference_power_sums(s))
+    d_poly = [Fraction(c, d ** (deg - j)) for j, c in enumerate(b)]
     # constant term must be +/- disc(f), which comes independently from the resultant
     disc = poly_discriminant(f)
     sign = -1 if (p * (p - 1) // 2) % 2 else 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from galrep.classify import ClassificationRefused, classify, verify_consistency
+from galrep.classify import ClassificationRefused, _gauss_sum_power, classify, verify_consistency
 from galrep.cyclotomic import Cyclotomic
 from galrep.errors import InputError
 from galrep.groups import FULL, build_group, character_table, gauss_sum
@@ -167,6 +167,22 @@ class TestInvariants:
         values = [report.chi_frobenius, *report.psi.values]
         values += [e.value for e in report.eigenvalues]
         assert all(bound % v.m == 0 for v in values)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_gauss_sum_power_against_repeated_products(self, p):
+        power = Cyclotomic.one(p)
+        for n in range(1, 8):
+            power = power * gauss_sum(p)
+            assert _gauss_sum_power(p, n) == power
+
+    def test_residue_degree_bounded_before_assumptions(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("validate_assumptions ran before the residue-degree check")
+
+        monkeypatch.setattr(sys.modules["galrep.classify"], "validate_assumptions", fail)
+        with pytest.raises(InputError) as err:
+            classify(model_input(5), BaseField(5, 20001))
+        assert err.value.code == "residue_degree_too_large"
 
     def test_verification_skipped_when_solver_budget_blocks(self):
         # n = 5 needs ambient degree 25, above the default solver budget

@@ -1,6 +1,9 @@
 """CLI surface: subcommands, exit codes, JSON validity, determinism."""
 
 import json
+import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -52,6 +55,25 @@ class TestClassifyCommand:
         code, out = run(capsys, "classify", "--p", "5", "--f", "x^99999999999+x^5", "--n", "1")
         assert code == 2
         assert json.loads(out)["error"]["code"] == "degree_mismatch"
+
+    def test_text_format_prints_numeric_tags(self, capsys):
+        code, out = run(capsys, "classify", "--p", "7", "--f", "x^7-7", "--n", "1", "--format", "text")
+        assert code == 0
+        assert "chi(Frob) = √-7 (2.645751311i)" in out
+        assert "Frobenius eigenvalues: √-7 (2.645751311i) x3, -√-7 (-2.645751311i) x3" in out
+
+    @pytest.mark.parametrize("argv,size", [
+        (["verify", "--p", "3", "--n", "100000001"], "3^100000001"),
+        (["classify", "--p", "3", "--f", "x^3-3", "--n", "100000001"], "3^50000000"),
+        (["classify", "--p", "5", "--f", "x^5-5", "--n", "20001"], "5^10000"),
+    ])
+    def test_huge_residue_degree_exit_two_quickly(self, capsys, argv, size):
+        # the eigenvalues (+-p)^(n//2) must be bounded before any Gauss-sum power is formed
+        started = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert time.perf_counter() - started < 5
+        assert code == 2
+        assert re.search(rf"size {re.escape(size)}\b", json.loads(out)["error"]["message"])
 
     def test_text_format_honours_group_bound(self, capsys):
         code, out = run(capsys, "classify", "--p", "17", "--f", "x^17-17", "--n", "1",
@@ -171,6 +193,25 @@ class TestUnexpectedErrors:
         code, out = run(capsys, "count", "--mode", "curve", "--p", "5", "--m", "2")
         assert code == 4
         assert json.loads(out)["error"] == {"code": "unexpected_error", "message": "RuntimeError: boom"}
+
+
+class TestProcess:
+    def test_import_leaves_mpmath_out(self):
+        # mpmath is needed for the numeric tags of text output only
+        code = "import sys, galrep.cli; print('mpmath' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
+        assert result.stdout == "False\n"
+
+    def test_closed_stdout_ends_quietly(self):
+        # the table is far larger than a pipe buffer, so the writer meets the closed pipe
+        cmd = [sys.executable, "-m", "galrep", "chartab", "--p", "13", "--group", "full"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=30) == 4
+        assert err == b""
 
 
 class TestDeterminism:

@@ -1,11 +1,15 @@
 """Group construction, conjugacy classes, character tables, Gauss sums, and
-the selection of the finite-group factor psi."""
+the selection of the finite-group factor psi.  Brute-force orbit enumeration
+is the oracle for the closed-form conjugacy classes."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from galrep.arith import is_odd_prime
 from galrep.cyclotomic import Cyclotomic
 from galrep.errors import InputError, UsageError
 from galrep.groups import (
@@ -24,6 +28,26 @@ from galrep.groups import (
 )
 
 ALL_P = [3, 5, 7, 11, 13]
+ORACLE_P = [p for p in range(3, 24) if is_odd_prime(p)]
+PROPERTY_P = [p for p in range(3, 62) if is_odd_prime(p)]
+
+
+def brute_force_classes(group):
+    """Classes by orbit enumeration, O(|G|^2) conjugations: (lex-least
+    representative, size) sorted by representative, and the class index of
+    every element."""
+    all_elements = list(group.elements())
+    seen = set()
+    orbits = []
+    for x in all_elements:
+        if x in seen:
+            continue
+        orbit = {group.conjugate(g, x) for g in all_elements}
+        seen |= orbit
+        orbits.append((min(orbit), orbit))
+    orbits.sort(key=lambda item: item[0])
+    index = {member: idx for idx, (_, orbit) in enumerate(orbits) for member in orbit}
+    return [(rep, len(orbit)) for rep, orbit in orbits], index
 
 
 class TestGroupConstruction:
@@ -88,6 +112,30 @@ class TestConjugacyClasses:
         classes = conjugacy_classes(group)
         assert sum(c.size for c in classes) == group.order
         assert classes[0] == (El(0, 0, 0), 1)
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    @pytest.mark.parametrize("variant", [INERTIA, FULL])
+    def test_closed_form_against_brute_force(self, p, variant):
+        group = build_group(p, variant, p_bound=23)
+        expected, index = brute_force_classes(group)
+        assert [(cls.rep, cls.size) for cls in conjugacy_classes(group)] == expected
+        table = character_table(group)
+        for x in group.elements():
+            assert table.class_of(x) == index[x]
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from(PROPERTY_P), variant=st.sampled_from([INERTIA, FULL]), data=st.data())
+    def test_class_of_is_invariant_under_conjugation(self, p, variant, data):
+        group = build_group(p, variant, p_bound=61)
+        k = 1 if variant == FULL else 0
+
+        def element():
+            return El(data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, group.tau_order - 1)),
+                      data.draw(st.integers(0, k)))
+
+        table = character_table(group)
+        x, g = element(), element()
+        assert table.class_of(group.conjugate(g, x)) == table.class_of(x)
 
     def test_class_count_equals_row_count(self):
         for variant in (INERTIA, FULL):

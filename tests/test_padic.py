@@ -15,6 +15,7 @@ from galrep.arith import vp
 from galrep.errors import InputError, InternalCheckError, UsageError
 from galrep.padic import (
     CERTIFIED,
+    _difference_power_sums,
     UNDETERMINED,
     BaseField,
     InputPolynomial,
@@ -286,6 +287,18 @@ class TestDifferenceRootValuations:
         f = InputPolynomial.from_coefficients(p, coeffs)
         assert difference_polynomial(f) == sympy_difference_polynomial(f)
 
+    @settings(max_examples=20, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 13]), data=st.data())
+    def test_difference_power_sums_against_full_convolution(self, p, data):
+        # power sums of d^p f(x/d) for a random monic p-integral f, d prime to p
+        numerators = data.draw(st.lists(st.integers(min_value=-30, max_value=30), min_size=p, max_size=p))
+        denominators = data.draw(st.lists(st.sampled_from([d for d in (1, 1, 2, 3, 7) if d % p]),
+                                          min_size=p, max_size=p))
+        coeffs = [Fraction(a, b) for a, b in zip(numerators, denominators)] + [Fraction(1)]
+        d = math.lcm(*(c.denominator for c in coeffs))
+        s = polys.power_sums([int(c * d ** (p - i)) for i, c in enumerate(coeffs)], p * (p - 1) + 1)
+        assert _difference_power_sums(s) == full_convolution_sums(s)
+
     def test_discriminant_identity_guard(self, monkeypatch):
         f = poly(5, "x^5-5")
         monkeypatch.setattr("galrep.padic.poly_discriminant", lambda g: Fraction(0))
@@ -307,6 +320,16 @@ def sympy_difference_polynomial(f):
     quotient, remainder = sympy.div(sympy.Poly(sympy.expand(res), x), sympy.Poly(x**f.p, x))
     assert remainder.is_zero
     return [Fraction(str(c)) for c in reversed(quotient.all_coeffs())]
+
+
+def full_convolution_sums(s):
+    """Power sums of the nonzero root differences with every term of
+    S_k = sum_l C(k,l) (-1)^(k-l) s_l s_(k-l) formed, S_0 = len(s) - 1."""
+    deg = len(s) - 1
+    return [deg] + [
+        sum(math.comb(k, l) * (-1) ** (k - l) * s[l] * s[k - l] for l in range(k + 1))
+        for k in range(1, deg + 1)
+    ]
 
 
 def _vp(x, p):
