@@ -14,7 +14,7 @@ from .config import Budgets, default_budgets
 from .counting import CountResult, TwistedCountResult, count_curve, count_twisted_fixed, naive_twisted_oracle
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial
 from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError, UsageError
-from .gf import FieldElement, FieldSpec, build_field, frobenius_fixed_subfield, frobenius_root_solve, quadratic_character
+from .gf import FieldElement, FieldSpec, build_field, quadratic_character
 from .groups import (
     CharacterRow,
     CharacterTable,
@@ -75,8 +75,6 @@ __all__ = [
     "default_budgets",
     "difference_root_valuations",
     "faithful_kernel",
-    "frobenius_fixed_subfield",
-    "frobenius_root_solve",
     "gauss_sum",
     "identify_psi",
     "induced_character",

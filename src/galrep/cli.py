@@ -24,7 +24,7 @@ from .config import Budgets, default_budgets
 from .counting import count_curve, count_twisted_fixed, naive_twisted_oracle
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
-from .groups import build_group, character_table, gauss_sum
+from .groups import build_group, character_table, check_p_bound, gauss_sum
 from .padic import BaseField, InputPolynomial
 
 EXIT_OK = 0
@@ -164,6 +164,7 @@ def _render_chartab_text(table) -> str:
 
 def _cmd_classify(args) -> int:
     budgets = _budgets_from(args)
+    check_p_bound(args.p, budgets.group_p_bound)  # before --f, which holds p + 1 coefficients
     f = _parse_poly(args.p, args.f)
     K = BaseField(args.p, args.n)
     report = classify(f, K, budgets)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 class Budgets:
     # largest field size scanned exhaustively by the curve counter
     curve_enum: int = 10**7
-    # largest subfield size q = p^n enumerated by the coset method
+    # largest field size q = p^n enumerated by the twisted count
     coset_q: int = 10**6
-    # largest ambient degree n*p handled by the Frobenius-root solver
+    # largest degree n*p of the field holding the twisted solutions x
     solver_np: int = 21
     # largest field size p^(n*p) scanned by the naive twisted oracle
     naive_enum: int = 10**6

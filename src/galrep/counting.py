@@ -1,45 +1,47 @@
 """Exact point counts on the reduced model curve y^2 = x^p - x.
 
 Both counters sum 1 + chi(t) over t = x^p - x, with chi the quadratic
-character of the field t lies in, and share two pieces:
+character of the field they work in, and go through one helper
+(``_artin_schreier_tally``):
 
-* x -> x^p - x is F_p-linear, so t is built from the images of basis
-  vectors: a Gray-code walk over the coordinates adds one image per step
-  and keeps t's digits and index (``_tally``).  An image that vanishes (the
-  one of 1, as 1^p = 1) only repeats each t p times and stays out of the
+* L(x) = x^p - x is F_p-linear, so t = base + L(c) is built from the
+  images L(x^i) of the basis vectors: a Gray-code walk over the
+  coordinates of c adds one image per step and keeps t's digits and index
+  (``_tally``).  L(1) = 0 only repeats each t p times and stays out of the
   walk.
 * chi is read from a table over element indices, built once per field by
   walking multiplication by a fixed g through the cosets of F_q*
-  (``gf.quadratic_character_table``).
+  (``FieldSpec.chi_table``).
 
 So each element costs a few additions and one table lookup.
 
-* ``count_curve`` counts the affine points over F_{p^m}.
+* ``count_curve`` counts the affine points over F_{p^m}: base 0.
 * ``count_twisted_fixed`` counts solutions of the twisted fixed-point system
 
       x^q = x - 1,   y^q = y,   y^2 = x^p - x        (q = p^n, n odd)
 
-  by the coset method: one linear elimination yields a root x0 of the first
-  equation and F_q, the full solution set is the coset x0 + F_q, and on it
-  t = L(x0) + L(c) with c in F_q, worked in F_q's own coordinates.  This
-  replaces a scan of F_{p^(n*p)} by q elements of F_q.
-* ``naive_twisted_oracle`` re-derives the same count by direct scan, for
-  cross-validation only.
+  inside F_q itself, with a base a of trace -1: the values of t on the
+  solutions x are a + L(c), c in F_q (the trace lemma in its docstring).
+* ``naive_twisted_oracle`` re-derives the same count by direct scan of
+  F_{p^(n*p)}, for cross-validation only.
 
 Counts depend only on (p, m) resp. (p, n): the classifier relies on the
 model curve alone, never on the user's polynomial.  Budgets are compared
-before any field size is formed, and sizes are written as p^k.
+before any field size is formed, and before p is tested for primality (a
+budget bounds p, so the trial division stays cheap; a p below 3 has no
+size p^k to compare and goes straight to that test); sizes are written as
+p^k.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .arith import is_odd_prime, power_exceeds
 from .config import Budgets, default_budgets
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
-from .gf import Coeffs, FieldSpec, build_field, frobenius_coset
+from .gf import Coeffs, FieldSpec, build_field
+from .polys import power_sums
 
 
 @dataclass(frozen=True)
@@ -111,75 +113,99 @@ def _tally(table: bytearray, p: int, base: list[int], images: list[list[int]]) -
     return [repeat * c for c in tally]
 
 
-def _artin_schreier(field: FieldSpec, a: Coeffs) -> Coeffs:
-    """L(a) = a^p - a."""
-    return field.sub_t(field.pow_t(a, field.p), a)
+def _artin_schreier_tally(field: FieldSpec, base: Coeffs) -> list[int]:
+    """How often t = base + L(c), L(c) = c^p - c, c over the whole field, is
+    zero, a non-square and a nonzero square, in that order."""
+    p = field.p
+    basis = [field.element_from_index(p**i) for i in range(field.m)]
+    images = [list(field.sub_t(field.pow_t(v, p), v)) for v in basis]
+    return _tally(field.chi_table(), p, list(base), images)
 
 
-def _curve_affine(field: FieldSpec) -> int:
-    """Affine points of y^2 = x^p - x over the whole field: t = 0 gives one
-    point, a nonzero square two, a non-square none."""
-    p, m = field.p, field.m
-    images = [list(_artin_schreier(field, field.element_from_index(p**i))) for i in range(m)]
-    zero, _, square = _tally(field.chi_table(), p, [0] * m, images)
-    return zero + 2 * square
+def _require_odd_prime(p: int) -> None:
+    if not is_odd_prime(p):
+        raise InputError("p_not_odd_prime", f"p must be an odd prime, got {p}")
 
 
 def count_curve(p: int, m: int, budgets: Budgets | None = None) -> CountResult:
-    """Exact affine count of y^2 = x^p - x over F_{p^m}."""
+    """Exact affine count of y^2 = x^p - x over F_{p^m}: t = 0 gives one
+    point, a nonzero square two, a non-square none."""
     budgets = budgets or default_budgets()
-    if not is_odd_prime(p):
-        raise InputError("p_not_odd_prime", f"p must be an odd prime, got {p}")
     if m < 1:
         raise InputError("bad_degree", f"extension degree must be >= 1, got {m}")
-    if power_exceeds(p, m, budgets.curve_enum):
+    if p > 2 and power_exceeds(p, m, budgets.curve_enum):
         raise BudgetExceeded(f"field size {p}^{m} exceeds the enumeration budget {budgets.curve_enum}")
-    q = p**m
-    affine = _curve_affine(build_field(p, m))
+    _require_odd_prime(p)
+    zero, _, square = _artin_schreier_tally(build_field(p, m), (0,) * m)
+    affine = zero + 2 * square
     total = affine + 1
-    return CountResult(p=p, m=m, affine=affine, total=total, trace=q + 1 - total)
+    return CountResult(p=p, m=m, affine=affine, total=total, trace=p**m + 1 - total)
+
+
+def _base_of_trace_minus_one(field: FieldSpec) -> Coeffs:
+    """An a in F_q with Tr(a) = -1, Tr the trace to F_p.
+
+    Tr(x^i) is the i-th power sum of the roots of the modulus, so a is
+    x^i / -Tr(x^i) for the first i with Tr(x^i) != 0; one exists, as Tr is
+    onto and the x^i span F_q.
+    """
+    p = field.p
+    for i, trace in enumerate(power_sums(field.modulus, field.m)):
+        if trace % p:
+            a = [0] * field.m
+            a[i] = -pow(trace, -1, p) % p
+            return tuple(a)
+    raise InternalCheckError("the trace vanishes on every basis vector")
+
+
+def _trace(field: FieldSpec, a: Coeffs) -> Coeffs:
+    """Tr(a) = a + a^p + ... + a^(p^(m-1)), summed in the field."""
+    total, conjugate = a, a
+    for _ in range(field.m - 1):
+        conjugate = field.pow_t(conjugate, field.p)
+        total = field.add_t(total, conjugate)
+    return total
 
 
 def count_twisted_fixed(p: int, n: int, budgets: Budgets | None = None) -> TwistedCountResult:
-    """Fixed points of the twisted Frobenius system, by the coset method.
+    """Fixed points of the twisted Frobenius system, counted inside F_q.
 
-    Requires n odd.  On the coset x = x0 + c (c in F_q), t = x^p - x is
-    L(x0) + L(c), with L(x0) and every L(basis vector) checked to lie in F_q,
-    so every t does; t is never 0, which would force x into F_p.  Each x
-    contributes 1 + chi(t) points, chi read from F_q's character table.  The
-    closed form for the resulting trace is asserted before returning.
+    Requires n odd.  Put L(x) = x^p - x.  If L(x) = t, then by induction
+    x^(p^k) = x + t + t^p + ... + t^(p^(k-1)), so for t in F_q,
+    x^q = x + Tr(t), Tr the trace of F_q to F_p; and a solution of
+    x^q = x - 1 has L(x)^q = L(x - 1) = L(x), so its t lies in F_q.  The
+    solutions of x^q = x - 1 are therefore the p roots of L(x) = t for each
+    t in F_q with Tr(t) = -1 (Lidl and Niederreiter, *Finite Fields*,
+    ch. 2).  L maps F_q onto ker Tr with kernel F_p, so these t are
+    a + L(c) for one a with Tr(a) = -1, as c runs over F_q, each t hit p
+    times: the tally over c counts every solution x once, and each x
+    contributes 1 + chi(t) points.  Tr(a) = -1 is re-verified from a's
+    conjugates, t = 0 (of trace 0) must never occur, and the closed form
+    for the resulting trace is asserted before returning.
+
+    The solver budget caps n*p, the degree of the field that holds the
+    solutions x.  It bounds no work here, but with the coset budget it
+    decides which (p, n) are counted.
     """
     budgets = budgets or default_budgets()
-    if not is_odd_prime(p):
-        raise InputError("p_not_odd_prime", f"p must be an odd prime, got {p}")
     if n % 2 == 0 or n < 1:
         raise UsageError("n_must_be_odd", f"the twisted count is only defined for odd n, got {n}")
-    if power_exceeds(p, n, budgets.coset_q):
-        raise BudgetExceeded(f"subfield size {p}^{n} exceeds the coset budget {budgets.coset_q}")
-    q = p**n
-    field, x0, subfield = frobenius_coset(p, n, budgets.solver_np)
-    one = field.one_t()
-
-    # spot-check the root-set structure (x0 + c)^q = (x0 + c) - 1 on a
-    # deterministic sample, and t^q = t alongside it
-    rng = random.Random(0)
-    sample = range(q) if q <= 20 else rng.sample(range(q), 20)
-    for index in sample:
-        x = field.add_t(x0.coeffs, subfield.element_from_index(index))
-        if field.pow_t(x, q) != field.sub_t(x, one):
-            raise InternalCheckError("coset member fails x^q = x - 1")
-        t = _artin_schreier(field, x)
-        if field.pow_t(t, q) != t:
-            raise InternalCheckError("t = x^p - x escaped the subfield")
-
-    base = subfield.coords(_artin_schreier(field, x0.coeffs))
-    images = [subfield.coords(_artin_schreier(field, vec)) for vec in subfield.basis]
-    zero, _, square = _tally(subfield.chi_table(), p, base, images)
+    if p > 2:
+        if power_exceeds(p, n, budgets.coset_q):
+            raise BudgetExceeded(f"subfield size {p}^{n} exceeds the coset budget {budgets.coset_q}")
+        if n * p > budgets.solver_np:
+            raise BudgetExceeded(f"ambient degree {n * p} exceeds the solver budget {budgets.solver_np}")
+    _require_odd_prime(p)
+    field = build_field(p, n)
+    a = _base_of_trace_minus_one(field)
+    if _trace(field, a) != field.scalar_t(-1):
+        raise InternalCheckError("the base of the count does not have trace -1")
+    zero, _, square = _artin_schreier_tally(field, a)
     if zero:
-        raise InternalCheckError("t = x^p - x vanished on the coset")
+        raise InternalCheckError("t = x^p - x vanished on a solution of x^q = x - 1")
     affine = 2 * square
     fixed = affine + 1
-    trace = q + 1 - fixed
+    trace = p**n + 1 - fixed
     sign = -1 if (p - 1) // 2 % 2 else 1
     expected = -((sign * p) ** ((n + 1) // 2))
     if trace != expected:
@@ -195,12 +221,11 @@ def naive_twisted_oracle(p: int, n: int, budgets: Budgets | None = None) -> Twis
     equation), then counts y solutions per x by scanning the subfield.
     """
     budgets = budgets or default_budgets()
-    if not is_odd_prime(p):
-        raise InputError("p_not_odd_prime", f"p must be an odd prime, got {p}")
     if n % 2 == 0 or n < 1:
         raise UsageError("n_must_be_odd", f"the twisted count is only defined for odd n, got {n}")
-    if power_exceeds(p, n * p, budgets.naive_enum):
+    if p > 2 and power_exceeds(p, n * p, budgets.naive_enum):
         raise BudgetExceeded(f"field size {p}^{n * p} exceeds the naive-scan budget {budgets.naive_enum}")
+    _require_odd_prime(p)
     field = build_field(p, n * p)
     q = p**n
     one = field.one_t()

@@ -126,11 +126,18 @@ def build_group(p: int, variant: str = INERTIA, p_bound: int = 13) -> GroupSpec:
     """Group of the given variant with the smallest primitive root as b."""
     if variant not in (INERTIA, FULL):
         raise UsageError("bad_variant", f"unknown variant {variant!r}")
+    check_p_bound(p, p_bound)
     if not is_odd_prime(p):
         raise InputError("p_not_odd_prime", f"p must be an odd prime, got {p}")
+    return GroupSpec(p=p, b=smallest_primitive_root(p), variant=variant)
+
+
+def check_p_bound(p: int, p_bound: int) -> None:
+    """Refuse a p above the bound for groups and tables.  It is compared
+    before p is tested for primality, as trial division on a p of many
+    digits would take minutes."""
     if p > p_bound:
         raise InputError("p_beyond_bound", f"p = {p} exceeds the configured bound {p_bound}")
-    return GroupSpec(p=p, b=smallest_primitive_root(p), variant=variant)
 
 
 class ConjClass(NamedTuple):

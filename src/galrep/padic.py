@@ -279,18 +279,18 @@ def irreducibility_certificate(f: InputPolynomial, K: BaseField) -> str:
 
 
 def _difference_power_sums(s: Sequence[int]) -> list[int]:
-    """Power sums S_0 .. S_D of the D = len(s) - 1 nonzero root differences,
-    from the power sums s_0 = p, s_1, .. of the roots.
+    """The even power sums S_0, S_2, .. S_D of the D = len(s) - 1 nonzero
+    root differences, from the power sums s_0 = p, s_1, .. of the roots.
 
     S_k = sum_l C(k,l) (-1)^(k-l) s_l s_(k-l) over all ordered pairs of
     roots, where the p zero differences add nothing for k > 0, and S_0 = D
     counts the others.  The differences come in pairs +-(a - b), so S_k = 0
-    for odd k; for even k the terms l and k - l agree, so the half l < k/2
-    is summed, doubled, and the middle term added.  The binomials are taken
-    along the row.
+    for odd k and those are not returned; for even k the terms l and k - l
+    agree, so the half l < k/2 is summed, doubled, and the middle term
+    added.  The binomials are taken along the row.
     """
     deg = len(s) - 1
-    sums = [deg] + [0] * deg
+    sums = [deg]
     for k in range(2, deg + 1, 2):
         half = k // 2
         c, total = 1, 0
@@ -299,7 +299,7 @@ def _difference_power_sums(s: Sequence[int]) -> list[int]:
             total += -term if l % 2 else term
             c = c * (k - l) // (l + 1)
         middle = c * s[half] * s[half]
-        sums[k] = 2 * total + (-middle if half % 2 else middle)
+        sums.append(2 * total + (-middle if half % 2 else middle))
     return sums
 
 
@@ -312,19 +312,27 @@ def difference_polynomial(f: InputPolynomial) -> polys.Poly:
     lcm of its coefficient denominators (prime to p), g(x) = d^p f(x/d + m)
     is monic in Z[x].  Newton's identities give the power sums s_l of its
     roots; the differences of those roots have power sums S_k, formed from
-    the s_l in ``_difference_power_sums``; Newton's identities turn the S_k
-    back into integer coefficients.  Dividing coefficient j by
-    d^(p(p-1)-j) undoes the scaling.
+    the s_l in ``_difference_power_sums``.  The differences come in pairs
+    +-delta, so the result is E(x^2), where E has the D/2 roots delta^2 with
+    power sums S_2k / 2 (each S_2k counts every unordered pair twice);
+    Newton's identities turn those into E's integer coefficients.  Dividing
+    coefficient j by d^(p(p-1)-j) undoes the scaling.
     """
+    return _difference_polynomial(f, poly_discriminant(f))
+
+
+def _difference_polynomial(f: InputPolynomial, disc: Fraction) -> polys.Poly:
+    """``difference_polynomial`` with disc(f) already known."""
     p = f.p
     deg = p * p - p
     h = _centred(f)
     d = math.lcm(*(c.denominator for c in h))
     s = polys.power_sums([int(c * d ** (p - i)) for i, c in enumerate(h)], deg + 1)
-    b = polys.from_power_sums(_difference_power_sums(s))
+    even = _difference_power_sums(s)
+    b = [0] * (deg + 1)
+    b[::2] = polys.from_power_sums([deg // 2] + [S // 2 for S in even[1:]])
     d_poly = [Fraction(c, d ** (deg - j)) for j, c in enumerate(b)]
     # constant term must be +/- disc(f), which comes independently from the resultant
-    disc = poly_discriminant(f)
     sign = -1 if (p * (p - 1) // 2) % 2 else 1
     if d_poly[0] != sign * disc:
         raise InternalCheckError("difference polynomial fails the discriminant identity")
@@ -350,10 +358,14 @@ def difference_root_valuations(f: InputPolynomial) -> SingleClusterResult:
     i.e. the associated curve has potentially good reduction; the Newton
     polygon of the difference polynomial decides this exactly.
     """
-    if poly_discriminant(f) == 0:
+    return _difference_root_valuations(f, poly_discriminant(f))
+
+
+def _difference_root_valuations(f: InputPolynomial, disc: Fraction) -> SingleClusterResult:
+    """``difference_root_valuations`` with disc(f) already known."""
+    if disc == 0:
         raise InputError("not_squarefree", "polynomial has a repeated root")
-    d_poly = difference_polynomial(f)
-    polygon = newton_polygon_of(d_poly, f.p)
+    polygon = newton_polygon_of(_difference_polynomial(f, disc), f.p)
     if polygon.is_single_segment():
         return SingleClusterResult("yes", polygon.segments[0].root_valuation)
     return SingleClusterResult("no")
@@ -416,7 +428,7 @@ def validate_assumptions(f: InputPolynomial, K: BaseField) -> AssumptionReport:
         v = int(disc_valuation)
         gcd_condition = math.gcd(v, p - 1) == 1
         disc_valuation_odd = v % 2 == 1
-        single_cluster = difference_root_valuations(f)
+        single_cluster = _difference_root_valuations(f, disc)
         irreducibility = irreducibility_certificate(f, K)
     else:
         disc_valuation = None

@@ -227,6 +227,22 @@ class TestCountedTraceCache:
             module._twisted_trace.cache_clear()
 
 
+class TestDiscriminantOnce:
+    def test_computed_once_per_classify(self, monkeypatch):
+        # validate_assumptions passes it on to the single-cluster check and its guard
+        module = sys.modules["galrep.padic"]
+        calls = []
+        discriminant = module.poly_discriminant
+
+        def counting(f):
+            calls.append(f.p)
+            return discriminant(f)
+
+        monkeypatch.setattr(module, "poly_discriminant", counting)
+        classify(model_input(13), BaseField(13, 2))
+        assert calls == [13]
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self):
         a = classify(model_input(5), BaseField(5, 1)).to_json()

@@ -56,6 +56,16 @@ class TestClassifyCommand:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "degree_mismatch"
 
+    def test_group_bound_checked_before_parsing(self, capsys, monkeypatch):
+        # --f holds p + 1 coefficients, so a p above the bound must not reach the parser
+        def parse(p, text):
+            raise AssertionError("--f parsed before the group bound was compared")
+
+        monkeypatch.setattr(cli, "_parse_poly", parse)
+        code, out = run(capsys, "classify", "--p", "17", "--f", "x^17-17", "--n", "1")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "p_beyond_bound"
+
     def test_text_format_prints_numeric_tags(self, capsys):
         code, out = run(capsys, "classify", "--p", "7", "--f", "x^7-7", "--n", "1", "--format", "text")
         assert code == 0
@@ -212,6 +222,22 @@ class TestProcess:
         proc.stderr.close()
         assert proc.wait(timeout=30) == 4
         assert err == b""
+
+
+    # trial division on a 17-digit prime takes seconds, so each bound must be compared first
+    @pytest.mark.parametrize("argv,code", [
+        (["count", "--mode", "curve", "--p", "10000000000000061", "--m", "1"], "budget_exceeded"),
+        (["count", "--mode", "twisted", "--p", "10000000000000061", "--n", "1"], "budget_exceeded"),
+        (["chartab", "--p", "10000000000000061"], "p_beyond_bound"),
+        (["verify", "--p", "10000000000000061", "--n", "1"], "p_beyond_bound"),
+        (["classify", "--p", "10000019", "--f", "x^10000019-10000019", "--n", "1"], "p_beyond_bound"),
+    ])
+    def test_huge_p_refused_quickly(self, argv, code):
+        started = time.perf_counter()
+        result = subprocess.run([sys.executable, "-m", "galrep", *argv], capture_output=True, timeout=60)
+        assert time.perf_counter() - started < 2
+        assert result.returncode == 2
+        assert json.loads(result.stdout)["error"]["code"] == code
 
 
 class TestDeterminism:

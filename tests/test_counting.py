@@ -1,6 +1,7 @@
 """Point counts on y^2 = x^p - x: the linear counters for the full field and
-for the twisted fixed-point system, checked against per-element Euler scans,
-a brute-force tally and the naive oracle."""
+for the twisted fixed-point system, checked against per-element Euler scans
+(the twisted one on the literal coset of solutions, found by elimination in
+F_{p^(n*p)}), a brute-force tally and the naive oracle."""
 
 import time
 from itertools import product
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 from galrep.arith import is_odd_prime
 from galrep.config import Budgets
-from galrep.counting import _tally, count_curve, count_twisted_fixed, naive_twisted_oracle
-from galrep.errors import BudgetExceeded, InputError, UsageError
-from galrep.gf import build_field, frobenius_fixed_subfield, frobenius_root_solve
+from galrep.counting import _artin_schreier_tally, _tally, count_curve, count_twisted_fixed, naive_twisted_oracle
+from galrep.errors import BudgetExceeded, InputError, InternalCheckError, UsageError
+from galrep.gf import build_field
 
 
 def signed_p(p):
@@ -41,16 +42,65 @@ def euler_curve_affine(field):
     return count
 
 
+def literal_coset(p, n):
+    """The solutions of x^q = x - 1, q = p^n, as the coset x0 + F_q inside
+    F_{p^(n*p)}, which holds all of them (x^(q^p) = x - p = x).
+
+    x -> x^q - x is F_p-linear, so one Gauss-Jordan elimination of its
+    matrix gives x0, mapped to -1 (free coordinates set to 0), and F_q, its
+    kernel.  Returns the field, x0 and the q elements of F_q, wrapped.
+    """
+    field = build_field(p, n * p)
+    m, q = field.m, p**n
+    basis = [field.element_from_index(p**j) for j in range(m)]
+    images = [field.sub_t(field.pow_t(v, q), v) for v in basis]
+    minus_one = field.neg_t(field.one_t())
+    rows = [[images[j][i] for j in range(m)] + [minus_one[i]] for i in range(m)]
+    pivots = []
+    for col in range(m):
+        r = next((r for r in range(len(pivots), m) if rows[r][col]), None)
+        if r is None:
+            continue
+        row = len(pivots)
+        rows[row], rows[r] = rows[r], rows[row]
+        inv = pow(rows[row][col], -1, p)
+        rows[row] = [v * inv % p for v in rows[row]]
+        for other in range(m):
+            if other != row and rows[other][col]:
+                f = rows[other][col]
+                rows[other] = [(a - f * b) % p for a, b in zip(rows[other], rows[row])]
+        pivots.append(col)
+    assert not any(rows[r][m] for r in range(len(pivots), m)), "x^q = x - 1 has no solution"
+    x0 = [0] * m
+    for r, col in enumerate(pivots):
+        x0[col] = rows[r][m]
+    kernel = []
+    for free in (c for c in range(m) if c not in pivots):
+        v = [0] * m
+        v[free] = 1
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][free] % p
+        kernel.append(v)
+    subfield = {tuple(sum(ci * v[i] for ci, v in zip(c, kernel)) % p for i in range(m))
+                for c in product(range(p), repeat=len(kernel))}
+    x0 = tuple(x0)
+    assert field.pow_t(x0, q) == field.sub_t(x0, field.one_t())
+    assert len(subfield) == q
+    assert all(field.pow_t(c, q) == c for c in subfield)
+    return field, field.element(x0), [field.element(c) for c in sorted(subfield)]
+
+
 def euler_coset_affine(p, n):
     """Affine solutions of the twisted system by one Euler criterion per
-    coset element x0 + c (the counter before it became linear)."""
-    field, x0 = frobenius_root_solve(p, n)
+    element x0 + c of the literal coset, as the oracle for
+    count_twisted_fixed."""
+    field, x0, subfield = literal_coset(p, n)
     q = p**n
     half = (q - 1) // 2
     one = field.one_t()
     minus_one = field.neg_t(one)
     affine = 0
-    for c in frobenius_fixed_subfield(field, n):
+    for c in subfield:
         x = field.add_t(x0.coeffs, c.coeffs)
         t = field.sub_t(field.pow_t(x, p), x)
         assert any(t)
@@ -60,6 +110,14 @@ def euler_coset_affine(p, n):
         else:
             assert s == minus_one
     return affine
+
+
+def trace_to_prime_field(field, a):
+    """Tr(a) as an integer mod p, from a's conjugates a^(p^k) as wrapped elements."""
+    element = field.element(a)
+    total = sum((element ** (field.p**k) for k in range(field.m)), field.zero())
+    assert not any(total.coeffs[1:])
+    return total.coeffs[0]
 
 
 class TestCountCurve:
@@ -156,6 +214,28 @@ class TestTwistedCounts:
             count_twisted_fixed(5, 5)  # solver budget
         with pytest.raises(BudgetExceeded):
             naive_twisted_oracle(5, 3)  # 5^15 above the naive default
+
+    # F_27 has Tr(1) = 3 = 0, so its base is not a multiple of 1
+    @pytest.mark.parametrize("p,n", [(3, 3), (5, 3)])
+    def test_every_base_of_trace_minus_one_gives_the_same_tally(self, p, n):
+        field = build_field(p, n)
+        bases = [a for a in field.elements_t() if trace_to_prime_field(field, a) == p - 1]
+        assert len(bases) == p ** (n - 1)
+        tallies = {tuple(_artin_schreier_tally(field, a)) for a in bases}
+        zero, _, square = tallies.pop()
+        assert not tallies
+        assert zero == 0
+        assert 2 * square == count_twisted_fixed(p, n).affine_solutions
+
+    def test_base_of_the_wrong_trace_raises(self, monkeypatch):
+        # at p = 5, chi(-1) = 1 in F_125: a base of trace +1 gives the same
+        # counts and passes the closed form, so the trace check must catch it
+        import galrep.counting as counting
+
+        base = counting._base_of_trace_minus_one
+        monkeypatch.setattr(counting, "_base_of_trace_minus_one", lambda field: field.neg_t(base(field)))
+        with pytest.raises(InternalCheckError, match="trace -1"):
+            count_twisted_fixed(5, 3)
 
     def test_budgets_decided_from_the_exponent(self):
         started = time.perf_counter()

@@ -1,5 +1,6 @@
-"""Finite field arithmetic, quadratic characters, and the Frobenius-root
-solver with its materialized subfield."""
+"""Finite field arithmetic and quadratic characters, and the literal-coset
+oracle of test_counting.py (the solutions of x^q = x - 1 inside
+F_{p^(n*p)}) checked against its defining equations."""
 
 import random
 
@@ -7,15 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galrep.errors import BudgetExceeded, InputError, InternalCheckError, UsageError
-from galrep.gf import (
-    FieldElement,
-    build_field,
-    fixed_subfield,
-    frobenius_fixed_subfield,
-    frobenius_root_solve,
-    quadratic_character,
-)
+from galrep.counting import count_twisted_fixed
+from galrep.errors import BudgetExceeded, InputError
+from galrep.gf import build_field, quadratic_character
+from test_counting import literal_coset
 
 TABLE_VALUE = {0: 0, 1: 2, -1: 1}  # the character table's code for chi = 0, +1, -1
 
@@ -94,22 +90,11 @@ class TestQuadraticCharacter:
         assert values.count(1) == (field.size - 1) // 2
         assert values.count(-1) == (field.size - 1) // 2
 
-    def test_subfield_character(self):
-        field, _ = frobenius_root_solve(3, 1)
-        sub = frobenius_fixed_subfield(field, 1)
-        nonzero = [c for c in sub if not c.is_zero()]
-        signs = sorted(quadratic_character(c, order=3) for c in nonzero)
-        assert signs == [-1, 1]
-
-    def test_rejects_elements_outside_subfield(self):
-        field, x0 = frobenius_root_solve(3, 1)
-        with pytest.raises(UsageError):
-            quadratic_character(x0, order=3)
-
 
 class TestCharacterTable:
-    # F_81 and F_625 have no primitive x + a, so their walks need several cosets
-    @pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (5, 3), (5, 4)])
+    # F_81 and F_625 have no primitive x + a, so their walks need several cosets;
+    # F_(3^7) and F_(7^3) are the fields of the twisted counts at (3,7) and (7,3)
+    @pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (5, 3), (5, 4), (3, 7), (7, 3)])
     def test_against_euler_criterion(self, p, m):
         field = build_field(p, m)
         table = field.chi_table()
@@ -117,49 +102,23 @@ class TestCharacterTable:
         for index, a in enumerate(field.elements_t()):
             assert table[index] == TABLE_VALUE[quadratic_character(field.element(a))], a
 
-    def test_subfield_against_euler_criterion(self):
-        # F_27 inside F_(3^9), in its own coordinates
-        subfield = fixed_subfield(build_field(3, 9), 3)
-        table = subfield.chi_table()
-        assert len(table) == 27
-        for index in range(27):
-            element = FieldElement(subfield.field, subfield.element_from_index(index))
-            assert table[index] == TABLE_VALUE[quadratic_character(element, order=27)], index
-
-
-class TestFixedSubfield:
-    def test_coordinates_are_the_free_columns(self):
-        field = build_field(3, 9)
-        subfield = fixed_subfield(field, 3)
-        assert subfield.columns[0] == 0  # 1 has coordinates (1, 0, 0)
-        assert subfield.coords(field.one_t()) == [1, 0, 0]
-        for c in ([1, 2, 0], [0, 0, 1], [2, 1, 2]):
-            assert subfield.coords(subfield.embed(c)) == c
-        assert subfield.coords(subfield.element_from_index(1 + 2 * 3 + 2 * 9)) == [1, 2, 2]
-
-    def test_coords_reject_elements_outside(self):
-        field, x0 = frobenius_root_solve(3, 3)
-        with pytest.raises(InternalCheckError):
-            fixed_subfield(field, 3).coords(x0.coeffs)
-
 
 class TestFrobeniusRootSolve:
     @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 3), (5, 3)])
     def test_postcondition(self, p, n):
-        field, x0 = frobenius_root_solve(p, n)
+        field, x0, _ = literal_coset(p, n)
         q = p**n
         assert field.m == n * p
         assert x0 ** q == x0 - field.one()
 
     def test_root_of_artin_schreier_polynomial(self):
-        field, x0 = frobenius_root_solve(5, 1)
+        field, x0, _ = literal_coset(5, 1)
         assert (x0**5 - x0 + field.one()).is_zero()
 
     @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 3)])
     def test_full_solution_coset(self, p, n):
-        field, x0 = frobenius_root_solve(p, n)
+        field, x0, sub = literal_coset(p, n)
         q = p**n
-        sub = frobenius_fixed_subfield(field, n)
         assert len(sub) == q
         rng = random.Random(1)
         sample = sub if len(sub) <= 20 else rng.sample(sub, 20)
@@ -169,17 +128,12 @@ class TestFrobeniusRootSolve:
 
     @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 3)])
     def test_subfield_is_fixed_pointwise(self, p, n):
-        field, _ = frobenius_root_solve(p, n)
+        _, _, sub = literal_coset(p, n)
         q = p**n
-        sub = frobenius_fixed_subfield(field, n)
         assert all(c ** q == c for c in sub)
         assert len({c.coeffs for c in sub}) == q
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            frobenius_root_solve(5, 5)  # ambient degree 25 > default budget 21
-
-    def test_subfield_needs_divisible_degree(self):
-        field = build_field(3, 3)
-        with pytest.raises(UsageError):
-            frobenius_fixed_subfield(field, 2)
+        # the solver budget still caps the degree n*p of the field holding the solutions
+        with pytest.raises(BudgetExceeded, match="ambient degree 25 exceeds the solver budget 21"):
+            count_twisted_fixed(5, 5)
