@@ -74,6 +74,12 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if s == 1 else -1
 
 
+def signed_p(p: int) -> int:
+    """(-1)^((p-1)/2) * p, the one of +-p that is 1 mod 4: the square of the
+    quadratic Gauss sum of p."""
+    return -p if (p - 1) // 2 % 2 else p
+
+
 def power_exceeds(base: int, exponent: int, cap: int) -> bool:
     """base^exponent > cap, for base >= 2, without forming a huge power.
 

@@ -19,6 +19,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
+from .arith import signed_p
 from .classify import ClassificationRefused, ClassificationReport, classify, verify_consistency
 from .config import Budgets, default_budgets
 from .counting import count_curve, count_twisted_fixed, naive_twisted_oracle
@@ -54,9 +55,8 @@ def render_value(value: Cyclotomic, p: int | None = None) -> str:
         return str(value.as_rational())
     if p is not None and value.m == p:
         # r * (Gauss sum) for rational r renders as r*sqrt(+-p)
-        signed = -p if (p - 1) // 2 % 2 else p
         for r in _rational_multiples(value, gauss_sum(p)):
-            return f"{_coeff_prefix(r)}√{signed} ({_approx(value)})"
+            return f"{_coeff_prefix(r)}√{signed_p(p)} ({_approx(value)})"
     return f"{value} ({_approx(value)})"
 
 
@@ -79,27 +79,26 @@ def _coeff_prefix(r: Fraction) -> str:
     return f"{r}*"
 
 
-def _add_budget_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--enum-budget", type=int, default=None,
-                     help="cap on exhaustive field scans (also via GALREP_ENUM_BUDGET)")
-    sub.add_argument("--coset-budget", type=int, default=None, help="cap on the coset subfield size")
-    sub.add_argument("--solver-budget", type=int, default=None, help="cap on the ambient degree n*p")
-    sub.add_argument("--group-bound", type=int, default=None, help="largest prime with character tables")
+# each budget flag: the Budgets fields it sets, and its help
+_BUDGET_FLAGS = {
+    "--enum-budget": (("curve_enum", "naive_enum"), "cap on exhaustive field scans (also via GALREP_ENUM_BUDGET)"),
+    "--coset-budget": (("coset_q",), "cap on the coset subfield size"),
+    "--group-bound": (("group_p_bound",), "largest prime with character tables"),
+}
+
+
+def _add_budget_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        sub.add_argument(flag, type=int, default=None, help=_BUDGET_FLAGS[flag][1])
 
 
 def _budgets_from(args) -> Budgets:
-    budgets = default_budgets()
     overrides = {}
-    if args.enum_budget is not None:
-        overrides["curve_enum"] = args.enum_budget
-        overrides["naive_enum"] = args.enum_budget
-    if getattr(args, "coset_budget", None) is not None:
-        overrides["coset_q"] = args.coset_budget
-    if getattr(args, "solver_budget", None) is not None:
-        overrides["solver_np"] = args.solver_budget
-    if getattr(args, "group_bound", None) is not None:
-        overrides["group_p_bound"] = args.group_bound
-    return replace(budgets, **overrides) if overrides else budgets
+    for flag, (fields, _) in _BUDGET_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            overrides.update(dict.fromkeys(fields, value))
+    return replace(default_budgets(), **overrides)
 
 
 def _parse_poly(p: int, text: str) -> InputPolynomial:
@@ -248,14 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="monic degree-p polynomial: 'x^5-5' or a JSON coefficient list (degree 0..p)")
     c.add_argument("--n", type=int, required=True, help="residue degree of the unramified base field")
     c.add_argument("--format", choices=("json", "text"), default="json")
-    _add_budget_flags(c)
+    _add_budget_flags(c, "--coset-budget", "--group-bound")
     c.set_defaults(func=_cmd_classify)
 
     t = sub.add_parser("chartab", help="print a character table")
     t.add_argument("--p", type=int, required=True)
     t.add_argument("--group", choices=("inertia", "full"), default="inertia")
     t.add_argument("--format", choices=("json", "text"), default="json")
-    _add_budget_flags(t)
+    _add_budget_flags(t, "--group-bound")
     t.set_defaults(func=_cmd_chartab)
 
     k = sub.add_parser("count", help="point counts on the model curve")
@@ -264,14 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--m", type=int, default=None, help="extension degree (curve mode)")
     k.add_argument("--n", type=int, default=None, help="residue degree (twisted modes)")
     k.add_argument("--format", choices=("json", "text"), default="json")
-    _add_budget_flags(k)
+    _add_budget_flags(k, "--enum-budget", "--coset-budget")
     k.set_defaults(func=_cmd_count)
 
     v = sub.add_parser("verify", help="trace consistency gate: prediction vs count")
     v.add_argument("--p", type=int, default=None)
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--format", choices=("json", "text"), default="json")
-    _add_budget_flags(v)
+    _add_budget_flags(v, "--coset-budget", "--group-bound")
     v.set_defaults(func=_cmd_verify)
 
     return parser

@@ -3,6 +3,8 @@
 Budgets are configuration, not constants: every counting entry point takes a
 ``Budgets`` value (or uses ``default_budgets()``, which honours the
 ``GALREP_ENUM_BUDGET`` environment variable for the plain enumeration caps).
+Each field bounds work that is actually done: the coset budget alone decides
+which (p, n) the twisted count, and so the consistency gate, takes on.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ class Budgets:
     curve_enum: int = 10**7
     # largest field size q = p^n enumerated by the twisted count
     coset_q: int = 10**6
-    # largest degree n*p of the field holding the twisted solutions x
-    solver_np: int = 21
     # largest field size p^(n*p) scanned by the naive twisted oracle
     naive_enum: int = 10**6
     # largest prime for which groups and character tables are built

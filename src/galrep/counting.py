@@ -180,21 +180,15 @@ def count_twisted_fixed(p: int, n: int, budgets: Budgets | None = None) -> Twist
     a + L(c) for one a with Tr(a) = -1, as c runs over F_q, each t hit p
     times: the tally over c counts every solution x once, and each x
     contributes 1 + chi(t) points.  Tr(a) = -1 is re-verified from a's
-    conjugates, t = 0 (of trace 0) must never occur, and the closed form
-    for the resulting trace is asserted before returning.
-
-    The solver budget caps n*p, the degree of the field that holds the
-    solutions x.  It bounds no work here, but with the coset budget it
-    decides which (p, n) are counted.
+    conjugates, and t = 0 (of trace 0) must never occur.  The result is
+    the plain count: ``classify.verify_consistency`` compares it with the
+    prediction and the closed form.  The coset budget caps q.
     """
     budgets = budgets or default_budgets()
     if n % 2 == 0 or n < 1:
         raise UsageError("n_must_be_odd", f"the twisted count is only defined for odd n, got {n}")
-    if p > 2:
-        if power_exceeds(p, n, budgets.coset_q):
-            raise BudgetExceeded(f"subfield size {p}^{n} exceeds the coset budget {budgets.coset_q}")
-        if n * p > budgets.solver_np:
-            raise BudgetExceeded(f"ambient degree {n * p} exceeds the solver budget {budgets.solver_np}")
+    if p > 2 and power_exceeds(p, n, budgets.coset_q):
+        raise BudgetExceeded(f"subfield size {p}^{n} exceeds the coset budget {budgets.coset_q}")
     _require_odd_prime(p)
     field = build_field(p, n)
     a = _base_of_trace_minus_one(field)
@@ -205,12 +199,7 @@ def count_twisted_fixed(p: int, n: int, budgets: Budgets | None = None) -> Twist
         raise InternalCheckError("t = x^p - x vanished on a solution of x^q = x - 1")
     affine = 2 * square
     fixed = affine + 1
-    trace = p**n + 1 - fixed
-    sign = -1 if (p - 1) // 2 % 2 else 1
-    expected = -((sign * p) ** ((n + 1) // 2))
-    if trace != expected:
-        raise InternalCheckError(f"twisted trace {trace} differs from the closed form {expected}")
-    return TwistedCountResult(p=p, n=n, affine_solutions=affine, fixed_points=fixed, trace_sigma_frob=trace)
+    return TwistedCountResult(p=p, n=n, affine_solutions=affine, fixed_points=fixed, trace_sigma_frob=p**n + 1 - fixed)
 
 
 def naive_twisted_oracle(p: int, n: int, budgets: Budgets | None = None) -> TwistedCountResult:

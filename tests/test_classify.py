@@ -184,12 +184,11 @@ class TestInvariants:
             classify(model_input(5), BaseField(5, 20001))
         assert err.value.code == "residue_degree_too_large"
 
-    def test_verification_skipped_when_solver_budget_blocks(self):
-        # n = 5 needs ambient degree 25, above the default solver budget
-        report = classify(model_input(5), BaseField(5, 5))
-        assert report.verification.status == "skipped"
-        assert "budget" in report.verification.reason
-        assert report.psi.label == "wild--"  # classification itself still completes
+    @pytest.mark.parametrize("p,n", [(5, 5), (11, 3)])
+    def test_verified_wherever_the_coset_budget_allows(self, p, n):
+        verification = classify(model_input(p), BaseField(p, n)).verification
+        assert verification.status == "ok" and verification.match
+        assert verification.trace_counted == verification.trace_predicted == -(signed_p(p) ** ((n + 1) // 2))
 
     def test_skip_reason_writes_the_size_as_a_power(self):
         report = classify(model_input(5), BaseField(5, 2001))
@@ -205,6 +204,14 @@ class TestConsistencyGate:
         v = verify_consistency(p, n)
         assert v.status == "ok" and v.match
         assert v.trace_predicted == predicted == v.trace_counted
+
+    def test_wrong_closed_form_alone_is_a_mismatch(self, monkeypatch):
+        module = sys.modules["galrep.classify"]
+        closed_form = module._twisted_closed_form
+        monkeypatch.setattr(module, "_twisted_closed_form", lambda p, n: closed_form(p, n) + 1)
+        v = verify_consistency(3, 1)
+        assert v.trace_counted == v.trace_predicted == 3
+        assert v.status == "mismatch" and v.match is False
 
 
 class TestCountedTraceCache:

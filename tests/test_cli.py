@@ -10,7 +10,9 @@ import pytest
 
 
 import galrep.cli as cli
-from galrep.classify import Verification
+import galrep.counting as counting
+from galrep.classify import Verification, _twisted_trace
+from galrep.config import Budgets
 
 
 def run(capsys, *argv):
@@ -192,6 +194,70 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", "--p", "3")
         assert code == 2
         assert json.loads(out)["error"]["code"] == "missing_flag"
+
+
+class TestHonestMismatch:
+    @pytest.fixture()
+    def tally_off_by_one(self, monkeypatch):
+        tally = counting._artin_schreier_tally
+
+        def off_by_one(field, base):
+            zero, non_square, square = tally(field, base)
+            return [zero, non_square, square + 1]
+
+        monkeypatch.setattr(counting, "_artin_schreier_tally", off_by_one)
+        _twisted_trace.cache_clear()
+        yield
+        _twisted_trace.cache_clear()
+
+    def test_verify_reports_the_mismatch(self, capsys, tally_off_by_one):
+        code, out = run(capsys, "verify", "--p", "3", "--n", "1")
+        assert code == 4
+        assert json.loads(out) == {"all_match": False, "pairs": [
+            {"p": 3, "n": 1, "status": "mismatch", "trace_counted": 1, "trace_predicted": 3, "match": False}]}
+
+    def test_classify_prints_the_full_report(self, capsys, tally_off_by_one):
+        code, out = run(capsys, "classify", "--p", "5", "--f", "x^5-5", "--n", "1")
+        assert code == 4
+        data = json.loads(out)
+        assert data["psi"]["label"] == "wild--" and data["conductor"]["exponent"] == 9
+        assert data["verification"] == {"status": "mismatch", "trace_counted": -7, "trace_predicted": -5,
+                                        "match": False}
+
+
+class TestBudgetFlags:
+    BASE = {
+        "classify": ["classify", "--p", "5", "--f", "x^5-5", "--n", "1"],
+        "chartab": ["chartab", "--p", "5"],
+        "count": ["count", "--mode", "curve", "--p", "5", "--m", "1"],
+        "verify": ["verify"],
+    }
+
+    @pytest.mark.parametrize("command,flag,fields", [
+        ("classify", "--coset-budget", {"coset_q"}),
+        ("classify", "--group-bound", {"group_p_bound"}),
+        ("chartab", "--group-bound", {"group_p_bound"}),
+        ("count", "--enum-budget", {"curve_enum", "naive_enum"}),
+        ("count", "--coset-budget", {"coset_q"}),
+        ("verify", "--coset-budget", {"coset_q"}),
+        ("verify", "--group-bound", {"group_p_bound"}),
+    ])
+    def test_each_flag_overrides_its_fields(self, monkeypatch, command, flag, fields):
+        monkeypatch.delenv("GALREP_ENUM_BUDGET", raising=False)
+        args = cli.build_parser().parse_args(self.BASE[command] + [flag, "7"])
+        budgets, defaults = cli._budgets_from(args), Budgets()
+        changed = {name for name in vars(defaults) if getattr(budgets, name) != getattr(defaults, name)}
+        assert changed == fields
+        assert all(getattr(budgets, name) == 7 for name in fields)
+
+    @pytest.mark.parametrize("command,flag", [
+        ("chartab", "--coset-budget"), ("chartab", "--enum-budget"), ("classify", "--enum-budget"),
+        ("classify", "--solver-budget"), ("count", "--group-bound"), ("verify", "--enum-budget"),
+    ])
+    def test_unread_flags_are_refused(self, capsys, command, flag):
+        code, out = run(capsys, *self.BASE[command], flag, "5")
+        assert code == 2
+        assert out == ""
 
 
 class TestUnexpectedErrors:

@@ -174,6 +174,7 @@ class TestTwistedCounts:
             (7, 1, 0, 7),
             (3, 3, 36, -9),
             (5, 3, 150, -25),
+            (5, 5, 3250, -125),
         ],
     )
     def test_coset_method(self, p, n, affine, trace):
@@ -210,8 +211,6 @@ class TestTwistedCounts:
     def test_budgets(self):
         with pytest.raises(BudgetExceeded):
             count_twisted_fixed(5, 3, budgets=Budgets(coset_q=100))
-        with pytest.raises(BudgetExceeded):
-            count_twisted_fixed(5, 5)  # solver budget
         with pytest.raises(BudgetExceeded):
             naive_twisted_oracle(5, 3)  # 5^15 above the naive default
 

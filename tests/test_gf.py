@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galrep.counting import count_twisted_fixed
-from galrep.errors import BudgetExceeded, InputError
+from galrep.errors import InputError
 from galrep.gf import build_field, quadratic_character
 from test_counting import literal_coset
 
@@ -132,8 +131,3 @@ class TestFrobeniusRootSolve:
         q = p**n
         assert all(c ** q == c for c in sub)
         assert len({c.coeffs for c in sub}) == q
-
-    def test_budget(self):
-        # the solver budget still caps the degree n*p of the field holding the solutions
-        with pytest.raises(BudgetExceeded, match="ambient degree 25 exceeds the solver budget 21"):
-            count_twisted_fixed(5, 5)
