@@ -135,21 +135,25 @@ class Cyclotomic:
                 f"operands have conductors {self.m} and {other.m}; lift to a common conductor first",
             )
 
+    # the ring operations build their tuples from lists: tuple() of a
+    # generator resizes its result, and CPython keeps up to 2000 freed tuples
+    # of each size, so a long run of such calls grows the process by about a
+    # megabyte of idle tuples
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check_conductor(other)
-        return Cyclotomic(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Cyclotomic(self.m, tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._check_conductor(other)
-        return Cyclotomic(self.m, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Cyclotomic(self.m, tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.m, tuple(-a for a in self.coeffs))
+        return Cyclotomic(self.m, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return Cyclotomic(self.m, tuple(a * c for a in self.coeffs))
+            return Cyclotomic(self.m, tuple([a * c for a in self.coeffs]))
         self._check_conductor(other)
         terms: dict[int, Fraction] = {}
         nz_other = [(j, b) for j, b in enumerate(other.coeffs) if b]

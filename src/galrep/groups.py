@@ -449,10 +449,13 @@ def character_table(group: GroupSpec) -> CharacterTable:
                 values = induced_character(group, SUBGROUP_CP_C2_C2, {"nu": nu_sign, "phi": phi_sign})
                 raw.append((tag, p - 1, values, ("induced", nu_sign, phi_sign)))
 
-    rows = []
-    for label, dim, values, construction in raw:
-        kernel = _kernel_size(classes, values, dim)
-        rows.append(CharacterRow(label, dim, values, kernel == 1, construction))
+    # a lifted row factors through the quotient by the normal C_p = <s>, so s
+    # lies in its kernel: only the induced rows can be faithful
+    rows = [
+        CharacterRow(label, dim, values,
+                     construction[0] == "induced" and _kernel_size(classes, values, dim) == 1, construction)
+        for label, dim, values, construction in raw
+    ]
     rows.sort(key=lambda r: (r.dimension, r.label))
     if len(rows) != len(classes):
         raise InternalCheckError(

@@ -15,6 +15,13 @@ f irreducible over every unramified extension of Q_p with K(root)/K totally
 ramified of degree p.  Anything else is reported as "undetermined", never
 as reducible; classification refuses to proceed on an undetermined
 certificate.
+
+A certified f is decided from coefficient valuations alone: all its root
+differences share one valuation w, which the ramification polygon gives
+(Greve and Pauli, "Ramification polygons, splitting fields, and Galois
+groups of Eisenstein polynomials", 2012), and v(disc f) = p(p-1)w.  Only an
+uncertified f pays for the Sylvester discriminant and the degree-p(p-1)
+difference polynomial, which stay public as the oracles of that route.
 """
 
 from __future__ import annotations
@@ -196,15 +203,10 @@ class NewtonPolygon:
         ]
 
 
-def newton_polygon_of(coeffs: Sequence[Fraction], p: int) -> NewtonPolygon:
-    """Newton polygon of an arbitrary polynomial (constant term nonzero)."""
-    coeffs = polys.trim(coeffs)
-    if not coeffs or len(coeffs) == 1:
-        raise UsageError("constant_polynomial", "Newton polygon needs degree >= 1")
-    if coeffs[0] == 0:
-        raise InputError("reducible_x_divides", "x divides the polynomial, so it is reducible")
-    points = [(i, vp(c, p)) for i, c in enumerate(coeffs) if c]
-    hull: list[tuple[int, int]] = []
+def _lower_hull(points: Sequence[tuple[int, Fraction | int]]) -> NewtonPolygon:
+    """Lower convex hull of points (x, height), sorted by x, as segments;
+    heights may be integers or Fractions."""
+    hull: list[tuple[int, Fraction | int]] = []
     for pt in points:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
@@ -214,10 +216,18 @@ def newton_polygon_of(coeffs: Sequence[Fraction], p: int) -> NewtonPolygon:
             else:
                 break
         hull.append(pt)
-    segments = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        segments.append(Segment(Fraction(y1 - y2, x2 - x1), x2 - x1))
+    segments = [Segment(Fraction(y1 - y2, x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
     return NewtonPolygon(tuple(segments))
+
+
+def newton_polygon_of(coeffs: Sequence[Fraction], p: int) -> NewtonPolygon:
+    """Newton polygon of an arbitrary polynomial (constant term nonzero)."""
+    coeffs = polys.trim(coeffs)
+    if not coeffs or len(coeffs) == 1:
+        raise UsageError("constant_polynomial", "Newton polygon needs degree >= 1")
+    if coeffs[0] == 0:
+        raise InputError("reducible_x_divides", "x divides the polynomial, so it is reducible")
+    return _lower_hull([(i, vp(c, p)) for i, c in enumerate(coeffs) if c])
 
 
 def newton_polygon(f: InputPolynomial) -> NewtonPolygon:
@@ -228,7 +238,9 @@ def _shifted(f: InputPolynomial, m: int) -> polys.Poly:
     """Coefficients of f(x + m), shifted in integers once denominators are cleared."""
     if not m:
         return f.as_poly()
-    d = math.lcm(*(c.denominator for c in f.coeffs))
+    # a list, not a generator: unpacking a generator resizes the argument
+    # tuple, and the resized tuples pile up in CPython's per-size free lists
+    d = math.lcm(*[c.denominator for c in f.coeffs])
     return [Fraction(c, d) for c in polys.shift([int(c * d) for c in f.coeffs], m)]
 
 
@@ -257,6 +269,18 @@ def poly_discriminant(f: InputPolynomial) -> Fraction:
     return polys.discriminant(_centred(f))
 
 
+def _certified_shift(f: InputPolynomial) -> tuple[polys.Poly, Fraction] | None:
+    """g = f(x + c) and the valuation k/p of its roots when they certify f, else None."""
+    shifted = _shifted(f, _candidate_shift(f))
+    if shifted[0] == 0:
+        return None  # f(c) = 0: no certificate from this shift
+    polygon = newton_polygon_of(shifted, f.p)
+    slope = polygon.segments[0].root_valuation
+    if polygon.is_single_segment() and slope.denominator == f.p:
+        return shifted, slope
+    return None
+
+
 def irreducibility_certificate(f: InputPolynomial, K: BaseField) -> str:
     """Certify that f is irreducible over K with K(root)/K totally ramified.
 
@@ -269,13 +293,31 @@ def irreducibility_certificate(f: InputPolynomial, K: BaseField) -> str:
     tried.  Returns "undetermined" otherwise; reducibility is never claimed.
     """
     _require_same_p(f, K)
-    shifted = _shifted(f, _candidate_shift(f))
-    if shifted[0] == 0:
-        return UNDETERMINED  # f(c) = 0: no certificate from this shift
-    polygon = newton_polygon_of(shifted, f.p)
-    if polygon.is_single_segment() and polygon.segments[0].root_valuation.denominator == f.p:
-        return CERTIFIED
-    return UNDETERMINED
+    return CERTIFIED if _certified_shift(f) else UNDETERMINED
+
+
+def _ramification_polygon(g: polys.Poly, slope: Fraction, p: int) -> NewtonPolygon:
+    """Newton polygon of g(beta(x + 1)) / x, beta a root of g of valuation k/p.
+
+    Its roots are (beta' - beta) / beta over the other roots beta' of g
+    (Greve and Pauli, "Ramification polygons, splitting fields, and Galois
+    groups of Eisenstein polynomials", 2012).  The coefficient of x^i,
+    1 <= i <= p, is the sum of g_j beta^j C(j, i) over j >= i, whose terms
+    have valuations v(g_j) + jk/p + v(C(j, i)).  Their fractional parts jk/p
+    are distinct, so the coefficient's valuation is their minimum, read off
+    without any arithmetic in K(beta).  C(j, i) is a unit for j < p, and
+    C(p, i) has valuation 1 for 0 < i < p.  Valuations are counted in units
+    of 1/p, so the hull compares integers and the polygon's root valuations
+    are p times the true ones.
+    """
+    k = slope.numerator
+    heights = [k * p]  # i = p: beta^p
+    low = heights[0] + p  # the j = p term for i < p
+    for i in range(p - 1, 0, -1):
+        if g[i]:
+            low = min(low, vp(g[i], p) * p + i * k)
+        heights.append(low)
+    return _lower_hull(list(enumerate(reversed(heights))))
 
 
 def _difference_power_sums(s: Sequence[int]) -> list[int]:
@@ -326,7 +368,7 @@ def _difference_polynomial(f: InputPolynomial, disc: Fraction) -> polys.Poly:
     p = f.p
     deg = p * p - p
     h = _centred(f)
-    d = math.lcm(*(c.denominator for c in h))
+    d = math.lcm(*[c.denominator for c in h])
     s = polys.power_sums([int(c * d ** (p - i)) for i, c in enumerate(h)], deg + 1)
     even = _difference_power_sums(s)
     b = [0] * (deg + 1)
@@ -418,24 +460,49 @@ def validate_assumptions(f: InputPolynomial, K: BaseField) -> AssumptionReport:
     maximal_inertia is true exactly when irreducibility is certified, the
     discriminant valuation is coprime to p-1, f is squarefree and the
     single-cluster check did not come back negative.
+
+    A certified f is decided from valuations alone.  It is irreducible of
+    prime degree p, hence squarefree, and its Galois group is solvable and
+    transitive, so it lies in AGL(1, p), whose normal C_p = <sigma> acts
+    regularly on the roots.  Each sigma^m(b) - b is a sum of conjugates of
+    sigma(b) - b and back, so all p(p-1) root differences share one
+    valuation w, read off the ramification polygon (Greve and Pauli, 2012).
+    Then the roots form one cluster and v(disc f) = p(p-1)w.  Any other f
+    is decided from its Sylvester discriminant and the Newton polygon of its
+    difference polynomial.
     """
     _require_same_p(f, K)
     p = f.p
-    disc = poly_discriminant(f)
-    squarefree = disc != 0
+    certified = _certified_shift(f)
+    if certified:
+        g, slope = certified
+        polygon = _ramification_polygon(g, slope, p)
+        if not polygon.is_single_segment():
+            raise InternalCheckError("ramification polygon of a certified input has several segments")
+        w = polygon.segments[0].root_valuation / p + slope
+        disc_valuation: Fraction | None = p * (p - 1) * w
+        if disc_valuation.denominator != 1:
+            raise InternalCheckError(f"p(p-1)w = {disc_valuation} is not an integer")
+        squarefree = True
+        irreducibility = CERTIFIED
+        single_cluster = SingleClusterResult("yes", w)
+    else:
+        irreducibility = UNDETERMINED
+        disc = poly_discriminant(f)
+        squarefree = disc != 0
+        if squarefree:
+            disc_valuation = Fraction(vp(disc, p))
+            single_cluster = _difference_root_valuations(f, disc)
+        else:
+            disc_valuation = None
+            single_cluster = SingleClusterResult("not_computed")
     if squarefree:
-        disc_valuation: Fraction | None = Fraction(vp(disc, p))
         v = int(disc_valuation)
         gcd_condition = math.gcd(v, p - 1) == 1
         disc_valuation_odd = v % 2 == 1
-        single_cluster = _difference_root_valuations(f, disc)
-        irreducibility = irreducibility_certificate(f, K)
     else:
-        disc_valuation = None
         gcd_condition = False
         disc_valuation_odd = False
-        single_cluster = SingleClusterResult("not_computed")
-        irreducibility = UNDETERMINED
     maximal = (
         squarefree
         and irreducibility == CERTIFIED

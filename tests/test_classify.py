@@ -234,20 +234,33 @@ class TestCountedTraceCache:
             module._twisted_trace.cache_clear()
 
 
-class TestDiscriminantOnce:
-    def test_computed_once_per_classify(self, monkeypatch):
-        # validate_assumptions passes it on to the single-cluster check and its guard
+class TestDiscriminantRoute:
+    """Only inputs without a certificate reach the discriminant and the
+    difference polynomial; certified ones are decided from valuations."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
         module = sys.modules["galrep.padic"]
         calls = []
-        discriminant = module.poly_discriminant
+        for name in ("poly_discriminant", "_difference_polynomial"):
+            original = getattr(module, name)
 
-        def counting(f):
-            calls.append(f.p)
-            return discriminant(f)
+            def counting(f, *args, name=name, original=original):
+                calls.append(name)
+                return original(f, *args)
 
-        monkeypatch.setattr(module, "poly_discriminant", counting)
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_certified_input_never_reaches_them(self, calls):
         classify(model_input(13), BaseField(13, 2))
-        assert calls == [13]
+        assert calls == []
+
+    def test_uncertified_input_reaches_each_once(self, calls):
+        with pytest.raises(ClassificationRefused) as refused:
+            classify(InputPolynomial.from_string(5, "x^5+x+1"), BaseField(5, 1))
+        assert "irreducibility" in refused.value.failures
+        assert sorted(calls) == ["_difference_polynomial", "poly_discriminant"]
 
 
 class TestDeterminism:

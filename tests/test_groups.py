@@ -218,6 +218,14 @@ class TestFaithfulness:
         group = build_group(5, INERTIA)
         assert faithful_kernel(group, character_table(group).row("wild-")) == 1
 
+    @pytest.mark.parametrize("variant", [INERTIA, FULL])
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_flag_equals_kernel_of_every_row(self, p, variant):
+        # the table sizes kernels of the induced rows only; the oracle sizes every row's
+        group = build_group(p, variant, p_bound=p)
+        for row in character_table(group).rows:
+            assert (faithful_kernel(group, row) == 1) == row.faithful, row.label
+
 
 class TestInducedCharacter:
     @pytest.mark.parametrize("p", [3, 5, 7])

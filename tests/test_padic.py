@@ -16,9 +16,13 @@ from galrep.errors import InputError, InternalCheckError, UsageError
 from galrep.padic import (
     CERTIFIED,
     _difference_power_sums,
+    _lower_hull,
     UNDETERMINED,
+    AssumptionReport,
     BaseField,
     InputPolynomial,
+    NewtonPolygon,
+    Segment,
     conductor_exponent,
     difference_polynomial,
     difference_root_valuations,
@@ -63,6 +67,47 @@ def shifted_inputs(draw):
     coeffs = shifted_eisenstein(p, units, draw(st.integers(min_value=-40, max_value=40)))
     coeffs[1] += draw(st.sampled_from([0, 0, 1, 5]))
     return InputPolynomial.from_coefficients(p, coeffs)
+
+
+@st.composite
+def certified_inputs(draw):
+    """Monic f = g(x - c) over Q, g of one Newton slope k/p with gcd(k, p) = 1:
+    f(x + c) is Eisenstein for k = 1 and certified but not Eisenstein for
+    k = 2, 3.  |c| <= 20 and every denominator is prime to p."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    k = draw(st.sampled_from([k for k in (1, 2, 3) if math.gcd(k, p) == 1]))
+    denominators = st.sampled_from([d for d in (1, 2, 3, 4, 7, 10) if d % p])
+    # on or above the segment from (0, k) to (p, 0), and on it at x^0
+    g = [Fraction(p**k * draw(st.sampled_from([-2, -1, 1, 2])), draw(denominators))]
+    for i in range(1, p):
+        g.append(Fraction(p ** -(-k * (p - i) // p) * draw(st.integers(-3, 3)), draw(denominators)))
+    g.append(Fraction(1))
+    c = draw(st.integers(min_value=-20, max_value=20))
+    f = [Fraction(0)] * (p + 1)
+    for i, a in enumerate(g):
+        for j in range(i + 1):
+            f[j] += a * math.comb(i, j) * (-c) ** (i - j)
+    return InputPolynomial(p, tuple(f))
+
+
+def oracle_report(f, K):
+    """The assumption report by the discriminant route: the Sylvester
+    discriminant, the difference polynomial's Newton polygon and the
+    certificate, each computed on its own."""
+    p = f.p
+    v = vp(poly_discriminant(f), p)
+    single_cluster = difference_root_valuations(f)
+    irreducibility = irreducibility_certificate(f, K)
+    gcd_condition = math.gcd(v, p - 1) == 1
+    return AssumptionReport(
+        disc_valuation=Fraction(v),
+        squarefree=True,
+        irreducibility=irreducibility,
+        gcd_condition=gcd_condition,
+        disc_valuation_odd=v % 2 == 1,
+        single_cluster=single_cluster,
+        maximal_inertia=irreducibility == CERTIFIED and gcd_condition and single_cluster.status != "no",
+    )
 
 
 class TestInputValidation:
@@ -396,6 +441,33 @@ class TestValidateAssumptions:
             assert Fraction(_vp(disc, 3)) == 6 * report.single_cluster.w
 
 
+class TestCertifiedFromValuations:
+    """Certified inputs are decided from the ramification polygon; the
+    discriminant route is their oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=certified_inputs())
+    def test_report_equals_discriminant_route(self, f):
+        K = BaseField(f.p, 1)
+        assert irreducibility_certificate(f, K) == CERTIFIED
+        report, oracle = validate_assumptions(f, K), oracle_report(f, K)
+        assert report == oracle
+        assert report.to_json_dict() == oracle.to_json_dict()
+
+    def test_polygon_of_two_segments_raises(self, monkeypatch):
+        two = NewtonPolygon((Segment(Fraction(1), 2), Segment(Fraction(0), 2)))
+        monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, slope, p: two)
+        with pytest.raises(InternalCheckError):
+            validate_assumptions(poly(5, "x^5-5"), BaseField(5, 1))
+
+    def test_fractional_disc_valuation_raises(self, monkeypatch):
+        # in units of 1/p: w = 1/5 + 1/7 gives p(p-1)w = 48/7
+        one = NewtonPolygon((Segment(Fraction(5, 7), 4),))
+        monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, slope, p: one)
+        with pytest.raises(InternalCheckError):
+            validate_assumptions(poly(5, "x^5-5"), BaseField(5, 1))
+
+
 class TestConductorExponent:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_model_family(self, p):
@@ -436,3 +508,14 @@ class TestPolygonOfGeneralPolynomials:
         # 9 + 3x + x^2 over p = 3: vertices (0,2), (2,0), one slope
         segs = newton_polygon_of([Fraction(9), Fraction(3), Fraction(1)], 3).segments
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [(Fraction(1), 2)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(heights=st.lists(st.integers(min_value=0, max_value=30), min_size=2, max_size=12),
+           denominator=st.integers(min_value=1, max_value=13))
+    def test_hull_of_fraction_heights_is_the_scaled_integer_hull(self, heights, denominator):
+        whole = _lower_hull(list(enumerate(heights))).segments
+        scaled = _lower_hull([(i, Fraction(h, denominator)) for i, h in enumerate(heights)]).segments
+        assert [(s.root_valuation, s.multiplicity) for s in scaled] == [
+            (s.root_valuation / denominator, s.multiplicity) for s in whole
+        ]
+        assert sum(s.multiplicity for s in whole) == len(heights) - 1
