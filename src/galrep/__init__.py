@@ -14,7 +14,7 @@ from .config import Budgets, default_budgets
 from .counting import CountResult, TwistedCountResult, count_curve, count_twisted_fixed, naive_twisted_oracle
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial
 from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError, UsageError
-from .gf import FieldElement, FieldSpec, build_field, quadratic_character
+from .gf import FieldSpec, build_field
 from .groups import (
     CharacterRow,
     CharacterTable,
@@ -25,7 +25,6 @@ from .groups import (
     faithful_kernel,
     gauss_sum,
     identify_psi,
-    induced_character,
 )
 from .padic import (
     AssumptionReport,
@@ -35,7 +34,6 @@ from .padic import (
     conductor_exponent,
     difference_root_valuations,
     irreducibility_certificate,
-    newton_polygon,
     poly_discriminant,
     validate_assumptions,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "ClassificationReport",
     "CountResult",
     "Cyclotomic",
-    "FieldElement",
     "FieldSpec",
     "GalrepError",
     "GroupSpec",
@@ -77,12 +74,9 @@ __all__ = [
     "faithful_kernel",
     "gauss_sum",
     "identify_psi",
-    "induced_character",
     "irreducibility_certificate",
     "naive_twisted_oracle",
-    "newton_polygon",
     "poly_discriminant",
-    "quadratic_character",
     "validate_assumptions",
     "verify_consistency",
 ]

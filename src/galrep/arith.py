@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import InputError, UsageError
 
 
 def is_prime(n: int) -> bool:
@@ -29,6 +29,11 @@ def is_prime(n: int) -> bool:
 
 def is_odd_prime(n: int) -> bool:
     return n != 2 and is_prime(n)
+
+
+def require_odd_prime(p: int) -> None:
+    if not is_odd_prime(p):
+        raise InputError("p_not_odd_prime", f"p must be an odd prime, got {p}")
 
 
 def vp(x: Fraction | int, p: int) -> int:

@@ -31,6 +31,12 @@ from .padic import AssumptionReport, BaseField, InputPolynomial, conductor_expon
 SCHEMA_VERSION = 1
 
 
+def dump_json(obj) -> str:
+    """The one JSON format of every report and error: two-space indents and
+    sorted keys.  Byte-identical output rests on it."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 class ClassificationRefused(GalrepError):
     """The hypotheses could not all be certified; no answer is guessed."""
 
@@ -134,7 +140,7 @@ class ClassificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return dump_json(self.to_json_dict())
 
 
 def _gauss_sum_power(p: int, n: int) -> Cyclotomic:
@@ -144,11 +150,19 @@ def _gauss_sum_power(p: int, n: int) -> Cyclotomic:
     return gauss_sum(p) * scale if n % 2 else Cyclotomic.rational(p, scale)
 
 
+@lru_cache(maxsize=None)
+def _largest_printable(limit: int) -> int:
+    """The largest integer of at most ``limit`` digits."""
+    return 10**limit - 1
+
+
 def _check_printable(p: int, n: int) -> None:
     """Refuse an n whose eigenvalues, of size p^(n//2), have more digits than
-    Python converts to a string; decided from the exponent alone."""
+    Python converts to a string; decided from the exponent alone.  The bound
+    is formed once per digit limit, which ``sys.set_int_max_str_digits`` can
+    change."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and power_exceeds(p, n // 2, 10**limit - 1):
+    if limit and power_exceeds(p, n // 2, _largest_printable(limit)):
         raise InputError("residue_degree_too_large",
                          f"the Frobenius eigenvalues have size {p}^{n // 2}, more than {limit} digits")
 

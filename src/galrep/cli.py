@@ -20,7 +20,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .arith import signed_p
-from .classify import ClassificationRefused, ClassificationReport, classify, verify_consistency
+from .classify import ClassificationRefused, ClassificationReport, classify, dump_json, verify_consistency
 from .config import Budgets, default_budgets
 from .counting import count_curve, count_twisted_fixed, naive_twisted_oracle
 from .cyclotomic import Cyclotomic
@@ -34,10 +34,6 @@ EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
 
 DEFAULT_VERIFY_PAIRS = ((3, 1), (5, 1), (7, 1), (3, 3), (5, 3))
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _approx(value: Cyclotomic) -> str:
@@ -182,7 +178,7 @@ def _cmd_chartab(args) -> int:
     group = build_group(args.p, args.group, budgets.group_p_bound)
     table = character_table(group)
     if args.format == "json":
-        print(_dump(table.to_json_dict()))
+        print(dump_json(table.to_json_dict()))
     else:
         print(_render_chartab_text(table))
     return EXIT_OK
@@ -206,7 +202,7 @@ def _cmd_count(args) -> int:
     if args.mode != "curve":
         data["mode"] = args.mode
     if args.format == "json":
-        print(_dump(data))
+        print(dump_json(data))
     else:
         print(", ".join(f"{k} = {v}" for k, v in sorted(data.items())))
     return EXIT_OK
@@ -225,7 +221,7 @@ def _cmd_verify(args) -> int:
         all_match = all_match and bool(v.match)
     payload = {"pairs": results, "all_match": all_match}
     if args.format == "json":
-        print(_dump(payload))
+        print(dump_json(payload))
     else:
         for r in results:
             print(f"(p={r['p']}, n={r['n']}): counted {r['trace_counted']}, "
@@ -299,18 +295,18 @@ def _run(argv: list[str] | None) -> int:
     try:
         return args.func(args)
     except ClassificationRefused as exc:
-        print(_dump(exc.to_json_dict()))
+        print(dump_json(exc.to_json_dict()))
         return EXIT_REFUSED
     except (InputError, UsageError, BudgetExceeded) as exc:
-        print(_dump({"error": {"code": exc.code, "message": str(exc)}}))
+        print(dump_json({"error": {"code": exc.code, "message": str(exc)}}))
         return EXIT_INPUT
     except InternalCheckError as exc:
-        print(_dump({"error": {"code": "internal_check", "message": str(exc)}}))
+        print(dump_json({"error": {"code": "internal_check", "message": str(exc)}}))
         return EXIT_INTERNAL
     except BrokenPipeError:
         raise  # no error JSON can reach a closed stdout
     except Exception as exc:  # the CLI's boundary: any other fault still ends in an error JSON
-        print(_dump({"error": {"code": "unexpected_error", "message": f"{type(exc).__name__}: {exc}"}}))
+        print(dump_json({"error": {"code": "unexpected_error", "message": f"{type(exc).__name__}: {exc}"}}))
         return EXIT_INTERNAL
 
 

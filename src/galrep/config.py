@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class Budgets:
@@ -29,6 +31,9 @@ def default_budgets() -> Budgets:
     budgets = Budgets()
     env = os.environ.get("GALREP_ENUM_BUDGET")
     if env:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            raise InputError("bad_budget", f"GALREP_ENUM_BUDGET must be an integer, got {env!r}") from None
         budgets = replace(budgets, curve_enum=cap, naive_enum=cap)
     return budgets

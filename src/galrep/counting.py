@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_odd_prime, power_exceeds
+from .arith import power_exceeds, require_odd_prime
 from .config import Budgets, default_budgets
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
 from .gf import Coeffs, FieldSpec, build_field
@@ -122,11 +122,6 @@ def _artin_schreier_tally(field: FieldSpec, base: Coeffs) -> list[int]:
     return _tally(field.chi_table(), p, list(base), images)
 
 
-def _require_odd_prime(p: int) -> None:
-    if not is_odd_prime(p):
-        raise InputError("p_not_odd_prime", f"p must be an odd prime, got {p}")
-
-
 def count_curve(p: int, m: int, budgets: Budgets | None = None) -> CountResult:
     """Exact affine count of y^2 = x^p - x over F_{p^m}: t = 0 gives one
     point, a nonzero square two, a non-square none."""
@@ -135,7 +130,7 @@ def count_curve(p: int, m: int, budgets: Budgets | None = None) -> CountResult:
         raise InputError("bad_degree", f"extension degree must be >= 1, got {m}")
     if p > 2 and power_exceeds(p, m, budgets.curve_enum):
         raise BudgetExceeded(f"field size {p}^{m} exceeds the enumeration budget {budgets.curve_enum}")
-    _require_odd_prime(p)
+    require_odd_prime(p)
     zero, _, square = _artin_schreier_tally(build_field(p, m), (0,) * m)
     affine = zero + 2 * square
     total = affine + 1
@@ -189,7 +184,7 @@ def count_twisted_fixed(p: int, n: int, budgets: Budgets | None = None) -> Twist
         raise UsageError("n_must_be_odd", f"the twisted count is only defined for odd n, got {n}")
     if p > 2 and power_exceeds(p, n, budgets.coset_q):
         raise BudgetExceeded(f"subfield size {p}^{n} exceeds the coset budget {budgets.coset_q}")
-    _require_odd_prime(p)
+    require_odd_prime(p)
     field = build_field(p, n)
     a = _base_of_trace_minus_one(field)
     if _trace(field, a) != field.scalar_t(-1):
@@ -214,7 +209,7 @@ def naive_twisted_oracle(p: int, n: int, budgets: Budgets | None = None) -> Twis
         raise UsageError("n_must_be_odd", f"the twisted count is only defined for odd n, got {n}")
     if p > 2 and power_exceeds(p, n * p, budgets.naive_enum):
         raise BudgetExceeded(f"field size {p}^{n * p} exceeds the naive-scan budget {budgets.naive_enum}")
-    _require_odd_prime(p)
+    require_odd_prime(p)
     field = build_field(p, n * p)
     q = p**n
     one = field.one_t()

@@ -8,8 +8,8 @@ subtraction and multiplication are closed and exact; division is
 deliberately not provided (conjugate-multiplication covers every norm-style
 computation the package needs).
 
-Operations never mix conductors: callers lift both operands to a common
-conductor (usually the lcm) with :meth:`Cyclotomic.lift` first.
+Operations never mix conductors: an operation on values of two different
+conductors is refused.
 
 Phi_m is obtained by exact division of x^m - 1 by the Phi_d for proper
 divisors d; together with a precomputed table of x^e mod Phi_m this keeps
@@ -132,7 +132,7 @@ class Cyclotomic:
         if self.m != other.m:
             raise UsageError(
                 "conductor_mismatch",
-                f"operands have conductors {self.m} and {other.m}; lift to a common conductor first",
+                f"operands have conductors {self.m} and {other.m}",
             )
 
     # the ring operations build their tuples from lists: tuple() of a
@@ -188,17 +188,6 @@ class Cyclotomic:
         terms = {(-e) % self.m: c for e, c in enumerate(self.coeffs) if c}
         return Cyclotomic(self.m, _reduce_terms(self.m, terms))
 
-    def lift(self, conductor: int) -> "Cyclotomic":
-        """Rewrite in Q(zeta_M) for a multiple M of the own conductor."""
-        if conductor % self.m:
-            raise UsageError(
-                "conductor_mismatch",
-                f"cannot lift conductor {self.m} into non-multiple {conductor}",
-            )
-        scale = conductor // self.m
-        terms = {e * scale: c for e, c in enumerate(self.coeffs) if c}
-        return Cyclotomic.from_terms(conductor, terms)
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -232,12 +221,8 @@ class Cyclotomic:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"m": self.m, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "Cyclotomic":
-        coeffs = {e: Fraction(s) for e, s in enumerate(data["coeffs"])}
-        return cls.from_terms(int(data["m"]), coeffs)
+        # the zeros, most of a large table, share one string
+        return {"m": self.m, "coeffs": [str(c) if c else "0" for c in self.coeffs]}
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -6,11 +6,10 @@ coefficient tuples (a_0, ..., a_{m-1}) with the constant term first.  No
 Conway-polynomial tables: every computation stays inside one field, and
 the twisted point count works in F_q itself (see ``galrep.counting``).
 
-Elements are immutable coefficient tuples wrapped in ``FieldElement``;
-``FieldSpec`` exposes tuple-level arithmetic for the counting loops.  The
-counters read the quadratic character from a table over element indices
-(``FieldSpec.chi_table``), built once per field by walking multiplication
-by a fixed element.
+Elements are immutable coefficient tuples, and ``FieldSpec`` does their
+arithmetic.  The counters read the quadratic character from a table over
+element indices (``FieldSpec.chi_table``), built once per field by walking
+multiplication by a fixed element.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from itertools import chain, product
 from operator import mul
 from typing import Iterator
 
-from .arith import is_odd_prime
-from .errors import InputError, InternalCheckError, UsageError
+from .arith import require_odd_prime
+from .errors import InputError, InternalCheckError
 
 Coeffs = tuple[int, ...]
 
@@ -46,8 +45,6 @@ class FieldSpec:
     def size(self) -> int:
         return self.p**self.m
 
-    # -- tuple-level arithmetic (hot paths) ---------------------------------
-
     @cached_property
     def _reduction_rows(self) -> tuple[Coeffs, ...]:
         # x^(m+k) mod modulus for k = 0..m-2
@@ -63,9 +60,6 @@ class FieldSpec:
                 nxt = [(nxt[i] + lead * base[i]) % p for i in range(m)]
             cur = tuple(nxt)
         return tuple(rows)
-
-    def zero_t(self) -> Coeffs:
-        return (0,) * self.m
 
     def one_t(self) -> Coeffs:
         return (1,) + (0,) * (self.m - 1)
@@ -112,11 +106,6 @@ class FieldSpec:
             base = self.mul_t(base, base)
             e >>= 1
         return result
-
-    def inv_t(self, a: Coeffs) -> Coeffs:
-        if a == self.zero_t():
-            raise UsageError("division_by_zero", "0 has no inverse")
-        return self.pow_t(a, self.size - 2)
 
     def scalar_t(self, c: int) -> Coeffs:
         return (c % self.p,) + (0,) * (self.m - 1)
@@ -172,60 +161,6 @@ class FieldSpec:
                 raise InternalCheckError("the walk by g returned with the other character value")
             seed = table.find(0, seed + 1)
         return table
-
-    # -- wrapped API ---------------------------------------------------------
-
-    def element(self, coeffs) -> "FieldElement":
-        c = tuple(int(x) % self.p for x in coeffs)
-        if len(c) != self.m:
-            raise UsageError("bad_element", f"expected {self.m} coefficients, got {len(c)}")
-        return FieldElement(self, c)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, self.zero_t())
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, self.one_t())
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    field: FieldSpec
-    coeffs: Coeffs
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.field != other.field:
-            raise UsageError("field_mismatch", "elements live in different fields")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.add_t(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.sub_t(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg_t(self.coeffs))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field, self.field.mul_t(self.coeffs, other.coeffs))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            return FieldElement(self.field, self.field.inv_t(self.field.pow_t(self.coeffs, -e)))
-        return FieldElement(self.field, self.field.pow_t(self.coeffs, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_t(self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
 
 def _poly_gcd_is_one(a: list[int], b: list[int], p: int) -> bool:
     # monic-normalizing Euclid over F_p; returns gcd == nonzero constant
@@ -283,8 +218,7 @@ def build_field(p: int, m: int) -> FieldSpec:
     constant term first.  For m >= 2 a zero constant term or a root in F_p
     forces reducibility, which prunes the scan without changing its result.
     """
-    if not is_odd_prime(p):
-        raise InputError("p_not_odd_prime", f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     if m < 1:
         raise InputError("bad_degree", f"extension degree must be >= 1, got {m}")
     if m == 1:
@@ -297,13 +231,6 @@ def build_field(p: int, m: int) -> FieldSpec:
             if _is_irreducible(modulus, p, m):
                 return FieldSpec(p, m, modulus)
     raise InternalCheckError(f"no irreducible polynomial of degree {m} over F_{p}")
-
-
-def quadratic_character(t: FieldElement) -> int:
-    """0 for t = 0, +1 for a nonzero square, -1 otherwise (Euler's criterion)."""
-    if t.field.size % 2 == 0:
-        raise UsageError("even_field_order", "quadratic character needs odd order")
-    return 0 if t.is_zero() else _euler_sign(t.field, t.coeffs)
 
 
 def _euler_sign(field: FieldSpec, a: Coeffs) -> int:

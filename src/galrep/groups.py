@@ -11,24 +11,24 @@ Galois image is the C_2-extension
 
     < s, t, f | ..., s f = f s, f t f = t^p >.
 
-Elements are kept in the normal form s^i t^j f^k, so multiplication is three
-modular additions with a twist:
-
-    (i1,j1,k1)*(i2,j2,k2) = (i1 + b^j1 i2 mod p,  j1 + p^k1 j2 mod 2(p-1),  k1+k2 mod 2).
-
-Conjugacy classes are written down from the (j, k) parameters, with sizes
-1, p-1, p, 2 or 2p, and the class of an element is read off the same rules
-(``_class_list``, ``_class_rep``), so no orbit is ever enumerated; the
-tests compare them with brute-force orbits.
+Elements are written in the normal form s^i t^j f^k, and nothing here
+multiplies them: conjugacy classes are written down from the (j, k)
+parameters, with sizes 1, p-1, p, 2 or 2p, and the class of an element is
+read off the same rules (``_class_list``, ``_class_rep``), so no orbit is
+ever enumerated.  The tests carry the group law and compare the classes
+with brute-force orbits.
 
 Character tables are built from the semidirect-product recipe for A x| H
-with A abelian: pick orbit representatives of H on the characters of A; for
-each, induce the stabilizer's irreducibles up from A*Stab.  Here the orbits
-are just {trivial} and {everything else}, so the table splits into rows
-lifted from the quotient by <s> and a few (p-1)-dimensional rows induced
-from the centralizer of s.  For the extended group the same recipe is
-applied once more to the quotient <t, f> to enumerate the lifted rows.  All
-values are exact cyclotomics with conductor dividing 2p(p-1).
+with A abelian (Serre, *Linear Representations of Finite Groups*, 8.2):
+pick orbit representatives of H on the characters of A; for each, induce
+the stabilizer's irreducibles up from A*Stab.  Here the orbits are just
+{trivial} and {everything else}, so the table splits into rows lifted from
+the quotient by <s> and a few (p-1)-dimensional rows induced from the
+centralizer of s.  For the extended group the same recipe is applied once
+more to the quotient <t, f> to enumerate the lifted rows.  The induced
+rows are written in closed form (``_induced_row``): each value is p-1, -1,
+0 or a sign times the Gauss sum.  All values are exact cyclotomics with
+conductor dividing 2p(p-1).
 
 Tables are immutable after construction and cached per (p, variant).
 """
@@ -38,18 +38,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple
+from functools import lru_cache
+from typing import NamedTuple
 
-from .arith import is_odd_prime, legendre_symbol, smallest_primitive_root
+from .arith import legendre_symbol, require_odd_prime, smallest_primitive_root
 from .cyclotomic import Cyclotomic
 from .errors import InputError, InternalCheckError, UsageError
 
 INERTIA = "inertia"
 FULL = "full"
-
-SUBGROUP_C2P = "C2p"  # <s, nu>, centralizer of s in the inertia group
-SUBGROUP_CP_C2_C2 = "CpxC2xC2"  # <s, nu, f>, centralizer of s in the full group
 
 
 class El(NamedTuple):
@@ -75,60 +72,13 @@ class GroupSpec:
         n = self.p * self.tau_order
         return 2 * n if self.variant == FULL else n
 
-    @cached_property
-    def _b_powers(self) -> tuple[int, ...]:
-        # b^j mod p for j = 0..2(p-1)-1; avoids pow() in multiplication
-        out = [1]
-        for _ in range(self.tau_order - 1):
-            out.append(out[-1] * self.b % self.p)
-        return tuple(out)
-
-    def identity(self) -> El:
-        return El(0, 0, 0)
-
-    def element(self, i: int, j: int, k: int = 0) -> El:
-        if k % 2 and self.variant != FULL:
-            raise UsageError("bad_element", "inertia variant has no f component")
-        return El(i % self.p, j % self.tau_order, k % 2)
-
-    def mul(self, a: El, c: El) -> El:
-        to = self.tau_order
-        j2 = c.j * self.p if a.k else c.j
-        return El(
-            (a.i + self._b_powers[a.j] * c.i) % self.p,
-            (a.j + j2) % to,
-            (a.k + c.k) % 2,
-        )
-
-    def inv(self, a: El) -> El:
-        to = self.tau_order
-        j = (-a.j * (self.p if a.k else 1)) % to
-        bpow = self._b_powers[(-a.j) % (self.p - 1)]
-        return El((-a.i * bpow) % self.p, j, a.k)
-
-    def conjugate(self, g: El, x: El) -> El:
-        """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
-
-    def elements(self) -> Iterator[El]:
-        kmax = 2 if self.variant == FULL else 1
-        for i in range(self.p):
-            for j in range(self.tau_order):
-                for k in range(kmax):
-                    yield El(i, j, k)
-
-    def nu(self) -> El:
-        """The central involution t^(p-1) of the tame part."""
-        return El(0, self.p - 1, 0)
-
 
 def build_group(p: int, variant: str = INERTIA, p_bound: int = 13) -> GroupSpec:
     """Group of the given variant with the smallest primitive root as b."""
     if variant not in (INERTIA, FULL):
         raise UsageError("bad_variant", f"unknown variant {variant!r}")
     check_p_bound(p, p_bound)
-    if not is_odd_prime(p):
-        raise InputError("p_not_odd_prime", f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     return GroupSpec(p=p, b=smallest_primitive_root(p), variant=variant)
 
 
@@ -242,15 +192,6 @@ class CharacterTable:
         """Position of the class of ``element`` in ``classes``."""
         return _classes_and_index(self.group)[1][_class_rep(self.group, element)]
 
-    def value_at(self, row: CharacterRow, element: El) -> Cyclotomic:
-        return row.values[self.class_of(element)]
-
-    def row(self, label: str) -> CharacterRow:
-        for row in self.rows:
-            if row.label == label:
-                return row
-        raise UsageError("no_such_row", f"no row labelled {label!r}")
-
     def sigma_phi_class(self) -> int:
         """Index of the class of s*f (full variant only)."""
         if self.group.variant != FULL:
@@ -310,70 +251,36 @@ def gauss_sum(p: int) -> Cyclotomic:
     positive real square root of p for p = 1 mod 4 and i*sqrt(p) for
     p = 3 mod 4.
     """
-    if not is_odd_prime(p):
-        raise InputError("p_not_odd_prime", f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     return Cyclotomic.from_terms(p, {a: legendre_symbol(a, p) for a in range(1, p)})
 
 
-def _subgroup_membership(group: GroupSpec, subgroup: str):
-    """Return (decompose, index) for the induction subgroup.
+def _induced_row(group: GroupSpec, nu_sign: int, phi_sign: int | None) -> tuple[Cyclotomic, ...]:
+    """Class values of the row induced from the centralizer of s: s -> zeta_p
+    times the sign nu_sign on nu = t^(p-1) and phi_sign on f.
 
-    decompose(El) -> (i, e, k) with the element written as s^i nu^e f^k, or
-    None when the element lies outside the subgroup.
+    The centralizer <s, nu> (<s, nu, f> in the full group) is normal with
+    coset representatives t^a, a = 1..p-1, and t^a s^i nu^e f^k t^-a is
+    s^(b^a i) nu^(e + ak) f^k.  So at a representative s^i t^j f^k, with
+    e = j/(p-1) and sign = nu_sign^e phi_sign^k, the value is 0 off the
+    centralizer (j != 0 mod p-1), and on it sign (p-1) at i = 0 and -sign
+    at i != 0, as the b^a i run over all nonzero residues.  The exception is
+    k = 1 with nu_sign = -1: the terms carry (-1)^a = (b^a | p), giving 0
+    at i = 0 and sign G at i = 1, G the Gauss sum (Serre, *Linear
+    Representations of Finite Groups*, 8.2).
     """
     p = group.p
-    if subgroup == SUBGROUP_C2P:
-        if group.variant not in (INERTIA, FULL):
-            raise UsageError("bad_subgroup", subgroup)
-
-        def decompose(x: El):
-            if x.k or x.j % (p - 1):
-                return None
-            return x.i, (x.j // (p - 1)) % 2, 0
-
-    elif subgroup == SUBGROUP_CP_C2_C2:
-        if group.variant != FULL:
-            raise UsageError("bad_subgroup", f"{subgroup} requires the full variant")
-
-        def decompose(x: El):
-            if x.j % (p - 1):
-                return None
-            return x.i, (x.j // (p - 1)) % 2, x.k
-
-    else:
-        raise UsageError("bad_subgroup", f"unknown subgroup {subgroup!r}")
-    return decompose
-
-
-def induced_character(group: GroupSpec, subgroup: str, inner: dict[str, int]) -> tuple[Cyclotomic, ...]:
-    """Class values of the induction to the group of s -> zeta_p times a sign
-    character of the centralizer's 2-part.
-
-    ``inner`` gives the sign character on the generators: {"nu": +-1} for the
-    inertia variant, plus {"phi": +-1} for the full one.  Both subgroups are
-    normal, so the value vanishes off the subgroup and is a plain sum over
-    the coset representatives t^a, a = 1..p-1, otherwise.
-    """
-    p = group.p
-    decompose = _subgroup_membership(group, subgroup)
-    nu_sign = inner["nu"]
-    phi_sign = inner.get("phi")
-    if subgroup == SUBGROUP_CP_C2_C2 and phi_sign is None:
-        raise UsageError("bad_subgroup", "full-variant induction needs a phi sign")
-    classes = conjugacy_classes(group)
-    reps = [group.element(0, a, 0) for a in range(1, p)]
     zero = Cyclotomic.zero(p)
     values = []
-    for cls in classes:
-        if decompose(cls.rep) is None:
+    for (i, j, k), _ in conjugacy_classes(group):
+        if j % (p - 1):
             values.append(zero)
             continue
-        total: dict[int, Fraction] = {}
-        for t in reps:
-            i, e, k = decompose(group.conjugate(t, cls.rep))  # the subgroup is normal
-            sign = (nu_sign ** e) * (phi_sign ** k if k else 1)
-            total[i] = total.get(i, Fraction(0)) + sign
-        values.append(Cyclotomic.from_terms(p, total))
+        sign = (nu_sign if j else 1) * (phi_sign if k else 1)
+        if k and nu_sign < 0:
+            values.append(gauss_sum(p) * sign if i else zero)
+        else:
+            values.append(Cyclotomic.rational(p, -sign if i else sign * (p - 1)))
     return tuple(values)
 
 
@@ -424,7 +331,7 @@ def character_table(group: GroupSpec) -> CharacterTable:
             label, values = _lifted_inertia_row(classes, roots, c)
             raw.append((label, 1, values, ("lifted", c)))
         for nu_sign, tag in ((1, "wild+"), (-1, "wild-")):
-            values = induced_character(group, SUBGROUP_C2P, {"nu": nu_sign})
+            values = _induced_row(group, nu_sign, None)
             raw.append((tag, p - 1, values, ("induced", nu_sign, None)))
     else:
         # rows factoring through the quotient <t, f>: the f-action t -> t^p
@@ -446,7 +353,7 @@ def character_table(group: GroupSpec) -> CharacterTable:
         for nu_sign in (1, -1):
             for phi_sign in (1, -1):
                 tag = f"wild{'+' if nu_sign > 0 else '-'}{'+' if phi_sign > 0 else '-'}"
-                values = induced_character(group, SUBGROUP_CP_C2_C2, {"nu": nu_sign, "phi": phi_sign})
+                values = _induced_row(group, nu_sign, phi_sign)
                 raw.append((tag, p - 1, values, ("induced", nu_sign, phi_sign)))
 
     # a lifted row factors through the quotient by the normal C_p = <s>, so s

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import polys
-from .arith import is_odd_prime, vp
+from .arith import require_odd_prime, vp
 from .errors import InputError, InternalCheckError, UsageError
 
 CERTIFIED = "certified_totally_ramified"
@@ -48,8 +48,7 @@ class InputPolynomial:
     coeffs: tuple[Fraction, ...]  # ascending, coeffs[p] == 1
 
     def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise InputError("p_not_odd_prime", f"p must be an odd prime, got {self.p}")
+        require_odd_prime(self.p)
         if len(self.coeffs) != self.p + 1 or self.coeffs[-1] == 0:
             raise InputError(
                 "degree_mismatch",
@@ -165,8 +164,7 @@ class BaseField:
     n: int
 
     def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise InputError("p_not_odd_prime", f"p must be an odd prime, got {self.p}")
+        require_odd_prime(self.p)
         if self.n < 1:
             raise InputError("bad_inertia_degree", f"inertia degree must be >= 1, got {self.n}")
 
@@ -189,18 +187,6 @@ class NewtonPolygon:
 
     def is_single_segment(self) -> bool:
         return len(self.segments) == 1
-
-    def root_valuations(self) -> list[Fraction]:
-        out: list[Fraction] = []
-        for seg in self.segments:
-            out.extend([seg.root_valuation] * seg.multiplicity)
-        return out
-
-    def to_json_dict(self) -> list[dict]:
-        return [
-            {"root_valuation": str(seg.root_valuation), "multiplicity": seg.multiplicity}
-            for seg in self.segments
-        ]
 
 
 def _lower_hull(points: Sequence[tuple[int, Fraction | int]]) -> NewtonPolygon:
@@ -228,10 +214,6 @@ def newton_polygon_of(coeffs: Sequence[Fraction], p: int) -> NewtonPolygon:
     if coeffs[0] == 0:
         raise InputError("reducible_x_divides", "x divides the polynomial, so it is reducible")
     return _lower_hull([(i, vp(c, p)) for i, c in enumerate(coeffs) if c])
-
-
-def newton_polygon(f: InputPolynomial) -> NewtonPolygon:
-    return newton_polygon_of(f.as_poly(), f.p)
 
 
 def _shifted(f: InputPolynomial, m: int) -> polys.Poly:

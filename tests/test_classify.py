@@ -129,6 +129,20 @@ class TestRefusalAndErrors:
             classify(model_input(17), BaseField(17, 1))
         assert err.value.code == "p_beyond_bound"
 
+    def test_printable_bound_follows_the_digit_limit(self):
+        # 3^1350 has 645 digits: printable under the default limit of 4300, not under 640
+        f, K = model_input(3), BaseField(3, 2700)
+        old = sys.get_int_max_str_digits()
+        assert classify(f, K).n == 2700
+        try:
+            sys.set_int_max_str_digits(640)
+            with pytest.raises(InputError) as err:
+                classify(f, K)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert err.value.code == "residue_degree_too_large"
+        assert classify(f, K).n == 2700
+
 
 class TestInvariants:
     @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (5, 2), (7, 1), (3, 4)])
@@ -274,4 +288,4 @@ class TestDeterminism:
         import json
 
         data = json.loads(classify(model_input(5), BaseField(5, 1)).to_json())
-        assert Cyclotomic.from_json(data["chi"]["frobenius_value"]) == gauss_sum(5)
+        assert data["chi"]["frobenius_value"] == gauss_sum(5).to_json()

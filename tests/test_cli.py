@@ -259,6 +259,16 @@ class TestBudgetFlags:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["classify", "count"])
+    @pytest.mark.parametrize("value", ["abc", "1e6", "12 x"])
+    def test_malformed_env_budget_exits_two(self, capsys, monkeypatch, command, value):
+        # classify never reads the enumeration caps, but every subcommand builds its budgets
+        monkeypatch.setenv("GALREP_ENUM_BUDGET", value)
+        code, out = run(capsys, *self.BASE[command])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "code": "bad_budget", "message": f"GALREP_ENUM_BUDGET must be an integer, got {value!r}"}
+
 
 class TestUnexpectedErrors:
     def test_exit_four_with_error_json(self, capsys, monkeypatch):

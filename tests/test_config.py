@@ -2,7 +2,10 @@
 
 import dataclasses
 
+import pytest
+
 from galrep.config import Budgets, default_budgets
+from galrep.errors import InputError
 
 
 def test_defaults():
@@ -21,6 +24,13 @@ def test_env_override(monkeypatch):
     assert budgets.naive_enum == 1234
     # the non-enumeration budgets stay put
     assert budgets.coset_q == 10**6
+
+
+def test_env_override_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("GALREP_ENUM_BUDGET", "abc")
+    with pytest.raises(InputError) as err:
+        default_budgets()
+    assert err.value.code == "bad_budget"
 
 
 def test_budgets_are_immutable():

@@ -48,7 +48,8 @@ def literal_coset(p, n):
 
     x -> x^q - x is F_p-linear, so one Gauss-Jordan elimination of its
     matrix gives x0, mapped to -1 (free coordinates set to 0), and F_q, its
-    kernel.  Returns the field, x0 and the q elements of F_q, wrapped.
+    kernel.  Returns the field, x0 and the q elements of F_q, as coefficient
+    tuples.
     """
     field = build_field(p, n * p)
     m, q = field.m, p**n
@@ -87,7 +88,7 @@ def literal_coset(p, n):
     assert field.pow_t(x0, q) == field.sub_t(x0, field.one_t())
     assert len(subfield) == q
     assert all(field.pow_t(c, q) == c for c in subfield)
-    return field, field.element(x0), [field.element(c) for c in sorted(subfield)]
+    return field, x0, sorted(subfield)
 
 
 def euler_coset_affine(p, n):
@@ -101,7 +102,7 @@ def euler_coset_affine(p, n):
     minus_one = field.neg_t(one)
     affine = 0
     for c in subfield:
-        x = field.add_t(x0.coeffs, c.coeffs)
+        x = field.add_t(x0, c)
         t = field.sub_t(field.pow_t(x, p), x)
         assert any(t)
         s = field.pow_t(t, half)
@@ -113,11 +114,12 @@ def euler_coset_affine(p, n):
 
 
 def trace_to_prime_field(field, a):
-    """Tr(a) as an integer mod p, from a's conjugates a^(p^k) as wrapped elements."""
-    element = field.element(a)
-    total = sum((element ** (field.p**k) for k in range(field.m)), field.zero())
-    assert not any(total.coeffs[1:])
-    return total.coeffs[0]
+    """Tr(a) as an integer mod p, from a's conjugates a^(p^k)."""
+    total = (0,) * field.m
+    for k in range(field.m):
+        total = field.add_t(total, field.pow_t(a, field.p**k))
+    assert not any(total[1:])
+    return total[0]
 
 
 class TestCountCurve:

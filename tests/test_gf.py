@@ -9,10 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galrep.errors import InputError
-from galrep.gf import build_field, quadratic_character
+from galrep.gf import _euler_sign, build_field
 from test_counting import literal_coset
 
 TABLE_VALUE = {0: 0, 1: 2, -1: 1}  # the character table's code for chi = 0, +1, -1
+
+
+def quadratic_character(field, a):
+    """0 for a = 0, +1 for a nonzero square, -1 otherwise (Euler's criterion)."""
+    return _euler_sign(field, a) if any(a) else 0
 
 
 class TestBuildField:
@@ -59,32 +64,23 @@ class TestFieldAxioms:
     def test_inverses_f243(self, ia):
         field = build_field(3, 5)
         a = field.element_from_index(ia)
-        assert field.mul_t(a, field.inv_t(a)) == field.one_t()
-
-    def test_wrapped_elements(self):
-        field = build_field(5, 2)
-        a = field.element([2, 3])
-        b = field.element([4, 1])
-        assert (a + b).coeffs == (1, 4)
-        assert (a - a).coeffs == field.zero_t()
-        assert (a * a.inverse()).coeffs == field.one_t()
-        assert (a ** field.size).coeffs == a.coeffs
+        assert field.mul_t(a, field.pow_t(a, field.size - 2)) == field.one_t()
 
 
 class TestQuadraticCharacter:
     def test_prime_field_values(self):
         field = build_field(5, 1)
-        assert quadratic_character(field.one()) == 1
-        assert quadratic_character(field.zero()) == 0
-        assert quadratic_character(field.element([2])) == -1
+        assert quadratic_character(field, (1,)) == 1
+        assert quadratic_character(field, (0,)) == 0
+        assert quadratic_character(field, (2,)) == -1
         squares = {field.mul_t(a, a) for a in field.elements_t()}
         for a in field.elements_t():
             expected = 0 if not any(a) else (1 if a in squares else -1)
-            assert quadratic_character(field.element(a)) == expected
+            assert quadratic_character(field, a) == expected
 
     def test_extension_field_counts(self):
         field = build_field(3, 2)
-        values = [quadratic_character(field.element(a)) for a in field.elements_t()]
+        values = [quadratic_character(field, a) for a in field.elements_t()]
         assert values.count(0) == 1
         assert values.count(1) == (field.size - 1) // 2
         assert values.count(-1) == (field.size - 1) // 2
@@ -99,7 +95,7 @@ class TestCharacterTable:
         table = field.chi_table()
         assert len(table) == field.size
         for index, a in enumerate(field.elements_t()):
-            assert table[index] == TABLE_VALUE[quadratic_character(field.element(a))], a
+            assert table[index] == TABLE_VALUE[quadratic_character(field, a)], a
 
 
 class TestFrobeniusRootSolve:
@@ -108,11 +104,11 @@ class TestFrobeniusRootSolve:
         field, x0, _ = literal_coset(p, n)
         q = p**n
         assert field.m == n * p
-        assert x0 ** q == x0 - field.one()
+        assert field.pow_t(x0, q) == field.sub_t(x0, field.one_t())
 
     def test_root_of_artin_schreier_polynomial(self):
         field, x0, _ = literal_coset(5, 1)
-        assert (x0**5 - x0 + field.one()).is_zero()
+        assert not any(field.add_t(field.sub_t(field.pow_t(x0, 5), x0), field.one_t()))
 
     @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 3)])
     def test_full_solution_coset(self, p, n):
@@ -122,12 +118,12 @@ class TestFrobeniusRootSolve:
         rng = random.Random(1)
         sample = sub if len(sub) <= 20 else rng.sample(sub, 20)
         for c in sample:
-            x = x0 + c
-            assert x ** q == x - field.one()
+            x = field.add_t(x0, c)
+            assert field.pow_t(x, q) == field.sub_t(x, field.one_t())
 
     @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 3)])
     def test_subfield_is_fixed_pointwise(self, p, n):
-        _, _, sub = literal_coset(p, n)
+        field, _, sub = literal_coset(p, n)
         q = p**n
-        assert all(c ** q == c for c in sub)
-        assert len({c.coeffs for c in sub}) == q
+        assert all(field.pow_t(c, q) == c for c in sub)
+        assert len(set(sub)) == q

@@ -1,9 +1,12 @@
 """Group construction, conjugacy classes, character tables, Gauss sums, and
-the selection of the finite-group factor psi.  Brute-force orbit enumeration
-is the oracle for the closed-form conjugacy classes."""
+the selection of the finite-group factor psi.  The group law on normal forms
+lives here, as the oracles need it and production does not: brute-force
+orbit enumeration checks the closed-form conjugacy classes, and Frobenius'
+induction formula over those orbits checks the closed-form induced rows."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +18,14 @@ from galrep.errors import InputError, UsageError
 from galrep.groups import (
     FULL,
     INERTIA,
-    SUBGROUP_C2P,
-    SUBGROUP_CP_C2_C2,
     El,
+    _induced_row,
     build_group,
     character_table,
     conjugacy_classes,
     faithful_kernel,
     gauss_sum,
     identify_psi,
-    induced_character,
 )
 
 ALL_P = [3, 5, 7, 11, 13]
@@ -32,22 +33,86 @@ ORACLE_P = [p for p in range(3, 24) if is_odd_prime(p)]
 PROPERTY_P = [p for p in range(3, 62) if is_odd_prime(p)]
 
 
+class GroupLaw:
+    """Multiplication of normal forms s^i t^j f^k in a ``GroupSpec``:
+
+        (i1,j1,k1)*(i2,j2,k2) = (i1 + b^j1 i2 mod p,  j1 + p^k1 j2 mod 2(p-1),  k1+k2 mod 2).
+    """
+
+    def __init__(self, group):
+        self.group = group
+        self.b_powers = [pow(group.b, j, group.p) for j in range(group.tau_order)]
+
+    def mul(self, a, c):
+        p, to = self.group.p, self.group.tau_order
+        j2 = c.j * p if a.k else c.j
+        return El((a.i + self.b_powers[a.j] * c.i) % p, (a.j + j2) % to, (a.k + c.k) % 2)
+
+    def inv(self, a):
+        p, to = self.group.p, self.group.tau_order
+        j = (-a.j * (p if a.k else 1)) % to
+        return El((-a.i * self.b_powers[(-a.j) % (p - 1)]) % p, j, a.k)
+
+    def conjugate(self, g, x):
+        """g x g^-1."""
+        return self.mul(self.mul(g, x), self.inv(g))
+
+    def elements(self):
+        kmax = 2 if self.group.variant == FULL else 1
+        return [El(i, j, k) for i in range(self.group.p) for j in range(self.group.tau_order) for k in range(kmax)]
+
+    def nu(self):
+        """The central involution t^(p-1) of the tame part."""
+        return El(0, self.group.p - 1, 0)
+
+
+def row(table, label):
+    return next(r for r in table.rows if r.label == label)
+
+
+def value_at(table, r, element):
+    return r.values[table.class_of(element)]
+
+
+@lru_cache(maxsize=None)
 def brute_force_classes(group):
     """Classes by orbit enumeration, O(|G|^2) conjugations: (lex-least
-    representative, size) sorted by representative, and the class index of
+    representative, orbit) sorted by representative, and the class index of
     every element."""
-    all_elements = list(group.elements())
+    law = GroupLaw(group)
+    all_elements = law.elements()
     seen = set()
     orbits = []
     for x in all_elements:
         if x in seen:
             continue
-        orbit = {group.conjugate(g, x) for g in all_elements}
+        orbit = frozenset(law.conjugate(g, x) for g in all_elements)
         seen |= orbit
         orbits.append((min(orbit), orbit))
     orbits.sort(key=lambda item: item[0])
     index = {member: idx for idx, (_, orbit) in enumerate(orbits) for member in orbit}
-    return [(rep, len(orbit)) for rep, orbit in orbits], index
+    return orbits, index
+
+
+def generic_induced_row(group, nu_sign, phi_sign):
+    """Ind_H^G of lambda by Frobenius' formula, class by class:
+    Ind(x) = |G| / (|H| |C|) * sum of lambda(y) over y in C and H, with C the
+    brute-force orbit of x and H the centralizer of s, found by brute force.
+    lambda(s^i nu^e f^k) = zeta_p^i nu_sign^e phi_sign^k on the abelian H."""
+    p = group.p
+    law = GroupLaw(group)
+    s = El(1, 0, 0)
+    centralizer = {g for g in law.elements() if law.conjugate(g, s) == s}
+    assert len(centralizer) == (4 if group.variant == FULL else 2) * p
+    values = []
+    for rep, orbit in brute_force_classes(group)[0]:
+        terms = {}
+        for i, j, k in orbit & centralizer:
+            sign = (nu_sign if j else 1) * (phi_sign if k else 1)
+            terms[i] = terms.get(i, 0) + sign
+        scale = Fraction(group.order, len(centralizer) * len(orbit))
+        values.append(Cyclotomic.from_terms(p, terms) * scale)
+    return tuple(values)
 
 
 class TestGroupConstruction:
@@ -71,33 +136,34 @@ class TestGroupConstruction:
 
     @pytest.mark.parametrize("variant", [INERTIA, FULL])
     def test_group_axioms_sampled(self, variant):
-        group = build_group(7, variant)
-        els = list(group.elements())
+        law = GroupLaw(build_group(7, variant))
+        els = law.elements()
         rng = random.Random(7)
-        e = group.identity()
+        e = El(0, 0, 0)
         for _ in range(200):
             a, b, c = rng.choice(els), rng.choice(els), rng.choice(els)
-            assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
-            assert group.mul(a, group.inv(a)) == e == group.mul(group.inv(a), a)
+            assert law.mul(law.mul(a, b), c) == law.mul(a, law.mul(b, c))
+            assert law.mul(a, law.inv(a)) == e == law.mul(law.inv(a), a)
 
     @pytest.mark.parametrize("p", ALL_P)
     @pytest.mark.parametrize("variant", [INERTIA, FULL])
     def test_nu_commutes_with_sigma(self, p, variant):
-        group = build_group(p, variant)
+        law = GroupLaw(build_group(p, variant))
         s = El(1, 0, 0)
-        nu = group.nu()
-        assert group.mul(s, nu) == group.mul(nu, s)
+        nu = law.nu()
+        assert law.mul(s, nu) == law.mul(nu, s)
 
     def test_defining_relations(self):
         group = build_group(5, FULL)
+        law = GroupLaw(group)
         s, t, f = El(1, 0, 0), El(0, 1, 0), El(0, 0, 1)
         tau_order = group.tau_order
         # t s t^-1 = s^b
-        assert group.conjugate(t, s) == El(group.b, 0, 0)
+        assert law.conjugate(t, s) == El(group.b, 0, 0)
         # f t f = t^p
-        assert group.mul(group.mul(f, t), f) == El(0, group.p % tau_order, 0)
+        assert law.mul(law.mul(f, t), f) == El(0, group.p % tau_order, 0)
         # s f = f s
-        assert group.mul(s, f) == group.mul(f, s)
+        assert law.mul(s, f) == law.mul(f, s)
 
 
 class TestConjugacyClasses:
@@ -117,10 +183,10 @@ class TestConjugacyClasses:
     @pytest.mark.parametrize("variant", [INERTIA, FULL])
     def test_closed_form_against_brute_force(self, p, variant):
         group = build_group(p, variant, p_bound=23)
-        expected, index = brute_force_classes(group)
-        assert [(cls.rep, cls.size) for cls in conjugacy_classes(group)] == expected
+        orbits, index = brute_force_classes(group)
+        assert [(cls.rep, cls.size) for cls in conjugacy_classes(group)] == [(rep, len(o)) for rep, o in orbits]
         table = character_table(group)
-        for x in group.elements():
+        for x in GroupLaw(group).elements():
             assert table.class_of(x) == index[x]
 
     @settings(max_examples=200, deadline=None)
@@ -135,7 +201,7 @@ class TestConjugacyClasses:
 
         table = character_table(group)
         x, g = element(), element()
-        assert table.class_of(group.conjugate(g, x)) == table.class_of(x)
+        assert table.class_of(GroupLaw(group).conjugate(g, x)) == table.class_of(x)
 
     def test_class_count_equals_row_count(self):
         for variant in (INERTIA, FULL):
@@ -204,57 +270,56 @@ class TestFaithfulness:
     def test_trivial_character_kernel_is_whole_group(self):
         group = build_group(5, INERTIA)
         table = character_table(group)
-        assert faithful_kernel(group, table.row("tame0")) == group.order
+        assert faithful_kernel(group, row(table, "tame0")) == group.order
 
     def test_wild_plus_kernel_contains_nu(self):
         group = build_group(5, INERTIA)
         table = character_table(group)
-        row = table.row("wild+")
-        assert not row.faithful
-        assert faithful_kernel(group, row) == 2
-        assert table.value_at(row, group.nu()) == Cyclotomic.rational(row.values[0].m, 4)
+        wild_plus = row(table, "wild+")
+        assert not wild_plus.faithful
+        assert faithful_kernel(group, wild_plus) == 2
+        assert value_at(table, wild_plus, GroupLaw(group).nu()) == Cyclotomic.rational(wild_plus.values[0].m, 4)
 
     def test_wild_minus_is_faithful(self):
         group = build_group(5, INERTIA)
-        assert faithful_kernel(group, character_table(group).row("wild-")) == 1
+        assert faithful_kernel(group, row(character_table(group), "wild-")) == 1
 
     @pytest.mark.parametrize("variant", [INERTIA, FULL])
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_flag_equals_kernel_of_every_row(self, p, variant):
         # the table sizes kernels of the induced rows only; the oracle sizes every row's
         group = build_group(p, variant, p_bound=p)
-        for row in character_table(group).rows:
-            assert (faithful_kernel(group, row) == 1) == row.faithful, row.label
+        for r in character_table(group).rows:
+            assert (faithful_kernel(group, r) == 1) == r.faithful, r.label
 
 
 class TestInducedCharacter:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_dimension_at_identity(self, p):
-        group = build_group(p, INERTIA)
-        values = induced_character(group, SUBGROUP_C2P, {"nu": 1})
+        values = _induced_row(build_group(p, INERTIA), 1, None)
         assert values[0] == Cyclotomic.rational(values[0].m, p - 1)
 
     def test_nu_value_of_untwisted_induction(self):
         group = build_group(5, INERTIA)
         table = character_table(group)
-        values = induced_character(group, SUBGROUP_C2P, {"nu": 1})
-        assert values[table.class_of(group.nu())] == Cyclotomic.rational(5, 4)
+        values = _induced_row(group, 1, None)
+        assert values[table.class_of(GroupLaw(group).nu())] == Cyclotomic.rational(5, 4)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_sigma_phi_values(self, p):
         group = build_group(p, FULL)
-        table = character_table(group)
-        idx = table.sigma_phi_class()
-        minus_minus = induced_character(group, SUBGROUP_CP_C2_C2, {"nu": -1, "phi": -1})
-        minus_plus = induced_character(group, SUBGROUP_CP_C2_C2, {"nu": -1, "phi": 1})
-        assert minus_minus[idx] == -gauss_sum(p)
-        assert minus_plus[idx] == gauss_sum(p)
+        idx = character_table(group).sigma_phi_class()
+        assert _induced_row(group, -1, -1)[idx] == -gauss_sum(p)
+        assert _induced_row(group, -1, 1)[idx] == gauss_sum(p)
 
-    def test_subgroup_validation(self):
-        with pytest.raises(UsageError):
-            induced_character(build_group(5, INERTIA), SUBGROUP_CP_C2_C2, {"nu": 1, "phi": 1})
-        with pytest.raises(UsageError):
-            induced_character(build_group(5, FULL), "C7", {"nu": 1})
+    @pytest.mark.parametrize("variant", [INERTIA, FULL])
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_closed_form_against_generic_induction(self, p, variant):
+        group = build_group(p, variant, p_bound=p)
+        for nu_sign in (1, -1):
+            for phi_sign in ((None,) if variant == INERTIA else (1, -1)):
+                expected = generic_induced_row(group, nu_sign, phi_sign)
+                assert _induced_row(group, nu_sign, phi_sign) == expected, (nu_sign, phi_sign)
 
 
 class TestGaussSum:
@@ -284,12 +349,12 @@ class TestRestrictionToInertia:
         full_table = character_table(build_group(p, FULL))
         inertia_table = character_table(build_group(p, INERTIA))
         faithful_full = [r for r in full_table.rows if r.faithful and r.dimension == p - 1]
-        wild_minus = inertia_table.row("wild-")
-        for element in inertia_table.group.elements():
+        wild_minus = row(inertia_table, "wild-")
+        for element in GroupLaw(inertia_table.group).elements():
             in_full = El(element.i, element.j, 0)
-            expected = inertia_table.value_at(wild_minus, element)
-            for row in faithful_full:
-                assert full_table.value_at(row, in_full) == expected
+            expected = value_at(inertia_table, wild_minus, element)
+            for r in faithful_full:
+                assert value_at(full_table, r, in_full) == expected
 
 
 class TestIdentifyPsi:

@@ -27,7 +27,6 @@ from galrep.padic import (
     difference_polynomial,
     difference_root_valuations,
     irreducibility_certificate,
-    newton_polygon,
     newton_polygon_of,
     parse_polynomial_string,
     poly_discriminant,
@@ -220,21 +219,21 @@ class TestDiscriminant:
 
 class TestNewtonPolygon:
     def test_eisenstein(self):
-        segs = newton_polygon(poly(5, "x^5-5")).segments
+        segs = newton_polygon_of(poly(5, "x^5-5").as_poly(), 5).segments
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [(Fraction(1, 5), 5)]
 
     def test_shallower_slope(self):
-        segs = newton_polygon(poly(5, "x^5-25")).segments
+        segs = newton_polygon_of(poly(5, "x^5-25").as_poly(), 5).segments
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [(Fraction(2, 5), 5)]
 
     def test_unit_slope_zero(self):
-        segs = newton_polygon(poly(5, "x^5+x+1")).segments
+        segs = newton_polygon_of(poly(5, "x^5+x+1").as_poly(), 5).segments
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [(Fraction(0), 5)]
 
     def test_two_segments_from_factored_input(self):
         # (x^2 - 5)(x^3 - 25): valuations 1/2 (twice) and 2/3 (three times)
         f = poly(5, "x^5-5*x^3-25*x^2+125")
-        segs = newton_polygon(f).segments
+        segs = newton_polygon_of(f.as_poly(), 5).segments
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [
             (Fraction(2, 3), 3),
             (Fraction(1, 2), 2),
@@ -242,11 +241,11 @@ class TestNewtonPolygon:
 
     @pytest.mark.parametrize("text", ["x^5-5", "x^5-25", "x^5+x+1", "x^5-5*x^3-25*x^2+125"])
     def test_multiplicities_sum_to_degree(self, text):
-        assert sum(s.multiplicity for s in newton_polygon(poly(5, text)).segments) == 5
+        assert sum(s.multiplicity for s in newton_polygon_of(poly(5, text).as_poly(), 5).segments) == 5
 
     def test_x_divides_is_an_error(self):
         with pytest.raises(InputError) as err:
-            newton_polygon(poly(5, "x^5-5*x"))
+            newton_polygon_of(poly(5, "x^5-5*x").as_poly(), 5)
         assert err.value.code == "reducible_x_divides"
 
 
