@@ -34,7 +34,6 @@ from .padic import (
     conductor_exponent,
     difference_root_valuations,
     irreducibility_certificate,
-    poly_discriminant,
     validate_assumptions,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "identify_psi",
     "irreducibility_certificate",
     "naive_twisted_oracle",
-    "poly_discriminant",
     "validate_assumptions",
     "verify_consistency",
 ]

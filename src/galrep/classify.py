@@ -61,6 +61,7 @@ class Verification:
     trace_predicted: int | None = None
     match: bool | None = None
     reason: str | None = None
+    closed_form: int | None = None  # compared; the text output prints it on a mismatch, the JSON never
 
     def to_json_dict(self) -> dict:
         out: dict = {"status": self.status}
@@ -186,7 +187,7 @@ def verify_consistency(p: int, n: int, budgets: Budgets | None = None,
 
     All three are exact integers from independent routes, and the status is
     "ok" only when all three agree; any disagreement is reported as
-    "mismatch", never raised.  The closed form is compared, not reported.
+    "mismatch", never raised.  The closed form is compared but not in the JSON.
     """
     budgets = budgets or default_budgets()
     group = build_group(p, FULL, budgets.group_p_bound)
@@ -203,9 +204,10 @@ def verify_consistency(p: int, n: int, budgets: Budgets | None = None,
     if predicted_fraction.denominator != 1:
         raise InternalCheckError("predicted trace is not a rational integer")
     predicted = int(predicted_fraction)
-    match = counted == predicted == _twisted_closed_form(p, n)
+    closed_form = _twisted_closed_form(p, n)
+    match = counted == predicted == closed_form
     return Verification(status="ok" if match else "mismatch", trace_counted=counted,
-                        trace_predicted=predicted, match=match)
+                        trace_predicted=predicted, match=match, closed_form=closed_form)
 
 
 def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -> ClassificationReport:

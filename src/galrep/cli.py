@@ -20,7 +20,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .arith import signed_p
-from .classify import ClassificationRefused, ClassificationReport, classify, dump_json, verify_consistency
+from .classify import ClassificationRefused, ClassificationReport, Verification, classify, dump_json, verify_consistency
 from .config import Budgets, default_budgets
 from .counting import count_curve, count_twisted_fixed, naive_twisted_oracle
 from .cyclotomic import Cyclotomic
@@ -139,9 +139,14 @@ def _render_classification_text(report: ClassificationReport, budgets: Budgets) 
     if v.status == "skipped":
         lines.append(f"verification: skipped ({v.reason})")
     else:
-        lines.append(f"verification: counted trace {v.trace_counted}, predicted {v.trace_predicted}: "
-                     f"{'OK' if v.match else 'MISMATCH'}")
+        lines.append(f"verification: counted trace {v.trace_counted}, predicted {v.trace_predicted}"
+                     f"{_verdict(v)}")
     return "\n".join(lines)
+
+
+def _verdict(v: Verification) -> str:
+    """": OK", or ": MISMATCH" after the closed form, which may be the only value that disagrees."""
+    return ": OK" if v.match else f", closed form {v.closed_form}: MISMATCH"
 
 
 def _render_chartab_text(table) -> str:
@@ -213,19 +218,14 @@ def _cmd_verify(args) -> int:
     if (args.p is None) != (args.n is None):
         raise InputError("missing_flag", "verify needs both --p and --n, or neither")
     pairs = [(args.p, args.n)] if args.p is not None else list(DEFAULT_VERIFY_PAIRS)
-    results = []
-    all_match = True
-    for p, n in pairs:
-        v = verify_consistency(p, n, budgets)
-        results.append({"p": p, "n": n, **v.to_json_dict()})
-        all_match = all_match and bool(v.match)
-    payload = {"pairs": results, "all_match": all_match}
+    checks = [(p, n, verify_consistency(p, n, budgets)) for p, n in pairs]
+    all_match = all(v.match for _, _, v in checks)
     if args.format == "json":
-        print(dump_json(payload))
+        print(dump_json({"pairs": [{"p": p, "n": n, **v.to_json_dict()} for p, n, v in checks],
+                         "all_match": all_match}))
     else:
-        for r in results:
-            print(f"(p={r['p']}, n={r['n']}): counted {r['trace_counted']}, "
-                  f"predicted {r['trace_predicted']}: {'OK' if r['match'] else 'MISMATCH'}")
+        for p, n, v in checks:
+            print(f"(p={p}, n={n}): counted {v.trace_counted}, predicted {v.trace_predicted}{_verdict(v)}")
         print("all match" if all_match else "MISMATCH FOUND")
     return EXIT_OK if all_match else EXIT_INTERNAL
 

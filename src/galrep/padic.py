@@ -20,8 +20,9 @@ A certified f is decided from coefficient valuations alone: all its root
 differences share one valuation w, which the ramification polygon gives
 (Greve and Pauli, "Ramification polygons, splitting fields, and Galois
 groups of Eisenstein polynomials", 2012), and v(disc f) = p(p-1)w.  Only an
-uncertified f pays for the Sylvester discriminant and the degree-p(p-1)
-difference polynomial, which stay public as the oracles of that route.
+uncertified f pays for the degree-p(p-1) difference polynomial, whose
+constant term is (-1)^(p(p-1)/2) disc f and whose Newton polygon decides
+the single-cluster check.
 """
 
 from __future__ import annotations
@@ -229,9 +230,9 @@ def _shifted(f: InputPolynomial, m: int) -> polys.Poly:
 def _centred(f: InputPolynomial) -> polys.Poly:
     """Coefficients of f(x + m), m the integer nearest the mean of the roots.
 
-    A translation changes neither the discriminant nor any root difference,
-    and centring keeps the integers of both computations as small as the
-    spread of the roots allows, wherever the roots lie.
+    A translation changes no root difference, and centring keeps the
+    integers of the difference polynomial as small as the spread of the
+    roots allows, wherever the roots lie.
     """
     return _shifted(f, round(-f.coeffs[-2] / f.p))
 
@@ -244,11 +245,6 @@ def _candidate_shift(f: InputPolynomial) -> int:
     """
     c0 = f.coeffs[0]
     return -c0.numerator * pow(c0.denominator, -1, f.p) % f.p
-
-
-def poly_discriminant(f: InputPolynomial) -> Fraction:
-    """Exact discriminant; zero iff f has a repeated root."""
-    return polys.discriminant(_centred(f))
 
 
 def _certified_shift(f: InputPolynomial) -> tuple[polys.Poly, Fraction] | None:
@@ -341,26 +337,23 @@ def difference_polynomial(f: InputPolynomial) -> polys.Poly:
     power sums S_2k / 2 (each S_2k counts every unordered pair twice);
     Newton's identities turn those into E's integer coefficients.  Dividing
     coefficient j by d^(p(p-1)-j) undoes the scaling.
+
+    The constant term is the product of the differences, which is
+    (-1)^(p(p-1)/2) disc f; it is zero exactly when f has a repeated root.
+    An odd S_2k or an inexact division in Newton's identities would mean a
+    root power sum went wrong, and raises InternalCheckError.
     """
-    return _difference_polynomial(f, poly_discriminant(f))
-
-
-def _difference_polynomial(f: InputPolynomial, disc: Fraction) -> polys.Poly:
-    """``difference_polynomial`` with disc(f) already known."""
     p = f.p
     deg = p * p - p
     h = _centred(f)
     d = math.lcm(*[c.denominator for c in h])
     s = polys.power_sums([int(c * d ** (p - i)) for i, c in enumerate(h)], deg + 1)
     even = _difference_power_sums(s)
+    if any(S % 2 for S in even):
+        raise InternalCheckError("a power sum of the root differences is odd")
     b = [0] * (deg + 1)
     b[::2] = polys.from_power_sums([deg // 2] + [S // 2 for S in even[1:]])
-    d_poly = [Fraction(c, d ** (deg - j)) for j, c in enumerate(b)]
-    # constant term must be +/- disc(f), which comes independently from the resultant
-    sign = -1 if (p * (p - 1) // 2) % 2 else 1
-    if d_poly[0] != sign * disc:
-        raise InternalCheckError("difference polynomial fails the discriminant identity")
-    return d_poly
+    return [Fraction(c, d ** (deg - j)) for j, c in enumerate(b)]
 
 
 @dataclass(frozen=True)
@@ -375,6 +368,15 @@ class SingleClusterResult:
         return out
 
 
+def _single_cluster(diff: polys.Poly, p: int) -> SingleClusterResult:
+    """The single-cluster check from the Newton polygon of a difference
+    polynomial with nonzero constant term."""
+    polygon = newton_polygon_of(diff, p)
+    if polygon.is_single_segment():
+        return SingleClusterResult("yes", polygon.segments[0].root_valuation)
+    return SingleClusterResult("no")
+
+
 def difference_root_valuations(f: InputPolynomial) -> SingleClusterResult:
     """Decide whether all pairwise root differences share one valuation.
 
@@ -382,17 +384,10 @@ def difference_root_valuations(f: InputPolynomial) -> SingleClusterResult:
     i.e. the associated curve has potentially good reduction; the Newton
     polygon of the difference polynomial decides this exactly.
     """
-    return _difference_root_valuations(f, poly_discriminant(f))
-
-
-def _difference_root_valuations(f: InputPolynomial, disc: Fraction) -> SingleClusterResult:
-    """``difference_root_valuations`` with disc(f) already known."""
-    if disc == 0:
+    diff = difference_polynomial(f)
+    if diff[0] == 0:
         raise InputError("not_squarefree", "polynomial has a repeated root")
-    polygon = newton_polygon_of(_difference_polynomial(f, disc), f.p)
-    if polygon.is_single_segment():
-        return SingleClusterResult("yes", polygon.segments[0].root_valuation)
-    return SingleClusterResult("no")
+    return _single_cluster(diff, f.p)
 
 
 @dataclass(frozen=True)
@@ -450,8 +445,10 @@ def validate_assumptions(f: InputPolynomial, K: BaseField) -> AssumptionReport:
     sigma(b) - b and back, so all p(p-1) root differences share one
     valuation w, read off the ramification polygon (Greve and Pauli, 2012).
     Then the roots form one cluster and v(disc f) = p(p-1)w.  Any other f
-    is decided from its Sylvester discriminant and the Newton polygon of its
-    difference polynomial.
+    is decided from its difference polynomial, built once: its constant
+    term c_0 = (-1)^(p(p-1)/2) disc f is nonzero exactly when f is
+    squarefree, gives v(disc f) = v(c_0), and, when nonzero, its Newton
+    polygon decides the single-cluster check.
     """
     _require_same_p(f, K)
     p = f.p
@@ -470,14 +467,10 @@ def validate_assumptions(f: InputPolynomial, K: BaseField) -> AssumptionReport:
         single_cluster = SingleClusterResult("yes", w)
     else:
         irreducibility = UNDETERMINED
-        disc = poly_discriminant(f)
-        squarefree = disc != 0
-        if squarefree:
-            disc_valuation = Fraction(vp(disc, p))
-            single_cluster = _difference_root_valuations(f, disc)
-        else:
-            disc_valuation = None
-            single_cluster = SingleClusterResult("not_computed")
+        diff = difference_polynomial(f)
+        squarefree = diff[0] != 0
+        disc_valuation = Fraction(vp(diff[0], p)) if squarefree else None
+        single_cluster = _single_cluster(diff, p) if squarefree else SingleClusterResult("not_computed")
     if squarefree:
         v = int(disc_valuation)
         gcd_condition = math.gcd(v, p - 1) == 1
@@ -502,13 +495,6 @@ def validate_assumptions(f: InputPolynomial, K: BaseField) -> AssumptionReport:
     )
 
 
-def _is_eisenstein(coeffs: Sequence[Fraction], p: int) -> bool:
-    if any(c and vp(c, p) < 1 for c in coeffs[:-1]):
-        return False
-    c0 = coeffs[0]
-    return c0 != 0 and vp(c0, p) == 1
-
-
 def conductor_exponent(
     f: InputPolynomial, K: BaseField, assumptions: AssumptionReport | None = None
 ) -> int | None:
@@ -518,9 +504,11 @@ def conductor_exponent(
     some integer shift x -> x + c with 0 <= c < p, a root generates the full
     ring of integers of the (totally ramified, degree p) extension, and the
     extension discriminant equals disc f up to a unit.  Only the shift
-    c = -f(0) mod p can make f Eisenstein, so it is the one tried.  Otherwise
-    returns None: the formula would need the extension discriminant itself,
-    which is not computed here.
+    c = -f(0) mod p can make f Eisenstein, and it is the certificate's: the
+    shifted g has one Newton segment of root valuation k/p, from (0, k) to
+    (p, 0), so g is Eisenstein exactly when k = 1.  Otherwise returns None:
+    the formula would need the extension discriminant itself, which is not
+    computed here.
     """
     if assumptions is None:
         assumptions = validate_assumptions(f, K)
@@ -529,6 +517,7 @@ def conductor_exponent(
             "assumptions_not_validated",
             "conductor_exponent requires a validated maximal-inertia report",
         )
-    if _is_eisenstein(_shifted(f, _candidate_shift(f)), f.p):
+    certified = _certified_shift(f)
+    if certified and certified[1].numerator == 1:
         return int(assumptions.disc_valuation)
     return None

@@ -249,21 +249,21 @@ class TestCountedTraceCache:
 
 
 class TestDiscriminantRoute:
-    """Only inputs without a certificate reach the discriminant and the
-    difference polynomial; certified ones are decided from valuations."""
+    """Only inputs without a certificate reach the difference polynomial,
+    which gives their discriminant; certified ones are decided from
+    valuations."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
         module = sys.modules["galrep.padic"]
         calls = []
-        for name in ("poly_discriminant", "_difference_polynomial"):
-            original = getattr(module, name)
+        original = module.difference_polynomial
 
-            def counting(f, *args, name=name, original=original):
-                calls.append(name)
-                return original(f, *args)
+        def counting(f):
+            calls.append(f)
+            return original(f)
 
-            monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(module, "difference_polynomial", counting)
         return calls
 
     def test_certified_input_never_reaches_them(self, calls):
@@ -271,10 +271,19 @@ class TestDiscriminantRoute:
         assert calls == []
 
     def test_uncertified_input_reaches_each_once(self, calls):
+        f = InputPolynomial.from_string(5, "x^5+x+1")
         with pytest.raises(ClassificationRefused) as refused:
-            classify(InputPolynomial.from_string(5, "x^5+x+1"), BaseField(5, 1))
+            classify(f, BaseField(5, 1))
         assert "irreducibility" in refused.value.failures
-        assert sorted(calls) == ["_difference_polynomial", "poly_discriminant"]
+        assert calls == [f]
+
+    def test_repeated_root_reaches_it_once(self, calls):
+        # (x-1)^2 (x+1)^3: the zero constant term alone says not squarefree
+        f = InputPolynomial.from_coefficients(5, [1, 1, -2, -2, 1, 1])
+        with pytest.raises(ClassificationRefused) as refused:
+            classify(f, BaseField(5, 1))
+        assert "squarefree" in refused.value.failures
+        assert calls == [f]
 
 
 class TestDeterminism:

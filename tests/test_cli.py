@@ -225,6 +225,33 @@ class TestHonestMismatch:
                                         "match": False}
 
 
+class TestClosedFormMismatch:
+    """When only the closed form disagrees, the text output names it; the
+    JSON keeps its schema."""
+
+    @pytest.fixture(autouse=True)
+    def closed_form_off_by_one(self, monkeypatch):
+        module = sys.modules["galrep.classify"]  # galrep.classify is also the function's name
+        closed_form = module._twisted_closed_form
+        monkeypatch.setattr(module, "_twisted_closed_form", lambda p, n: closed_form(p, n) + 1)
+
+    def test_verify_text(self, capsys):
+        code, out = run(capsys, "verify", "--p", "3", "--n", "1", "--format", "text")
+        assert code == 4
+        assert out == "(p=3, n=1): counted 3, predicted 3, closed form 4: MISMATCH\nMISMATCH FOUND\n"
+
+    def test_verify_json(self, capsys):
+        code, out = run(capsys, "verify", "--p", "3", "--n", "1")
+        assert code == 4
+        assert json.loads(out)["pairs"] == [
+            {"p": 3, "n": 1, "status": "mismatch", "trace_counted": 3, "trace_predicted": 3, "match": False}]
+
+    def test_classify_text(self, capsys):
+        code, out = run(capsys, "classify", "--p", "3", "--f", "x^3-3", "--n", "1", "--format", "text")
+        assert code == 4
+        assert out.splitlines()[-1] == "verification: counted trace 3, predicted 3, closed form 4: MISMATCH"
+
+
 class TestBudgetFlags:
     BASE = {
         "classify": ["classify", "--p", "5", "--f", "x^5-5", "--n", "1"],

@@ -2,8 +2,10 @@
 
 Each case runs ``cli.main`` in process and compares the sha256 of its stdout
 (UTF-8) and its exit code with a digest recorded before the character-table
-rows were written in closed form.  A digest changes only with a deliberate
-change of the report, which must then be recorded here anew.
+rows were written in closed form; the digests of the uncertified refusals
+were recorded before the Sylvester discriminant was retired.  A digest
+changes only with a deliberate change of the report, which must then be
+recorded here anew.
 """
 
 import contextlib
@@ -31,6 +33,12 @@ def _invocations():
     for fmt in ("json", "text"):
         yield ("classify", "--p", "31", "--f", "x^31-31", "--n", "1", "--format", fmt, "--group-bound", "31")
     yield ("classify", "--p", "5", "--f", "x^5+x+1", "--n", "1")
+    # refusals of uncertified inputs: a repeated root, slope 0, two
+    # clusters (x(x-1)(x-2)(x-3)(x-5)), fractional coefficients, and p = 13
+    for p, f in ((5, "[1,1,-2,-2,1,1]"), (5, "x^5+x+1"), (5, "x^5-11*x^4+41*x^3-61*x^2+30*x"),
+                 (5, '["5/2","5/3",0,0,"1/7",1]'), (13, "x^13+x+13")):
+        for fmt in ("json", "text"):
+            yield ("classify", "--p", str(p), "--f", f, "--n", "1", "--format", fmt)
     for fmt in ("json", "text"):
         yield ("verify", "--format", fmt)
     yield ("count", "--mode", "twisted", "--p", "31", "--n", "1")
@@ -145,14 +153,24 @@ GOLDEN = {
     "classify --p 31 --f x^31-31 --n 1 --format json --group-bound 31": ("2bcca67a89e9390bc3eb0893ac1cdaa0323d34606363972e2daad2214cc3fe76", 0),
     "classify --p 31 --f x^31-31 --n 1 --format text --group-bound 31": ("acad91c60e87c45c3dc6c51337b6634c0f0b7179ef08018bac44e51da986fd7b", 0),
     "classify --p 5 --f x^5+x+1 --n 1": ("8982cf70bd803eb923d20d5549836af65bee9db19fad65be1794d1ebc92a1556", 3),
+    "classify --p 5 --f [1,1,-2,-2,1,1] --n 1 --format json": ("705ccf348543cdbde57e70a3edce41aa6ee55ea025a9307b296f54cfe56c434f", 3),
+    "classify --p 5 --f [1,1,-2,-2,1,1] --n 1 --format text": ("705ccf348543cdbde57e70a3edce41aa6ee55ea025a9307b296f54cfe56c434f", 3),
+    "classify --p 5 --f x^5+x+1 --n 1 --format json": ("8982cf70bd803eb923d20d5549836af65bee9db19fad65be1794d1ebc92a1556", 3),
+    "classify --p 5 --f x^5+x+1 --n 1 --format text": ("8982cf70bd803eb923d20d5549836af65bee9db19fad65be1794d1ebc92a1556", 3),
+    "classify --p 5 --f x^5-11*x^4+41*x^3-61*x^2+30*x --n 1 --format json": ("8f259381c8c58e920f98ef039e5b6d90b353067ad32424891fb77a72ecb27a90", 3),
+    "classify --p 5 --f x^5-11*x^4+41*x^3-61*x^2+30*x --n 1 --format text": ("8f259381c8c58e920f98ef039e5b6d90b353067ad32424891fb77a72ecb27a90", 3),
+    'classify --p 5 --f ["5/2","5/3",0,0,"1/7",1] --n 1 --format json': ("06058a462a6ea155f6a787868ee359d786c574cf363c5e9ff3cbb08561c89f12", 3),
+    'classify --p 5 --f ["5/2","5/3",0,0,"1/7",1] --n 1 --format text': ("06058a462a6ea155f6a787868ee359d786c574cf363c5e9ff3cbb08561c89f12", 3),
+    "classify --p 13 --f x^13+x+13 --n 1 --format json": ("8982cf70bd803eb923d20d5549836af65bee9db19fad65be1794d1ebc92a1556", 3),
+    "classify --p 13 --f x^13+x+13 --n 1 --format text": ("8982cf70bd803eb923d20d5549836af65bee9db19fad65be1794d1ebc92a1556", 3),
     "verify --format json": ("02340e949ea165d10d21f2c1e02d82aed6e44280b2d5cdd770973692f896dcb3", 0),
     "verify --format text": ("dfad18ba0734b5fb8aa083d1c20f8b4e0576287b6fbc33e7fc998779cfa6be85", 0),
     "count --mode twisted --p 31 --n 1": ("54b89d4e11fd6b90b84cdaa93e5c4335b8cc07f950e6b0a8f7d91b3b28659260", 0),
 }
 
 
-def test_ninety_invocations():
-    assert len(INVOCATIONS) == 90 == len(set(INVOCATIONS))
+def test_one_hundred_invocations():
+    assert len(INVOCATIONS) == 100 == len(set(INVOCATIONS))
     assert set(GOLDEN) == {" ".join(argv) for argv in INVOCATIONS}
 
 

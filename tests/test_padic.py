@@ -29,7 +29,6 @@ from galrep.padic import (
     irreducibility_certificate,
     newton_polygon_of,
     parse_polynomial_string,
-    poly_discriminant,
     validate_assumptions,
 )
 
@@ -42,6 +41,12 @@ def sympy_disc(coeffs):
     x = sympy.Symbol("x")
     expr = sum(sympy.Rational(c) * x**i for i, c in enumerate(coeffs))
     return Fraction(str(sympy.discriminant(sympy.Poly(expr, x))))
+
+
+def difference_disc(f):
+    """disc f read off the constant term of the difference polynomial."""
+    sign = -1 if (f.p * (f.p - 1) // 2) % 2 else 1
+    return sign * difference_polynomial(f)[0]
 
 
 def shifted_eisenstein(p, units, c):
@@ -90,11 +95,11 @@ def certified_inputs(draw):
 
 
 def oracle_report(f, K):
-    """The assumption report by the discriminant route: the Sylvester
+    """The assumption report by the discriminant route: sympy's
     discriminant, the difference polynomial's Newton polygon and the
     certificate, each computed on its own."""
     p = f.p
-    v = vp(poly_discriminant(f), p)
+    v = vp(sympy_disc(f.coeffs), p)
     single_cluster = difference_root_valuations(f)
     irreducibility = irreducibility_certificate(f, K)
     gcd_condition = math.gcd(v, p - 1) == 1
@@ -179,6 +184,9 @@ class TestParser:
 
 
 class TestDiscriminant:
+    """disc f as (-1)^(p(p-1)/2) times the constant term of the difference
+    polynomial, against sympy."""
+
     # disc(x^p - p) = (-1)^(p(p-1)/2) p^(2p-1), so v_p = 2p - 1
     @pytest.mark.parametrize(
         "p,text,expected",
@@ -189,7 +197,7 @@ class TestDiscriminant:
         ],
     )
     def test_frozen_values(self, p, text, expected):
-        assert poly_discriminant(poly(p, text)) == expected
+        assert difference_disc(poly(p, text)) == expected
 
     @pytest.mark.parametrize(
         "p,text",
@@ -203,18 +211,18 @@ class TestDiscriminant:
     )
     def test_against_sympy(self, p, text):
         f = poly(p, text)
-        assert poly_discriminant(f) == sympy_disc(f.coeffs)
+        assert difference_disc(f) == sympy_disc(f.coeffs)
 
     @settings(max_examples=25, deadline=None)
     @given(f=shifted_inputs())
     def test_against_sympy_far_from_zero(self, f):
-        # poly_discriminant works on a translate of f; the value must not change
-        assert poly_discriminant(f) == sympy_disc(f.coeffs)
+        # the difference polynomial is built from a translate of f; the value must not change
+        assert difference_disc(f) == sympy_disc(f.coeffs)
 
     def test_repeated_root_gives_zero(self):
         # (x-1)^2 (x+1)^3 = x^5 + x^4 - 2x^3 - 2x^2 + x + 1
         f = InputPolynomial.from_coefficients(5, [1, 1, -2, -2, 1, 1])
-        assert poly_discriminant(f) == 0
+        assert difference_disc(f) == 0 == sympy_disc(f.coeffs)
 
 
 class TestNewtonPolygon:
@@ -298,7 +306,7 @@ class TestDifferenceRootValuations:
         assert result.status == "yes"
         assert result.w == w
         # v(disc) is the sum of the p(p-1) difference valuations
-        disc = poly_discriminant(f)
+        disc = sympy_disc(f.coeffs)
         assert p * (p - 1) * w == Fraction(_vp(disc, p))
 
     @pytest.mark.parametrize(
@@ -345,11 +353,18 @@ class TestDifferenceRootValuations:
         assert not any(full[1::2])  # the differences come in pairs +-(a - b)
         assert _difference_power_sums(s) == full[::2]
 
-    def test_discriminant_identity_guard(self, monkeypatch):
-        f = poly(5, "x^5-5")
-        monkeypatch.setattr("galrep.padic.poly_discriminant", lambda g: Fraction(0))
-        with pytest.raises(InternalCheckError):
-            difference_polynomial(f)
+    def test_perturbed_power_sum_raises(self, monkeypatch):
+        # S_4 + 1 is odd; S_4 + 2 is even, but its half is off by one, which
+        # makes Newton's division by 2 at the x^(D/2 - 2) coefficient of E inexact
+        for error, message in ((1, "odd"), (2, "inexactly")):
+            def perturbed(s, error=error):
+                sums = _difference_power_sums(s)
+                sums[2] += error
+                return sums
+
+            monkeypatch.setattr("galrep.padic._difference_power_sums", perturbed)
+            with pytest.raises(InternalCheckError, match=message):
+                difference_polynomial(poly(5, "x^5-5"))
 
     def test_not_squarefree_raises(self):
         f = InputPolynomial.from_coefficients(5, [1, 1, -2, -2, 1, 1])
@@ -436,7 +451,7 @@ class TestValidateAssumptions:
         f = InputPolynomial.from_coefficients(3, coeffs + [1])
         report = validate_assumptions(f, BaseField(3, 1))
         if report.squarefree and report.single_cluster.status == "yes":
-            disc = poly_discriminant(f)
+            disc = sympy_disc(f.coeffs)
             assert Fraction(_vp(disc, 3)) == 6 * report.single_cluster.w
 
 
