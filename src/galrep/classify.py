@@ -31,10 +31,52 @@ from .padic import AssumptionReport, BaseField, InputPolynomial, conductor_expon
 SCHEMA_VERSION = 1
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # the C escaper of the json module
+_LEAVES = {
+    str: _encode_str,
+    int: int.__repr__,  # keeps the digit-limit ValueError
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def dump_json(obj) -> str:
     """The one JSON format of every report and error: two-space indents and
-    sorted keys.  Byte-identical output rests on it."""
-    return json.dumps(obj, indent=2, sort_keys=True)
+    sorted keys.  Byte-identical output rests on it.
+
+    The bytes are those the json module's ``dumps(obj, indent=2,
+    sort_keys=True)`` gives for the types reports are made of: dicts with str
+    keys, lists, str, int, bool and None.  Any other type raises TypeError.
+    (With an indent, the json module encodes in pure Python, twice as slow,
+    and leaves cyclic garbage behind.)
+    """
+    return _encode(obj, "\n")
+
+
+def _encode(obj, newline: str) -> str:
+    """``obj`` as JSON; ``newline`` starts each of its lines after the first."""
+    kind = type(obj)
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        return leaf(obj)
+    inner = newline + "  "
+    # each body is joined from a temporary list and framed in one f-string,
+    # so a large table is held at most twice while it is written
+    if kind is list:
+        if not obj:
+            return "[]"
+        try:  # a list of leaves (coefficients, failures) takes one pass
+            body = ("," + inner).join([_LEAVES[type(x)](x) for x in obj])
+        except KeyError:
+            body = ("," + inner).join([_encode(x, inner) for x in obj])
+        return f"[{inner}{body}{newline}]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        # a non-str key fails in sorted() or in _encode_str with TypeError
+        body = ("," + inner).join([f"{_encode_str(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())])
+        return f"{{{inner}{body}{newline}}}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 class ClassificationRefused(GalrepError):

@@ -2,9 +2,10 @@
 
 Subcommands: classify, chartab, count, verify.  Exit codes: 0 success,
 2 invalid input (machine-readable error JSON on stdout), 3 classification
-refused (hypotheses not certified), 4 internal consistency failure or any
-other unexpected error (an error JSON too, never a traceback).  When the
-reader closes stdout early, nothing more is written and the exit code is 4.
+refused (hypotheses not certified; JSON or text, as --format says),
+4 internal consistency failure or any other unexpected error (an error JSON
+too, never a traceback).  When the reader closes stdout early, nothing more
+is written and the exit code is 4.
 
 JSON output is exact and byte-deterministic; text output adds numeric
 approximations for readability.
@@ -26,7 +27,7 @@ from .counting import count_curve, count_twisted_fixed, naive_twisted_oracle
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
 from .groups import build_group, character_table, check_p_bound, gauss_sum
-from .padic import BaseField, InputPolynomial
+from .padic import AssumptionReport, BaseField, InputPolynomial
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -110,14 +111,8 @@ def _parse_poly(p: int, text: str) -> InputPolynomial:
 
 def _render_classification_text(report: ClassificationReport, budgets: Budgets) -> str:
     p, n = report.p, report.n
-    lines = [f"p = {p}, f = {report.f}, residue degree n = {n} ({'even' if n % 2 == 0 else 'odd'})"]
-    a = report.assumptions
-    lines.append(f"assumptions: maximal inertia image of order {2 * p * (p - 1)}")
-    lines.append(f"  disc valuation = {a.disc_valuation} (odd: {a.disc_valuation_odd}, "
-                 f"coprime to p-1: {a.gcd_condition})")
-    lines.append(f"  irreducibility: {a.irreducibility}")
-    sc = a.single_cluster
-    lines.append(f"  single cluster: {sc.status}" + (f", common difference valuation {sc.w}" if sc.w is not None else ""))
+    lines = [_input_line(report.f, n), f"assumptions: maximal inertia image of order {2 * p * (p - 1)}",
+             *_assumption_lines(report.assumptions)]
     ig = report.inertia_group
     lines.append(f"inertia group: order {ig.order} (b = {ig.b}), {ig.class_count} classes")
     if report.full_group:
@@ -144,6 +139,27 @@ def _render_classification_text(report: ClassificationReport, budgets: Budgets) 
     return "\n".join(lines)
 
 
+def _input_line(f: InputPolynomial, n: int) -> str:
+    return f"p = {f.p}, f = {f}, residue degree n = {n} ({'even' if n % 2 == 0 else 'odd'})"
+
+
+def _assumption_lines(a: AssumptionReport) -> list[str]:
+    if a.disc_valuation is None:
+        disc = "  disc valuation: none (disc f = 0, a repeated root)"
+    else:
+        disc = (f"  disc valuation = {a.disc_valuation} (odd: {a.disc_valuation_odd}, "
+                f"coprime to p-1: {a.gcd_condition})")
+    sc = a.single_cluster
+    return [disc, f"  irreducibility: {a.irreducibility}",
+            f"  single cluster: {sc.status}" + (f", common difference valuation {sc.w}" if sc.w is not None else "")]
+
+
+def _render_refusal_text(f: InputPolynomial, n: int, refusal: ClassificationRefused) -> str:
+    return "\n".join([_input_line(f, n), "refused: hypotheses not certified",
+                      *(f"  failed: {name}" for name in refusal.failures),
+                      "assumptions:", *_assumption_lines(refusal.assumptions)])
+
+
 def _verdict(v: Verification) -> str:
     """": OK", or ": MISMATCH" after the closed form, which may be the only value that disagrees."""
     return ": OK" if v.match else f", closed form {v.closed_form}: MISMATCH"
@@ -167,7 +183,11 @@ def _cmd_classify(args) -> int:
     check_p_bound(args.p, budgets.group_p_bound)  # before --f, which holds p + 1 coefficients
     f = _parse_poly(args.p, args.f)
     K = BaseField(args.p, args.n)
-    report = classify(f, K, budgets)
+    try:
+        report = classify(f, K, budgets)
+    except ClassificationRefused as exc:
+        print(dump_json(exc.to_json_dict()) if args.format == "json" else _render_refusal_text(f, args.n, exc))
+        return EXIT_REFUSED
     if args.format == "json":
         print(report.to_json())
     else:
@@ -294,9 +314,6 @@ def _run(argv: list[str] | None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ClassificationRefused as exc:
-        print(dump_json(exc.to_json_dict()))
-        return EXIT_REFUSED
     except (InputError, UsageError, BudgetExceeded) as exc:
         print(dump_json({"error": {"code": exc.code, "message": str(exc)}}))
         return EXIT_INPUT

@@ -1,18 +1,26 @@
 """CLI surface: subcommands, exit codes, JSON validity, determinism."""
 
 import json
+import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 
+import galrep
 import galrep.cli as cli
 import galrep.counting as counting
 from galrep.classify import Verification, _twisted_trace
 from galrep.config import Budgets
+
+
+# a child interpreter imports the galrep these tests import, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(galrep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, *argv):
@@ -47,6 +55,26 @@ class TestClassifyCommand:
         assert code == 3
         data = json.loads(out)
         assert "irreducibility" in data["refused"]["failures"]
+
+    @pytest.mark.parametrize("f,failures", [
+        ("[1,1,-2,-2,1,1]", ["squarefree", "irreducibility", "gcd_condition"]),
+        ("x^5-11*x^4+41*x^3-61*x^2+30*x", ["irreducibility", "gcd_condition", "single_cluster"]),
+    ])
+    def test_refused_text_names_each_failure(self, capsys, f, failures):
+        code, out = run(capsys, "classify", "--p", "5", "--f", f, "--n", "1", "--format", "text")
+        assert code == 3
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+        assert [line[len("  failed: "):] for line in out.splitlines() if line.startswith("  failed: ")] == failures
+        assert ("disc valuation: none" in out) == ("squarefree" in failures)
+        code, out = run(capsys, "classify", "--p", "5", "--f", f, "--n", "1", "--format", "json")
+        assert code == 3
+        assert json.loads(out)["refused"]["failures"] == failures
+
+    def test_text_format_errors_stay_json(self, capsys):
+        code, out = run(capsys, "classify", "--p", "5", "--f", "x^4-5", "--n", "1", "--format", "text")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "degree_mismatch"
 
     def test_bad_polynomial_exit_two(self, capsys):
         code, out = run(capsys, "classify", "--p", "5", "--f", "x^4-5", "--n", "1")
@@ -312,13 +340,13 @@ class TestProcess:
     def test_import_leaves_mpmath_out(self):
         # mpmath is needed for the numeric tags of text output only
         code = "import sys, galrep.cli; print('mpmath' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True, env=CHILD_ENV)
         assert result.stdout == "False\n"
 
     def test_closed_stdout_ends_quietly(self):
         # the table is far larger than a pipe buffer, so the writer meets the closed pipe
         cmd = [sys.executable, "-m", "galrep", "chartab", "--p", "13", "--group", "full"]
-        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()
         err = proc.stderr.read()
@@ -337,7 +365,7 @@ class TestProcess:
     ])
     def test_huge_p_refused_quickly(self, argv, code):
         started = time.perf_counter()
-        result = subprocess.run([sys.executable, "-m", "galrep", *argv], capture_output=True, timeout=60)
+        result = subprocess.run([sys.executable, "-m", "galrep", *argv], capture_output=True, timeout=60, env=CHILD_ENV)
         assert time.perf_counter() - started < 2
         assert result.returncode == 2
         assert json.loads(result.stdout)["error"]["code"] == code
@@ -355,8 +383,8 @@ class TestDeterminism:
         import sys
 
         cmd = [sys.executable, "-m", "galrep", "classify", "--p", "5", "--f", "x^5-5", "--n", "1"]
-        first = subprocess.run(cmd, capture_output=True, check=True).stdout
-        second = subprocess.run(cmd, capture_output=True, check=True).stdout
+        first = subprocess.run(cmd, capture_output=True, check=True, env=CHILD_ENV).stdout
+        second = subprocess.run(cmd, capture_output=True, check=True, env=CHILD_ENV).stdout
         assert first == second and first
 
     def test_chartab_round_trips_through_json(self, capsys):
