@@ -32,7 +32,6 @@ from .padic import (
     InputPolynomial,
     NewtonPolygon,
     conductor_exponent,
-    difference_root_valuations,
     irreducibility_certificate,
     validate_assumptions,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "count_twisted_fixed",
     "cyclotomic_polynomial",
     "default_budgets",
-    "difference_root_valuations",
     "faithful_kernel",
     "gauss_sum",
     "identify_psi",

@@ -38,7 +38,7 @@ DEFAULT_VERIFY_PAIRS = ((3, 1), (5, 1), (7, 1), (3, 3), (5, 3))
 
 
 def _approx(value: Cyclotomic) -> str:
-    z = value.embed(20)
+    z = value.embed()
     if abs(z.imag) < 1e-12:
         return f"{z.real:.10g}"
     if abs(z.real) < 1e-12:
@@ -59,16 +59,17 @@ def render_value(value: Cyclotomic, p: int | None = None) -> str:
 
 def _rational_multiples(value: Cyclotomic, base: Cyclotomic):
     # value == r * base iff value * conj(base) == r * (base * conj(base));
-    # base * conj(base) is a nonzero rational for the Gauss sum
+    # base * conj(base) is a nonzero integer for the Gauss sum, and only an
+    # integral r keeps r * base in Z[zeta]
     prod = value * base.conjugate()
     norm = (base * base.conjugate()).as_rational()
     if prod.is_rational():
-        r = prod.as_rational() / norm
-        if value == base * r:
-            yield r
+        r = Fraction(prod.as_rational(), norm)
+        if r.denominator == 1 and value == base * r.numerator:
+            yield r.numerator
 
 
-def _coeff_prefix(r: Fraction) -> str:
+def _coeff_prefix(r: int) -> str:
     if r == 1:
         return ""
     if r == -1:

@@ -1,9 +1,12 @@
-"""Exact arithmetic in the cyclotomic fields Q(zeta_m).
+"""Exact arithmetic in the cyclotomic rings Z[zeta_m].
 
-A value is a vector of rationals over the power basis
+A value is a vector of integers over the power basis
 {zeta_m^i : 0 <= i < deg Phi_m}, canonically reduced modulo the m-th
-cyclotomic polynomial Phi_m.  The representation is canonical, so two values
-are equal exactly when their coefficient vectors agree.  Addition,
+cyclotomic polynomial Phi_m: an element of Z[zeta_m].  Every value the
+package forms (character values, the Gauss sum and its powers) is an
+algebraic integer, so the constructors and scalar multiplication refuse any
+coefficient that is not an int.  The representation is canonical, so two
+values are equal exactly when their coefficient vectors agree.  Addition,
 subtraction and multiplication are closed and exact; division is
 deliberately not provided (conjugate-multiplication covers every norm-style
 computation the package needs).
@@ -21,13 +24,12 @@ All values are immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
 from .errors import UsageError
 
-_ZERO = Fraction(0)
+_EMBED_DPS = 20  # decimal digits of the numeric embedding
 
 
 @lru_cache(maxsize=None)
@@ -79,10 +81,16 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_terms(m: int, terms: Mapping[int, Fraction]) -> tuple[Fraction, ...]:
+def _integer(c) -> int:
+    if type(c) is not int:
+        raise UsageError("non_integer_coefficient", f"coefficients lie in Z, got {c!r}")
+    return c
+
+
+def _reduce_terms(m: int, terms: Mapping[int, int]) -> tuple[int, ...]:
     table = _power_table(m)
     d = len(table[0])
-    acc = [_ZERO] * d
+    acc = [0] * d
     for e, c in terms.items():
         if not c:
             continue
@@ -98,33 +106,29 @@ def _reduce_terms(m: int, terms: Mapping[int, Fraction]) -> tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class Cyclotomic:
-    """An element of Q(zeta_m) in the reduced power basis."""
+    """An element of Z[zeta_m] in the reduced power basis."""
 
     m: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_terms(cls, m: int, terms: Mapping[int, Fraction | int]) -> "Cyclotomic":
-        """Sum of c * zeta_m^e over the (exponent -> coefficient) mapping."""
-        return cls(m, _reduce_terms(m, {e: Fraction(c) for e, c in terms.items()}))
+    def from_terms(cls, m: int, terms: Mapping[int, int]) -> "Cyclotomic":
+        """Sum of c * zeta_m^e over the (exponent -> int coefficient) mapping."""
+        return cls(m, _reduce_terms(m, {e: _integer(c) for e, c in terms.items()}))
 
     @classmethod
     def root_of_unity(cls, m: int, exponent: int) -> "Cyclotomic":
         return cls.from_terms(m, {exponent: 1})
 
     @classmethod
-    def rational(cls, m: int, value: Fraction | int) -> "Cyclotomic":
-        return cls.from_terms(m, {0: Fraction(value)})
+    def rational(cls, m: int, value: int) -> "Cyclotomic":
+        return cls.from_terms(m, {0: value})
 
     @classmethod
     def zero(cls, m: int) -> "Cyclotomic":
         return cls.from_terms(m, {})
-
-    @classmethod
-    def one(cls, m: int) -> "Cyclotomic":
-        return cls.rational(m, 1)
 
     # -- ring operations ---------------------------------------------------
 
@@ -151,11 +155,11 @@ class Cyclotomic:
         return Cyclotomic(self.m, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+        if not isinstance(other, Cyclotomic):
+            c = _integer(other)
             return Cyclotomic(self.m, tuple([a * c for a in self.coeffs]))
         self._check_conductor(other)
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, int] = {}
         nz_other = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -171,18 +175,6 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Cyclotomic":
-        if n < 0:
-            raise UsageError("negative_power", "cyclotomic inverses are not provided")
-        result = Cyclotomic.one(self.m)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def conjugate(self) -> "Cyclotomic":
         """Image under zeta_m -> zeta_m^(-1) (complex conjugation)."""
         terms = {(-e) % self.m: c for e, c in enumerate(self.coeffs) if c}
@@ -196,12 +188,13 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
+    def as_rational(self) -> int:
+        """The value as an integer, when it lies in Z."""
         if not self.is_rational():
             raise UsageError("not_rational", "value is not a rational number")
         return self.coeffs[0]
 
-    def embed(self, precision: int = 20) -> complex:
+    def embed(self) -> complex:
         """Numeric image under zeta_m -> exp(2*pi*i/m).
 
         For display and sign disambiguation only; equality decisions always
@@ -210,12 +203,11 @@ class Cyclotomic:
         """
         import mpmath
 
-        with mpmath.workdps(precision):
+        with mpmath.workdps(_EMBED_DPS):
             total = mpmath.mpc(0)
             for e, c in enumerate(self.coeffs):
                 if c:
-                    ratio = mpmath.mpf(c.numerator) / c.denominator
-                    total += ratio * mpmath.expjpi(mpmath.mpf(2 * e) / self.m)
+                    total += mpmath.mpf(c) * mpmath.expjpi(mpmath.mpf(2 * e) / self.m)
             return complex(total)
 
     # -- serialization -----------------------------------------------------

@@ -35,9 +35,7 @@ Tables are immutable after construction and cached per (p, variant).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -197,41 +195,6 @@ class CharacterTable:
         if self.group.variant != FULL:
             raise UsageError("bad_variant", "s*f lives in the full variant")
         return self.class_of(El(1, 0, 1))
-
-    def inner_product(self, r: CharacterRow, s: CharacterRow) -> Fraction:
-        """|G| times the standard character inner product <r, s>, exact.
-
-        Sums class_size * r(g) * conj(s(g)) with a single reduction at the
-        common conductor; the result must be rational (it is |G| delta_rs
-        for rows of the same table).
-        """
-        m = math.lcm(r.values[0].m, s.values[0].m)
-        acc: dict[int, Fraction] = {}
-        for cls, vr, vs in zip(self.classes, r.values, s.values):
-            size = cls.size
-            lift_r = m // vr.m
-            lift_s = m // vs.m
-            for e1, c1 in enumerate(vr.coeffs):
-                if not c1:
-                    continue
-                for e2, c2 in enumerate(vs.coeffs):
-                    if not c2:
-                        continue
-                    # conj(s(g)) contributes exponent -e2
-                    e = (e1 * lift_r - e2 * lift_s) % m
-                    c = size * c1 * c2
-                    if e in acc:
-                        acc[e] += c
-                    else:
-                        acc[e] = c
-        total = Cyclotomic.from_terms(m, acc)
-        return total.as_rational()
-
-    def dimension_multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for row in self.rows:
-            out[row.dimension] = out.get(row.dimension, 0) + 1
-        return out
 
     def to_json_dict(self) -> dict:
         return {

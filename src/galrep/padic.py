@@ -66,6 +66,13 @@ class InputPolynomial:
 
     @classmethod
     def from_coefficients(cls, p: int, coeffs: Sequence[Fraction | int | str]) -> "InputPolynomial":
+        """Coefficients from degree 0 up: ints, Fractions or rational strings.
+        Anything else (floats, bools, None, containers) is refused, as it is
+        not an exact rational."""
+        for i, c in enumerate(coeffs):
+            if type(c) not in (int, Fraction, str):
+                raise InputError("poly_parse", f"coefficient of x^{i} is a {type(c).__name__}, "
+                                 "not an int or a rational string")
         try:
             parsed = tuple(Fraction(c) for c in coeffs)
         except (ValueError, ZeroDivisionError) as exc:
@@ -375,19 +382,6 @@ def _single_cluster(diff: polys.Poly, p: int) -> SingleClusterResult:
     if polygon.is_single_segment():
         return SingleClusterResult("yes", polygon.segments[0].root_valuation)
     return SingleClusterResult("no")
-
-
-def difference_root_valuations(f: InputPolynomial) -> SingleClusterResult:
-    """Decide whether all pairwise root differences share one valuation.
-
-    A "yes" with common valuation w means the roots form a single cluster,
-    i.e. the associated curve has potentially good reduction; the Newton
-    polygon of the difference polynomial decides this exactly.
-    """
-    diff = difference_polynomial(f)
-    if diff[0] == 0:
-        raise InputError("not_squarefree", "polynomial has a repeated root")
-    return _single_cluster(diff, f.p)
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,13 @@ class TestClassifyCommand:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "poly_parse"
 
+    @pytest.mark.parametrize("entry", ["null", "{}", "[1]", "1e400", "-0.3", "true"])
+    def test_inexact_coefficient_entry_exit_two(self, capsys, entry):
+        # only ints and rational strings are exact: a float, a bool or a container is refused
+        code, out = run(capsys, "classify", "--p", "3", "--n", "1", "--f", f"[{entry},0,0,1]")
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "poly_parse"
+
     def test_missing_flag_exit_two(self, capsys):
         code = cli.main(["classify", "--p", "5", "--f", "x^5-5"])
         capsys.readouterr()

@@ -1,4 +1,5 @@
-"""Exact cyclotomic arithmetic: canonical form, ring laws, conjugation, embedding."""
+"""Exact cyclotomic arithmetic in Z[zeta_m]: canonical form, int coordinates,
+ring laws, conjugation, embedding."""
 
 import math
 from fractions import Fraction
@@ -18,7 +19,7 @@ def zeta(m, e=1):
 
 class TestBasics:
     def test_zeta3_times_zeta3_squared_is_one(self):
-        assert zeta(3, 1) * zeta(3, 2) == Cyclotomic.one(3)
+        assert zeta(3, 1) * zeta(3, 2) == Cyclotomic.rational(3, 1)
 
     def test_zeta3_difference_squared(self):
         # (z - z^2)^2 = z^2 - 2 + z = -3 using 1 + z + z^2 = 0
@@ -32,8 +33,8 @@ class TestBasics:
         assert zeta(5).conjugate() == zeta(5, 4)
 
     def test_conjugate_of_one_plus_zeta3(self):
-        v = Cyclotomic.one(3) + zeta(3)
-        assert v.conjugate() == Cyclotomic.one(3) + zeta(3, 2)
+        one = Cyclotomic.rational(3, 1)
+        assert (one + zeta(3)).conjugate() == one + zeta(3, 2)
 
     def test_gauss_sum_norm(self):
         g5 = gauss_sum(5)
@@ -44,19 +45,44 @@ class TestBasics:
             zeta(3) * zeta(4)
 
     def test_no_inverses(self):
-        with pytest.raises(UsageError):
+        # Z[zeta_m] is a ring: neither division nor powers are provided
+        with pytest.raises(TypeError):
             zeta(5) ** -1
+        with pytest.raises(TypeError):
+            1 / zeta(5)
+
+
+class TestIntegerCoordinates:
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3), 0.5, 2.0, True],
+                             ids=["half", "Fraction", "float", "integral float", "bool"])
+    def test_non_int_refused(self, bad):
+        calls = [
+            lambda: Cyclotomic.from_terms(5, {0: 1, 2: bad}),
+            lambda: Cyclotomic.rational(5, bad),
+            lambda: zeta(5) * bad,
+            lambda: bad * zeta(5),
+        ]
+        for call in calls:
+            with pytest.raises(UsageError) as err:
+                call()
+            assert err.value.code == "non_integer_coefficient"
+
+    def test_ring_operations_keep_ints(self):
+        a = Cyclotomic.from_terms(12, {0: 3, 5: -2, 11: 7})
+        b = Cyclotomic.from_terms(12, {1: 4, 7: -1})
+        for value in (a + b, a - b, -a, a * b, a * 3, 3 * a, a.conjugate()):
+            assert all(type(c) is int for c in value.coeffs)
 
 
 class TestCanonicalForm:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 8, 12, 15, 40])
     def test_high_powers_fold(self, m):
-        assert zeta(m, m) == Cyclotomic.one(m)
+        assert zeta(m, m) == Cyclotomic.rational(m, 1)
         assert zeta(m, m + 3) == zeta(m, 3 % m)
 
     @pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 24])
     def test_reduction_idempotent(self, m):
-        v = Cyclotomic.from_terms(m, {0: Fraction(2, 3), 1: -1, m - 1: Fraction(5, 7)})
+        v = Cyclotomic.from_terms(m, {0: 2, 1: -1, m - 1: 5})
         again = Cyclotomic.from_terms(m, dict(enumerate(v.coeffs)))
         assert again == v
 
@@ -76,7 +102,7 @@ class TestCanonicalForm:
         for m in (6, 8, 12):
             table = _power_table(m)
             for e in range(m):
-                assert Cyclotomic(m, tuple(Fraction(c) for c in table[e])) == zeta(m, e)
+                assert Cyclotomic(m, table[e]) == zeta(m, e)
 
 
 small_coeff = st.integers(min_value=-9, max_value=9)
@@ -119,7 +145,7 @@ class TestRingLaws:
 
 class TestEmbed:
     def test_embed_one(self):
-        assert abs(Cyclotomic.one(7).embed() - 1.0) < 1e-12
+        assert abs(Cyclotomic.rational(7, 1).embed() - 1.0) < 1e-12
 
     def test_embed_gauss_sums(self):
         g5 = gauss_sum(5).embed()
@@ -131,8 +157,8 @@ class TestEmbed:
 
     @pytest.mark.parametrize("m", [40, 105, 120])
     def test_embed_respects_multiplication(self, m):
-        a = Cyclotomic.from_terms(m, {1: 2, 7: Fraction(1, 3), m - 2: -4})
-        b = Cyclotomic.from_terms(m, {0: -1, 3: 5, 11: Fraction(2, 5)})
+        a = Cyclotomic.from_terms(m, {1: 2, 7: 3, m - 2: -4})
+        b = Cyclotomic.from_terms(m, {0: -1, 3: 5, 11: 2})
         lhs = (a * b).embed()
         rhs = a.embed() * b.embed()
         assert abs(lhs - rhs) < 1e-9

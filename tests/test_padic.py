@@ -24,8 +24,8 @@ from galrep.padic import (
     NewtonPolygon,
     Segment,
     conductor_exponent,
+    _single_cluster,
     difference_polynomial,
-    difference_root_valuations,
     irreducibility_certificate,
     newton_polygon_of,
     parse_polynomial_string,
@@ -100,7 +100,7 @@ def oracle_report(f, K):
     certificate, each computed on its own."""
     p = f.p
     v = vp(sympy_disc(f.coeffs), p)
-    single_cluster = difference_root_valuations(f)
+    single_cluster = _single_cluster(difference_polynomial(f), p)
     irreducibility = irreducibility_certificate(f, K)
     gcd_condition = math.gcd(v, p - 1) == 1
     return AssumptionReport(
@@ -302,7 +302,7 @@ class TestDifferenceRootValuations:
     )
     def test_single_cluster_values(self, p, text, w):
         f = poly(p, text)
-        result = difference_root_valuations(f)
+        result = _single_cluster(difference_polynomial(f), p)
         assert result.status == "yes"
         assert result.w == w
         # v(disc) is the sum of the p(p-1) difference valuations
@@ -367,10 +367,16 @@ class TestDifferenceRootValuations:
                 difference_polynomial(poly(5, "x^5-5"))
 
     def test_not_squarefree_raises(self):
+        # a repeated root makes a zero difference: x divides the difference
+        # polynomial, whose Newton polygon is then refused
         f = InputPolynomial.from_coefficients(5, [1, 1, -2, -2, 1, 1])
+        diff = difference_polynomial(f)
+        assert diff[0] == 0
         with pytest.raises(InputError) as err:
-            difference_root_valuations(f)
-        assert err.value.code == "not_squarefree"
+            newton_polygon_of(diff, 5)
+        assert err.value.code == "reducible_x_divides"
+        report = validate_assumptions(f, BaseField(5, 1))
+        assert not report.squarefree and report.single_cluster.status == "not_computed"
 
 
 def sympy_difference_polynomial(f):
