@@ -10,7 +10,8 @@ character of the field they work in, and go through one helper
   (``_tally``).  L(1) = 0 only repeats each t p times and stays out of the
   walk.
 * chi is read from a table over element indices, built once per field by
-  walking multiplication by a fixed g through the cosets of F_q*
+  walking multiplication by g = x (g = 2 over F_p) through the cosets of
+  <g> in F_q*, each step one read of a successor table of element indices
   (``FieldSpec.chi_table``).
 
 So each element costs a few additions and one table lookup.

@@ -4,12 +4,14 @@ A value is a vector of integers over the power basis
 {zeta_m^i : 0 <= i < deg Phi_m}, canonically reduced modulo the m-th
 cyclotomic polynomial Phi_m: an element of Z[zeta_m].  Every value the
 package forms (character values, the Gauss sum and its powers) is an
-algebraic integer, so the constructors and scalar multiplication refuse any
-coefficient that is not an int.  The representation is canonical, so two
-values are equal exactly when their coefficient vectors agree.  Addition,
-subtraction and multiplication are closed and exact; division is
-deliberately not provided (conjugate-multiplication covers every norm-style
-computation the package needs).
+algebraic integer, so every value, however it is constructed, refuses a
+coordinate that is not an int and a vector whose length is not deg Phi_m,
+and scalar multiplication refuses a factor that is not an int.  The
+representation is canonical, so two values are equal exactly when their
+coefficient vectors agree.  Addition, subtraction and multiplication are
+closed and exact; division is deliberately not provided
+(conjugate-multiplication covers every norm-style computation the package
+needs).
 
 Operations never mix conductors: an operation on values of two different
 conductors is refused.
@@ -110,6 +112,14 @@ class Cyclotomic:
 
     m: int
     coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        d = len(cyclotomic_polynomial(self.m)) - 1
+        if type(self.coeffs) is not tuple or len(self.coeffs) != d:
+            raise UsageError("bad_coordinates", f"an element of Z[zeta_{self.m}] is a tuple of {d} "
+                             f"coordinates, got {self.coeffs!r}")
+        for c in self.coeffs:
+            _integer(c)
 
     # -- constructors ------------------------------------------------------
 

@@ -9,15 +9,17 @@ the twisted point count works in F_q itself (see ``galrep.counting``).
 Elements are immutable coefficient tuples, and ``FieldSpec`` does their
 arithmetic.  The counters read the quadratic character from a table over
 element indices (``FieldSpec.chi_table``), built once per field by walking
-multiplication by a fixed element.
+multiplication by g = x (g = 2 when m = 1) through the cosets of <g> in
+F_q*.  Each step is one read of a successor table over element indices,
+nxt[i] = index of g times element i, which is built by array slicing.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
-from operator import mul
+from itertools import product
 from typing import Iterator
 
 from .arith import require_odd_prime
@@ -122,37 +124,26 @@ class FieldSpec:
         """The quadratic character chi over element indices: 2 at a nonzero
         square, 1 at a non-square and 0 at 0.
 
-        The walk multiplies by g = x + 1, or by g = 2 when m = 1: a shift by
-        one place, the top coefficient folded back through x^m, plus the
-        element itself.  It labels each coset h<g> of F_q* in turn, using
-        chi(h g^j) = chi(h) chi(g)^j, so Euler's criterion runs once for g
-        and once per coset, and no primitive element is needed (Lidl and
-        Niederreiter, *Finite Fields*, ch. 2).
+        The walk multiplies by g = x, or by g = 2 when m = 1, one step per
+        element, reading each product's index from the successor table of
+        ``_times_x_successors``.  It labels each coset h<g> of F_q* in turn,
+        using chi(h g^j) = chi(h) chi(g)^j, so Euler's criterion runs once
+        for g and once per coset, and no primitive element is needed (Lidl
+        and Niederreiter, *Finite Fields*, ch. 2).
         """
-        p, m, q = self.p, self.m, self.size
-        if m == 1:
-            def times_g(v: list[int]) -> list[int]:
-                return [2 * v[0] % p]
-        else:
-            x_m = self._reduction_rows[0]
-            folds = [[c * r % p for r in x_m] for c in range(p)]
-
-            def times_g(v: list[int]) -> list[int]:
-                return [(a + b + c) % p for a, b, c in zip(v, chain((0,), v), folds[v[-1]])]
-
-        powers = [p**j for j in range(m)]
+        q = self.size
+        g = (0, 1) + (0,) * (self.m - 2) if self.m > 1 else (2,)
+        nxt = _times_x_successors(self)
         table = bytearray(q)
-        flip = 0 if _euler_sign(self, tuple(times_g(list(self.one_t())))) > 0 else 3  # label ^ 3 swaps 2 and 1
+        flip = 0 if _euler_sign(self, g) > 0 else 3  # label ^ 3 swaps 2 and 1
         seed = table.find(0, 1)
         while seed != -1:
-            v = _digits(seed, p, m)
-            label = start = 2 if _euler_sign(self, tuple(v)) > 0 else 1
+            label = start = 2 if _euler_sign(self, self.element_from_index(seed)) > 0 else 1
             index = seed
             for _ in range(q):
                 table[index] = label
                 label ^= flip
-                v = times_g(v)
-                index = sum(map(mul, v, powers))
+                index = nxt[index]
                 if index == seed:
                     break
             else:
@@ -161,6 +152,48 @@ class FieldSpec:
                 raise InternalCheckError("the walk by g returned with the other character value")
             seed = table.find(0, seed + 1)
         return table
+
+
+def _times_x_successors(field: FieldSpec) -> array:
+    """nxt[i] = the index of g times element i, for g = x (g = 2 when m = 1).
+
+    Write i = low + top p^(m-1) and top (x^m mod f) = (c_0, ..., c_(m-1)).
+    Then x times element i has digit 0 equal to c_0 and digit k + 1 equal
+    to digit k of low plus c_(k+1), mod p.  So the top block of nxt holds
+    c_0 + p v at position low, where v is low with each digit k raised by
+    c_(k+1) mod p: the progression c_0, c_0 + p, ... with its positions
+    permuted by ``_rotate_blocks``, with no Python work per element.
+    """
+    p, m, q = field.p, field.m, field.size
+    if m == 1:
+        nxt = array("I", range(0, p, 2))  # 2i for i < p/2, then 2i - p
+        nxt.extend(range(1, p, 2))
+        return nxt
+    x_m = field._reduction_rows[0]
+    nxt = array("I")
+    for top in range(p):
+        fold = [top * r % p for r in x_m]
+        block = array("I", range(fold[0], q, p))
+        for k in range(m - 1):
+            if fold[k + 1]:
+                _rotate_blocks(block, p ** (k + 1), fold[k + 1] * p**k)
+        nxt += block
+    return nxt
+
+
+def _rotate_blocks(a: array, width: int, shift: int) -> None:
+    """Rotate every block of width consecutive entries of a left by shift,
+    in place: position s + i takes the entry at s + (i + shift) % width.
+    Strided slices move one position of every block at once, and are used
+    when there are at least as many blocks as positions."""
+    src = a[:]
+    if width * width <= len(a):
+        for i in range(width):
+            a[i::width] = src[(i + shift) % width::width]
+    else:
+        for s in range(0, len(a), width):
+            a[s:s + width] = src[s + shift:s + width] + src[s:s + shift]
+
 
 def _poly_gcd_is_one(a: list[int], b: list[int], p: int) -> bool:
     # monic-normalizing Euclid over F_p; returns gcd == nonzero constant

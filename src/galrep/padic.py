@@ -66,18 +66,19 @@ class InputPolynomial:
 
     @classmethod
     def from_coefficients(cls, p: int, coeffs: Sequence[Fraction | int | str]) -> "InputPolynomial":
-        """Coefficients from degree 0 up: ints, Fractions or rational strings.
-        Anything else (floats, bools, None, containers) is refused, as it is
-        not an exact rational."""
+        """Coefficients from degree 0 up: ints, Fractions or rational strings
+        ``[-]digits[/digits]``.  Anything else (floats, bools, None,
+        containers, exponents, decimal points) is refused, as it is not an
+        exact rational of bounded size."""
+        parsed = []
         for i, c in enumerate(coeffs):
-            if type(c) not in (int, Fraction, str):
+            if type(c) is str:
+                c = _parse_rational(c, i)
+            elif type(c) not in (int, Fraction):
                 raise InputError("poly_parse", f"coefficient of x^{i} is a {type(c).__name__}, "
                                  "not an int or a rational string")
-        try:
-            parsed = tuple(Fraction(c) for c in coeffs)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError("poly_parse", f"bad coefficient list: {exc}") from exc
-        return cls(p, parsed)
+            parsed.append(Fraction(c))
+        return cls(p, tuple(parsed))
 
     @classmethod
     def from_string(cls, p: int, text: str) -> "InputPolynomial":
@@ -127,6 +128,22 @@ def _parse_int(digits: str) -> int:
         return int(digits)
     except ValueError as exc:
         raise InputError("poly_parse", f"a number of {len(digits)} digits is too long to read") from exc
+
+
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(text: str, i: int) -> Fraction:
+    """A rational string [-]digits[/digits], each number read through the
+    digit cap of ``_parse_int``."""
+    match = _RATIONAL_RE.fullmatch(text)
+    if not match:
+        raise InputError("poly_parse", f"coefficient of x^{i} is not a rational [-]digits[/digits]: {text[:40]!r}")
+    num, den = match.groups()
+    denominator = _parse_int(den or "1")
+    if not denominator:
+        raise InputError("poly_parse", f"coefficient of x^{i} has denominator 0")
+    return Fraction(_parse_int(num), denominator)
 
 
 def parse_polynomial_string(text: str) -> dict[int, int]:

@@ -139,6 +139,22 @@ class TestClassifyCommand:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "poly_parse"
 
+    @pytest.mark.parametrize("entry", ['"-3e5000"', '"1e10000000"', '"1.5"', '"1/0"', '" 1"', '"+1"', '"1_0"',
+                                       '"' + "9" * 5000 + '"'])
+    def test_non_rational_string_exit_two_at_once(self, capsys, entry):
+        # a coefficient string is [-]digits[/digits], read under the digit cap:
+        # an exponent would otherwise expand to millions of digits
+        started = time.perf_counter()
+        code, out = run(capsys, "classify", "--p", "3", "--n", "1", "--f", f"[{entry},0,0,1]")
+        assert time.perf_counter() - started < 0.5
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "poly_parse"
+
+    def test_rational_string_coefficient_accepted(self, capsys):
+        code, out = run(capsys, "classify", "--p", "5", "--n", "1", "--f", '["-7/3",0,0,0,0,1]')
+        assert code == 0
+        assert json.loads(out)["input"]["f"] == ["-7/3", "0", "0", "0", "0", "1"]
+
     def test_missing_flag_exit_two(self, capsys):
         code = cli.main(["classify", "--p", "5", "--f", "x^5-5"])
         capsys.readouterr()

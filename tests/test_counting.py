@@ -151,8 +151,8 @@ class TestCountCurve:
         with pytest.raises(InputError):
             count_curve(4, 1)
 
-    # every field with p^m <= 2500: m = 1 for each odd prime, and fields such
-    # as F_81 and F_625 whose walk by x + 1 needs several cosets
+    # every field with p^m <= 2500: m = 1 for each odd prime (walk by 2), and
+    # fields such as F_25 and F_625 whose walk by x needs 8 cosets
     @pytest.mark.parametrize("m", range(1, 8))
     def test_against_euler_scan(self, m):
         primes = [p for p in range(3, 2501) if is_odd_prime(p) and p**m <= 2500]

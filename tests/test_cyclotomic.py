@@ -61,11 +61,24 @@ class TestIntegerCoordinates:
             lambda: Cyclotomic.rational(5, bad),
             lambda: zeta(5) * bad,
             lambda: bad * zeta(5),
+            lambda: Cyclotomic(5, (bad, 0, 0, 0)),
         ]
         for call in calls:
             with pytest.raises(UsageError) as err:
                 call()
             assert err.value.code == "non_integer_coefficient"
+
+    @pytest.mark.parametrize("coeffs", [(1, 2), (1, 2, 0, 0, 0), (), [1, 0, 0, 0]],
+                             ids=["short", "long", "empty", "list"])
+    def test_wrong_coordinate_vector_refused(self, coeffs):
+        # deg Phi_5 = 4: zip would otherwise drop the missing coordinates of
+        # Cyclotomic(5, (1, 2)) in a sum and return a wrong value
+        with pytest.raises(UsageError) as err:
+            Cyclotomic(5, coeffs)
+        assert err.value.code == "bad_coordinates"
+
+    def test_direct_constructor_accepts_a_reduced_vector(self):
+        assert Cyclotomic(5, (1, 2, 0, 0)) == Cyclotomic.from_terms(5, {0: 1, 1: 2})
 
     def test_ring_operations_keep_ints(self):
         a = Cyclotomic.from_terms(12, {0: 3, 5: -2, 11: 7})

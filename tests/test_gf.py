@@ -3,16 +3,19 @@ oracle of test_counting.py (the solutions of x^q = x - 1 inside
 F_{p^(n*p)}) checked against its defining equations."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galrep.errors import InputError
-from galrep.gf import _euler_sign, build_field
+from galrep import gf
+from galrep.errors import InputError, InternalCheckError
+from galrep.gf import _euler_sign, _times_x_successors, build_field
 from test_counting import literal_coset
 
 TABLE_VALUE = {0: 0, 1: 2, -1: 1}  # the character table's code for chi = 0, +1, -1
+X = (0, 1) + (0,) * 12  # X[:m] is x in F_(p^m), 2 <= m <= 14
 
 
 def quadratic_character(field, a):
@@ -87,15 +90,53 @@ class TestQuadraticCharacter:
 
 
 class TestCharacterTable:
-    # F_81 and F_625 have no primitive x + a, so their walks need several cosets;
-    # F_(3^7) and F_(7^3) are the fields of the twisted counts at (3,7) and (7,3)
-    @pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (5, 3), (5, 4), (3, 7), (7, 3)])
+    # the walk multiplies by x, which the lex-least modulus seldom makes
+    # primitive: <x> has 8 cosets in F_(3^8) and F_625 and 18 in F_(13^3), and
+    # 3 in F_(7^3).  x is a square (flip 0) in F_9, F_81, F_125, F_625, F_(3^8)
+    # and F_(13^3), and not in F_(3^7) and F_(7^3), the fields of the twisted
+    # counts at (3,7) and (7,3)
+    X_IS_SQUARE = {(3, 2): True, (3, 4): True, (5, 3): True, (5, 4): True, (3, 7): False, (7, 3): False,
+                   (3, 8): True, (13, 3): True}
+
+    @pytest.mark.parametrize("p,m", list(X_IS_SQUARE))
     def test_against_euler_criterion(self, p, m):
         field = build_field(p, m)
+        assert (_euler_sign(field, X[:m]) > 0) is self.X_IS_SQUARE[(p, m)]
         table = field.chi_table()
         assert len(table) == field.size
         for index, a in enumerate(field.elements_t()):
             assert table[index] == TABLE_VALUE[quadratic_character(field, a)], a
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 101])
+    def test_prime_field_walks_by_two(self, p):
+        field = build_field(p, 1)
+        assert list(_times_x_successors(field)) == [2 * i % p for i in range(p)]
+        table = field.chi_table()
+        for i in range(p):
+            assert table[i] == TABLE_VALUE[quadratic_character(field, (i,))]
+
+    @pytest.mark.parametrize("p,m", [(3, 4), (5, 3), (3, 2), (13, 3)])
+    def test_successors_multiply_by_x(self, p, m):
+        field = build_field(p, m)
+        nxt = _times_x_successors(field)
+        assert len(nxt) == field.size
+        for index, a in enumerate(field.elements_t()):
+            assert field.element_from_index(nxt[index]) == field.mul_t(a, X[:m])
+
+    # F_9 (flip 0, two cosets) and F_27 (flip 3, one coset): any changed
+    # entry leaves an element without a predecessor, so its walk cannot close
+    @pytest.mark.parametrize("p,m", [(3, 2), (3, 3)])
+    def test_corrupt_successor_is_caught(self, monkeypatch, p, m):
+        field = build_field(p, m)
+        good = _times_x_successors(field)
+        q = field.size
+        for index in range(1, q):
+            for wrong in {0, 1, good[index] % (q - 1) + 1} - {good[index]}:
+                bad = array(good.typecode, good)
+                bad[index] = wrong
+                monkeypatch.setattr(gf, "_times_x_successors", lambda _field, bad=bad: bad)
+                with pytest.raises(InternalCheckError):
+                    field.chi_table()
 
 
 class TestFrobeniusRootSolve:

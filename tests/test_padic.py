@@ -182,6 +182,17 @@ class TestParser:
         f = InputPolynomial.from_coefficients(5, ["-5", "0", "0", "0", "0", "1"])
         assert f == poly(5, "x^5-5")
 
+    def test_rational_strings(self):
+        f = InputPolynomial.from_coefficients(5, ["-7/3", "0", "10/4", 0, Fraction(1, 2), "1"])
+        assert f.coeffs == (Fraction(-7, 3), 0, Fraction(5, 2), 0, Fraction(1, 2), 1)
+
+    @pytest.mark.parametrize("text", ["-3e5000", "1e10000000", "1.5", "1/0", "-", "1/", "/2", "--1", "+1",
+                                      " 1", "1 ", "1_0", "\u0663", "9" * 5000, "1/" + "9" * 5000])
+    def test_non_rational_strings_refused(self, text):
+        with pytest.raises(InputError) as err:
+            InputPolynomial.from_coefficients(3, [text, 0, 0, 1])
+        assert err.value.code == "poly_parse"
+
 
 class TestDiscriminant:
     """disc f as (-1)^(p(p-1)/2) times the constant term of the difference
