@@ -211,6 +211,9 @@ def _cmd_chartab(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    flag, value = ("--n", args.n) if args.mode == "curve" else ("--m", args.m)
+    if value is not None:
+        raise InputError("unexpected_flag", f"--mode {args.mode} does not read {flag}")
     budgets = _budgets_from(args)
     if args.mode == "curve":
         if args.m is None:

@@ -1,28 +1,30 @@
 """Exact point counts on the reduced model curve y^2 = x^p - x.
 
-Both counters sum 1 + chi(t) over t = x^p - x, with chi the quadratic
-character of the field they work in, and go through one helper
-(``_artin_schreier_tally``):
+Both counters sum 1 + chi(t) over t = x^p - x (plus a constant), with chi
+the quadratic character of the field they work in, and go through one
+helper (``_artin_schreier_tally``):
 
-* L(x) = x^p - x is F_p-linear, so t = base + L(c) is built from the
-  images L(x^i) of the basis vectors: a Gray-code walk over the
-  coordinates of c adds one image per step and keeps t's digits and index
-  (``_tally``).  L(1) = 0 only repeats each t p times and stays out of the
-  walk.
+* L(x) = x^p - x is F_p-linear with kernel F_p, and its image is the
+  kernel of the trace Tr to F_p (the additive Hilbert 90).  So a + L(x),
+  x over F_q, runs over the fiber {Tr t = Tr a}, each t hit p times.  The
+  fiber is an indicator over element indices, built one base-p digit at a
+  time from the traces Tr(x^j), the power sums of the modulus: each level
+  is joined rotations or repeats of the last, so no Python code runs per
+  element (``_trace_fiber``).
 * chi is read from a table over element indices, built once per field by
   walking multiplication by g = x (g = 2 over F_p) through the cosets of
-  <g> in F_q*, each step one read of a successor table of element indices
-  (``FieldSpec.chi_table``).
+  <g> in F_q*, each step one read of a successor table of element indices,
+  with chi of g and of each coset seed the Legendre symbol of its norm
+  (``FieldSpec.chi_table``).  ``itertools.compress`` picks the table's
+  values on the fiber, and ``bytes.count`` tallies them.
 
-So each element costs a few additions and one table lookup.
-
-* ``count_curve`` counts the affine points over F_{p^m}: base 0.
+* ``count_curve`` counts the affine points over F_{p^m}: the fiber Tr t = 0.
 * ``count_twisted_fixed`` counts solutions of the twisted fixed-point system
 
       x^q = x - 1,   y^q = y,   y^2 = x^p - x        (q = p^n, n odd)
 
-  inside F_q itself, with a base a of trace -1: the values of t on the
-  solutions x are a + L(c), c in F_q (the trace lemma in its docstring).
+  inside F_q itself, on the fiber Tr t = -1 (the trace lemma in its
+  docstring).
 * ``naive_twisted_oracle`` re-derives the same count by direct scan of
   F_{p^(n*p)}, for cross-validation only.
 
@@ -37,6 +39,8 @@ p^k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
+from typing import Sequence
 
 from .arith import power_exceeds, require_odd_prime
 from .config import Budgets, default_budgets
@@ -82,45 +86,56 @@ class TwistedCountResult:
         }
 
 
-def _tally(table: bytearray, p: int, base: list[int], images: list[list[int]]) -> list[int]:
-    """How often each value of ``table`` occurs at t = base + sum c_i images[i],
-    over all c in F_p^len(images); the counts are indexed by table value.
+def _trace_fiber(p: int, traces: Sequence[int], c: int) -> bytes:
+    """The indicator over element indices of {t : Tr t = c}, given the traces
+    s_j = Tr(x^j) of the basis: element i = sum d_j x^j, d_j the base-p
+    digits of i, has trace sum d_j s_j mod p.
 
-    c walks the p-ary Gray code, where step s adds 1 to coordinate v_p(s),
-    so t changes by one image per step; its digits and index are updated
-    with additions only.  Vanishing images each multiply the counts by p.
+    Level k is the indicator of sum_(j<k) d_j s_j = r over the indices below
+    p^k, one row per residue r, its p rows joined in one bytes in the order
+    r = 0, -u, -2u, ..., for u the first nonzero s_j with j >= k (u = 1 if
+    there is none).  A digit with s_k = u makes row -e u of the next level
+    the joined level rotated by e p^k bytes; a digit with s_k = 0 repeats
+    each row p times.  The last digit builds row c alone, so no level holds
+    more than p^len(traces) bytes, and each takes O(p) slices.
     """
-    moving = [w for w in images if any(w)]
-    repeat = p ** (len(images) - len(moving))
-    # per image: (digit, its step, the index step, the index wrap) at each nonzero digit
-    steps = [[(j, wj, wj * p**j, p ** (j + 1)) for j, wj in enumerate(w) if wj] for w in moving]
-    t = list(base)
-    index = sum(d * p**j for j, d in enumerate(t))
-    tally = [0, 0, 0]
-    tally[table[index]] += 1
-    for s in range(1, p ** len(moving)):
-        i, r = 0, s
-        while not r % p:
-            r //= p
-            i += 1
-        for j, wj, up, wrap in steps[i]:
-            d = t[j] + wj
-            index += up
-            if d >= p:
-                d -= p
-                index -= wrap
-            t[j] = d
-        tally[table[index]] += 1
-    return [repeat * c for c in tally]
+    traces = [s % p for s in traces]
+    level = b"\x01" + bytes(p - 1)  # sum over no digits: only residue 0 at index 0
+    width = 1
+    u = next((s for s in traces if s), 1)
+    for k, s in enumerate(traces):
+        inverse = pow(u, -1, p)
+        if k + 1 < len(traces):
+            u = next((t for t in traces[k + 1:] if t), 1)
+            spots = [d * u * inverse % p for d in range(p)]  # row -d u of the next level
+        else:
+            spots = [-c * inverse % p]  # row c alone
+        view = memoryview(level)
+        if s:
+            level = b"".join(chain.from_iterable((view[e * width:], view[:e * width]) for e in spots))
+        else:
+            level = b"".join(bytes(view[e * width:(e + 1) * width]) * p for e in spots)
+        width *= p
+    return level
 
 
-def _artin_schreier_tally(field: FieldSpec, base: Coeffs) -> list[int]:
-    """How often t = base + L(c), L(c) = c^p - c, c over the whole field, is
-    zero, a non-square and a nonzero square, in that order."""
-    p = field.p
-    basis = [field.element_from_index(p**i) for i in range(field.m)]
-    images = [list(field.sub_t(field.pow_t(v, p), v)) for v in basis]
-    return _tally(field.chi_table(), p, list(base), images)
+def _artin_schreier_tally(field: FieldSpec, c: int) -> list[int]:
+    """How often t = a + L(x), L(x) = x^p - x, x over the whole field, is
+    zero, a non-square and a nonzero square, in that order, for any a of
+    trace c: t runs over the fiber {Tr t = c}, each t hit p times.
+
+    The fiber must hold q/p elements, and its first element must have
+    trace c, summed from its conjugates.
+    """
+    p, q = field.p, field.size
+    table = field.chi_table()
+    fiber = _trace_fiber(p, power_sums(field.modulus, field.m), c)
+    if fiber.count(1) != q // p:
+        raise InternalCheckError(f"the fiber of trace {c} does not hold q/p elements")
+    if _trace(field, field.element_from_index(fiber.index(1))) != field.scalar_t(c):
+        raise InternalCheckError(f"the fiber of trace {c} starts at an element of another trace")
+    values = bytes(compress(table, fiber))
+    return [p * values.count(v) for v in range(3)]
 
 
 def count_curve(p: int, m: int, budgets: Budgets | None = None) -> CountResult:
@@ -132,33 +147,17 @@ def count_curve(p: int, m: int, budgets: Budgets | None = None) -> CountResult:
     if p > 2 and power_exceeds(p, m, budgets.curve_enum):
         raise BudgetExceeded(f"field size {p}^{m} exceeds the enumeration budget {budgets.curve_enum}")
     require_odd_prime(p)
-    zero, _, square = _artin_schreier_tally(build_field(p, m), (0,) * m)
+    zero, _, square = _artin_schreier_tally(build_field(p, m), 0)
     affine = zero + 2 * square
     total = affine + 1
     return CountResult(p=p, m=m, affine=affine, total=total, trace=p**m + 1 - total)
 
 
-def _base_of_trace_minus_one(field: FieldSpec) -> Coeffs:
-    """An a in F_q with Tr(a) = -1, Tr the trace to F_p.
-
-    Tr(x^i) is the i-th power sum of the roots of the modulus, so a is
-    x^i / -Tr(x^i) for the first i with Tr(x^i) != 0; one exists, as Tr is
-    onto and the x^i span F_q.
-    """
-    p = field.p
-    for i, trace in enumerate(power_sums(field.modulus, field.m)):
-        if trace % p:
-            a = [0] * field.m
-            a[i] = -pow(trace, -1, p) % p
-            return tuple(a)
-    raise InternalCheckError("the trace vanishes on every basis vector")
-
-
 def _trace(field: FieldSpec, a: Coeffs) -> Coeffs:
     """Tr(a) = a + a^p + ... + a^(p^(m-1)), summed in the field."""
-    total, conjugate = a, a
+    total = conjugate = a
     for _ in range(field.m - 1):
-        conjugate = field.pow_t(conjugate, field.p)
+        conjugate = field.frob_t(conjugate)
         total = field.add_t(total, conjugate)
     return total
 
@@ -174,11 +173,11 @@ def count_twisted_fixed(p: int, n: int, budgets: Budgets | None = None) -> Twist
     t in F_q with Tr(t) = -1 (Lidl and Niederreiter, *Finite Fields*,
     ch. 2).  L maps F_q onto ker Tr with kernel F_p, so these t are
     a + L(c) for one a with Tr(a) = -1, as c runs over F_q, each t hit p
-    times: the tally over c counts every solution x once, and each x
-    contributes 1 + chi(t) points.  Tr(a) = -1 is re-verified from a's
-    conjugates, and t = 0 (of trace 0) must never occur.  The result is
-    the plain count: ``classify.verify_consistency`` compares it with the
-    prediction and the closed form.  The coset budget caps q.
+    times: the tally over the fiber Tr t = -1, times p, counts every
+    solution x once, and each x contributes 1 + chi(t) points.  t = 0 (of
+    trace 0) must never occur.  The result is the plain count:
+    ``classify.verify_consistency`` compares it with the prediction and the
+    closed form.  The coset budget caps q.
     """
     budgets = budgets or default_budgets()
     if n % 2 == 0 or n < 1:
@@ -186,11 +185,7 @@ def count_twisted_fixed(p: int, n: int, budgets: Budgets | None = None) -> Twist
     if p > 2 and power_exceeds(p, n, budgets.coset_q):
         raise BudgetExceeded(f"subfield size {p}^{n} exceeds the coset budget {budgets.coset_q}")
     require_odd_prime(p)
-    field = build_field(p, n)
-    a = _base_of_trace_minus_one(field)
-    if _trace(field, a) != field.scalar_t(-1):
-        raise InternalCheckError("the base of the count does not have trace -1")
-    zero, _, square = _artin_schreier_tally(field, a)
+    zero, _, square = _artin_schreier_tally(build_field(p, n), -1)
     if zero:
         raise InternalCheckError("t = x^p - x vanished on a solution of x^q = x - 1")
     affine = 2 * square

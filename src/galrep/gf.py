@@ -7,10 +7,14 @@ Conway-polynomial tables: every computation stays inside one field, and
 the twisted point count works in F_q itself (see ``galrep.counting``).
 
 Elements are immutable coefficient tuples, and ``FieldSpec`` does their
-arithmetic.  The counters read the quadratic character from a table over
-element indices (``FieldSpec.chi_table``), built once per field by walking
-multiplication by g = x (g = 2 when m = 1) through the cosets of <g> in
-F_q*.  Each step is one read of a successor table over element indices,
+arithmetic.  a -> a^p is F_p-linear, so each field carries one Frobenius
+matrix, whose columns are x^(ip) mod f (``FieldSpec.frob_t``): it gives
+the conjugates behind the irreducibility test, the trace and the norm
+N(a) = a a^p ... a^(p^(m-1)).  The counters read the quadratic character
+from a table over element indices (``FieldSpec.chi_table``), built once per
+field by walking multiplication by g = x (g = 2 when m = 1) through the
+cosets of <g> in F_q*, with chi(a) = (N(a) | p) for g and each coset seed.
+Each step is one read of a successor table over element indices,
 nxt[i] = index of g times element i, which is built by array slicing.
 """
 
@@ -63,6 +67,17 @@ class FieldSpec:
             cur = tuple(nxt)
         return tuple(rows)
 
+    @cached_property
+    def _frobenius_columns(self) -> tuple[Coeffs, ...]:
+        # x^(ip) mod modulus for i = 0..m-1, from one power x^p
+        if self.m == 1:
+            return ((1,),)
+        x_p = self.pow_t((0, 1) + (0,) * (self.m - 2), self.p)
+        columns = [self.one_t(), x_p]
+        for _ in range(self.m - 2):
+            columns.append(self.mul_t(columns[-1], x_p))
+        return tuple(columns)
+
     def one_t(self) -> Coeffs:
         return (1,) + (0,) * (self.m - 1)
 
@@ -73,10 +88,6 @@ class FieldSpec:
     def sub_t(self, a: Coeffs, b: Coeffs) -> Coeffs:
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg_t(self, a: Coeffs) -> Coeffs:
-        p = self.p
-        return tuple((-x) % p for x in a)
 
     def mul_t(self, a: Coeffs, b: Coeffs) -> Coeffs:
         p, m = self.p, self.m
@@ -109,6 +120,16 @@ class FieldSpec:
             e >>= 1
         return result
 
+    def frob_t(self, a: Coeffs) -> Coeffs:
+        """a^p = sum of a_i x^(ip), as a_i^p = a_i in F_p."""
+        p = self.p
+        out = [0] * self.m
+        for ai, column in zip(a, self._frobenius_columns):
+            if ai:
+                for j, cj in enumerate(column):
+                    out[j] += ai * cj
+        return tuple(c % p for c in out)
+
     def scalar_t(self, c: int) -> Coeffs:
         return (c % self.p,) + (0,) * (self.m - 1)
 
@@ -127,18 +148,20 @@ class FieldSpec:
         The walk multiplies by g = x, or by g = 2 when m = 1, one step per
         element, reading each product's index from the successor table of
         ``_times_x_successors``.  It labels each coset h<g> of F_q* in turn,
-        using chi(h g^j) = chi(h) chi(g)^j, so Euler's criterion runs once
-        for g and once per coset, and no primitive element is needed (Lidl
-        and Niederreiter, *Finite Fields*, ch. 2).
+        using chi(h g^j) = chi(h) chi(g)^j, so chi is computed only for g
+        and for each coset seed h, and no primitive element is needed.
+        There chi(a) = a^((q-1)/2) = N(a)^((p-1)/2) is the Legendre symbol
+        of the norm, a product of m conjugates (Lidl and Niederreiter,
+        *Finite Fields*, ch. 2).
         """
         q = self.size
         g = (0, 1) + (0,) * (self.m - 2) if self.m > 1 else (2,)
         nxt = _times_x_successors(self)
         table = bytearray(q)
-        flip = 0 if _euler_sign(self, g) > 0 else 3  # label ^ 3 swaps 2 and 1
+        flip = 0 if _norm_sign(self, g) > 0 else 3  # label ^ 3 swaps 2 and 1
         seed = table.find(0, 1)
         while seed != -1:
-            label = start = 2 if _euler_sign(self, self.element_from_index(seed)) > 0 else 1
+            label = start = 2 if _norm_sign(self, self.element_from_index(seed)) > 0 else 1
             index = seed
             for _ in range(q):
                 table[index] = label
@@ -217,14 +240,18 @@ def _poly_gcd_is_one(a: list[int], b: list[int], p: int) -> bool:
 
 
 def _is_irreducible(modulus: Coeffs, p: int, m: int) -> bool:
-    """x^(p^m) = x mod f, and gcd(x^(p^d) - x, f) = 1 for proper divisors d."""
-    field = FieldSpec(p, m, modulus)
+    """x^(p^m) = x mod f, and gcd(x^(p^d) - x, f) = 1 for proper divisors d.
+
+    x^(p^d) is d applications of the Frobenius matrix of F_p[x]/(f), which
+    is a ring map whether or not f is irreducible.
+    """
     if m == 1:
         return True
+    field = FieldSpec(p, m, modulus)
     x = (0, 1) + (0,) * (m - 2)
     cur = x
     for d in range(1, m + 1):
-        cur = field.pow_t(cur, p)
+        cur = field.frob_t(cur)
         if d < m and m % d == 0:
             diff = field.sub_t(cur, x)
             if not any(diff):
@@ -266,14 +293,17 @@ def build_field(p: int, m: int) -> FieldSpec:
     raise InternalCheckError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
-def _euler_sign(field: FieldSpec, a: Coeffs) -> int:
-    """a^((q-1)/2) for a nonzero a of a field of odd order q: +1 or -1.
+def _norm_sign(field: FieldSpec, a: Coeffs) -> int:
+    """chi(a) for a nonzero a: the Legendre symbol of N(a) = a a^p ... a^(p^(m-1)).
 
-    Any other value means the modulus is not irreducible, an internal fault.
+    A norm outside F_p* means the modulus is not irreducible, an internal
+    fault.
     """
-    s = field.pow_t(a, (field.size - 1) // 2)
-    if s == field.one_t():
-        return 1
-    if s == field.neg_t(field.one_t()):
-        return -1
-    raise InternalCheckError("Euler criterion returned a non-sign value")
+    p = field.p
+    norm = conjugate = a
+    for _ in range(field.m - 1):
+        conjugate = field.frob_t(conjugate)
+        norm = field.mul_t(norm, conjugate)
+    if any(norm[1:]) or not norm[0]:
+        raise InternalCheckError("the norm of a nonzero element is not in F_p*")
+    return 1 if pow(norm[0], (p - 1) // 2, p) == 1 else -1

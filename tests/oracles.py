@@ -1,5 +1,6 @@
 """Test-side arithmetic that galrep itself does not need: integer powers of
-cyclotomic values and the character inner product."""
+cyclotomic values, the character inner product, and Euler's criterion in a
+finite field."""
 
 import math
 from collections import Counter
@@ -32,3 +33,12 @@ def assert_orthogonal(table):
                             terms[(e1 * lift_r - e2 * lift_s) % m] += cls.size * c1 * c2
             expected = order if s is r else 0
             assert Cyclotomic.from_terms(m, terms) == Cyclotomic.rational(m, expected), (r.label, s.label)
+
+
+def euler_sign(field, a):
+    """a^((q-1)/2) for a nonzero a of F_q, by one power: +1 or -1."""
+    s = field.pow_t(a, (field.size - 1) // 2)
+    if s == field.one_t():
+        return 1
+    assert s == field.scalar_t(-1), (a, s)
+    return -1

@@ -206,6 +206,15 @@ class TestCountCommand:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "missing_flag"
 
+    # each mode reads one degree flag and refuses the other
+    @pytest.mark.parametrize("mode,flag", [("curve", "--n"), ("twisted", "--m"), ("twisted-naive", "--m")])
+    def test_other_mode_degree_flag_exit_two(self, capsys, mode, flag):
+        code, out = run(capsys, "count", "--mode", mode, "--p", "3", "--m", "3", "--n", "1")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "unexpected_flag"
+        assert error["message"] == f"--mode {mode} does not read {flag}"
+
     def test_budget_override(self, capsys):
         code, out = run(capsys, "count", "--mode", "curve", "--p", "3", "--m", "4", "--enum-budget", "10")
         assert code == 2

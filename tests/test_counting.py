@@ -1,7 +1,8 @@
-"""Point counts on y^2 = x^p - x: the linear counters for the full field and
-for the twisted fixed-point system, checked against per-element Euler scans
-(the twisted one on the literal coset of solutions, found by elimination in
-F_{p^(n*p)}), a brute-force tally and the naive oracle."""
+"""Point counts on y^2 = x^p - x: the trace-fiber counters for the full
+field and for the twisted fixed-point system, checked against per-element
+Euler scans (the twisted one on the literal coset of solutions, found by
+elimination in F_{p^(n*p)}), the closed form, the naive oracle, and the
+fiber construction against a brute-force trace and the images of x^p - x."""
 
 import time
 from itertools import product
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 from galrep.arith import is_odd_prime
 from galrep.config import Budgets
-from galrep.counting import _artin_schreier_tally, _tally, count_curve, count_twisted_fixed, naive_twisted_oracle
+from galrep.counting import _artin_schreier_tally, _trace_fiber, count_curve, count_twisted_fixed, naive_twisted_oracle
 from galrep.errors import BudgetExceeded, InputError, InternalCheckError, UsageError
 from galrep.gf import build_field
+from galrep.polys import power_sums
 
 
 def signed_p(p):
@@ -27,7 +29,7 @@ def euler_curve_affine(field):
     p = field.p
     half = (field.size - 1) // 2
     one = field.one_t()
-    minus_one = field.neg_t(one)
+    minus_one = field.scalar_t(-1)
     count = 0
     for x in field.elements_t():
         t = field.sub_t(field.pow_t(x, p), x)
@@ -55,7 +57,7 @@ def literal_coset(p, n):
     m, q = field.m, p**n
     basis = [field.element_from_index(p**j) for j in range(m)]
     images = [field.sub_t(field.pow_t(v, q), v) for v in basis]
-    minus_one = field.neg_t(field.one_t())
+    minus_one = field.scalar_t(-1)
     rows = [[images[j][i] for j in range(m)] + [minus_one[i]] for i in range(m)]
     pivots = []
     for col in range(m):
@@ -99,7 +101,7 @@ def euler_coset_affine(p, n):
     q = p**n
     half = (q - 1) // 2
     one = field.one_t()
-    minus_one = field.neg_t(one)
+    minus_one = field.scalar_t(-1)
     affine = 0
     for c in subfield:
         x = field.add_t(x0, c)
@@ -185,7 +187,15 @@ class TestTwistedCounts:
         assert result.fixed_points == affine + 1
         assert result.trace_sigma_frob == trace
 
-    @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (7, 1), (3, 3), (5, 3)])
+    # the largest odd n the default coset budget reaches, for p <= 13
+    LARGEST_N = {3: 11, 5: 7, 7: 7, 11: 5, 13: 5}
+
+    @pytest.mark.parametrize("p", LARGEST_N)
+    def test_largest_reachable_n(self, p):
+        n = self.LARGEST_N[p]
+        assert p**n <= Budgets().coset_q < p ** (n + 2)
+
+    @pytest.mark.parametrize("p,n", [(p, n) for p, top in LARGEST_N.items() for n in range(1, top + 1, 2)])
     def test_closed_form(self, p, n):
         result = count_twisted_fixed(p, n)
         assert result.trace_sigma_frob == -(signed_p(p) ** ((n + 1) // 2))
@@ -216,27 +226,46 @@ class TestTwistedCounts:
         with pytest.raises(BudgetExceeded):
             naive_twisted_oracle(5, 3)  # 5^15 above the naive default
 
-    # F_27 has Tr(1) = 3 = 0, so its base is not a multiple of 1
-    @pytest.mark.parametrize("p,n", [(3, 3), (5, 3)])
-    def test_every_base_of_trace_minus_one_gives_the_same_tally(self, p, n):
-        field = build_field(p, n)
-        bases = [a for a in field.elements_t() if trace_to_prime_field(field, a) == p - 1]
-        assert len(bases) == p ** (n - 1)
-        tallies = {tuple(_artin_schreier_tally(field, a)) for a in bases}
-        zero, _, square = tallies.pop()
-        assert not tallies
-        assert zero == 0
-        assert 2 * square == count_twisted_fixed(p, n).affine_solutions
+    # L(x) = x^p - x maps F_q onto the trace-0 fiber and a + L(F_q) onto the
+    # fiber of Tr a, each element hit p times (the additive Hilbert 90).
+    # F_27 has Tr(1) = 3 = 0
+    @pytest.mark.parametrize("p,m", [(3, 3), (5, 3), (3, 4), (7, 3)])
+    def test_hilbert_90_fibers(self, p, m):
+        field = build_field(p, m)
+        traces = [trace_to_prime_field(field, a) for a in field.elements_t()]
+        sums = power_sums(field.modulus, m)
+        fibers = {c: _trace_fiber(p, sums, c) for c in (0, p - 1)}
+        for c, fiber in fibers.items():
+            assert list(fiber) == [int(t == c) for t in traces]
+        a = field.element_from_index(traces.index(p - 1))
+        for base, c in (((0,) * m, 0), (a, p - 1)):
+            hits = [0] * field.size
+            for x in field.elements_t():
+                t = field.add_t(base, field.sub_t(field.pow_t(x, p), x))
+                hits[sum(d * p**j for j, d in enumerate(t))] += 1
+            assert hits == [p * b for b in fibers[c]]
 
     def test_base_of_the_wrong_trace_raises(self, monkeypatch):
-        # at p = 5, chi(-1) = 1 in F_125: a base of trace +1 gives the same
+        # at p = 5, chi(-1) = 1 in F_125: the fiber of trace +1 gives the same
         # counts and passes the closed form, so the trace check must catch it
         import galrep.counting as counting
 
-        base = counting._base_of_trace_minus_one
-        monkeypatch.setattr(counting, "_base_of_trace_minus_one", lambda field: field.neg_t(base(field)))
-        with pytest.raises(InternalCheckError, match="trace -1"):
+        field = build_field(5, 3)
+        assert _artin_schreier_tally(field, 1) == _artin_schreier_tally(field, -1)
+        fiber = counting._trace_fiber
+        monkeypatch.setattr(counting, "_trace_fiber", lambda p, traces, c: fiber(p, traces, -c))
+        with pytest.raises(InternalCheckError, match="another trace"):
             count_twisted_fixed(5, 3)
+
+    # with every trace read as 0, the trace-0 fiber is the whole field
+    def test_fiber_of_the_wrong_size_raises(self, monkeypatch):
+        import galrep.counting as counting
+
+        monkeypatch.setattr(counting, "power_sums", lambda a, count: [0] * count)
+        with pytest.raises(InternalCheckError, match="q/p"):
+            count_curve(3, 2)
+        with pytest.raises(InternalCheckError, match="q/p"):
+            count_twisted_fixed(3, 3)
 
     def test_budgets_decided_from_the_exponent(self):
         started = time.perf_counter()
@@ -247,18 +276,23 @@ class TestTwistedCounts:
         assert time.perf_counter() - started < 5
 
 
-class TestTally:
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), p=st.sampled_from([3, 5, 7]), k=st.integers(1, 4), r=st.integers(0, 4))
-    def test_against_brute_force(self, data, p, k, r):
-        digit = st.integers(0, p - 1)
-        table = bytearray(data.draw(st.lists(st.integers(0, 2), min_size=p**k, max_size=p**k)))
-        base = data.draw(st.lists(digit, min_size=k, max_size=k))
-        images = data.draw(st.lists(st.lists(digit, min_size=k, max_size=k), min_size=r, max_size=r))
-        expected = [0, 0, 0]
-        for c in product(range(p), repeat=r):
-            t = list(base)
-            for ci, w in zip(c, images):
-                t = [(a + ci * b) % p for a, b in zip(t, w)]
-            expected[table[sum(d * p**j for j, d in enumerate(t))]] += 1
-        assert _tally(table, p, base, images) == expected
+class TestTraceFiber:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([3, 5, 7, 13]), k=st.integers(1, 4))
+    def test_against_brute_force(self, data, p, k):
+        if p == 13:
+            k = min(k, 3)
+        # any trace vector, zero entries included, and entries not yet reduced mod p
+        traces = data.draw(st.lists(st.one_of(st.just(0), st.integers(-2 * p, 2 * p)), min_size=k, max_size=k))
+        c = data.draw(st.integers(0, p - 1))
+        expected = bytes(int(sum(d * s for d, s in zip(digits, traces)) % p == c)
+                         for digits in (tuple(i // p**j % p for j in range(k)) for i in range(p**k)))
+        assert _trace_fiber(p, traces, c) == expected
+
+    @pytest.mark.parametrize("traces", [(0,), (0, 0, 0), (0, 1), (1, 0), (0, 2, 0, 1), (3, 0, 0, 4), (2, 2, 0)])
+    def test_zero_traces(self, traces):
+        p = 5
+        k = len(traces)
+        for c in range(p):
+            expected = bytes(int(sum(i // p**j % p * s for j, s in enumerate(traces)) % p == c) for i in range(p**k))
+            assert _trace_fiber(p, traces, c) == expected

@@ -1,9 +1,10 @@
-"""Finite field arithmetic and quadratic characters, and the literal-coset
-oracle of test_counting.py (the solutions of x^q = x - 1 inside
-F_{p^(n*p)}) checked against its defining equations."""
+"""Finite field arithmetic, the Frobenius matrix, moduli and quadratic
+characters, and the literal-coset oracle of test_counting.py (the solutions
+of x^q = x - 1 inside F_{p^(n*p)}) checked against its defining equations."""
 
 import random
 from array import array
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from galrep import gf
 from galrep.errors import InputError, InternalCheckError
-from galrep.gf import _euler_sign, _times_x_successors, build_field
+from galrep.gf import FieldSpec, _is_irreducible, _norm_sign, _times_x_successors, build_field
+from oracles import euler_sign
 from test_counting import literal_coset
 
 TABLE_VALUE = {0: 0, 1: 2, -1: 1}  # the character table's code for chi = 0, +1, -1
@@ -20,7 +22,42 @@ X = (0, 1) + (0,) * 12  # X[:m] is x in F_(p^m), 2 <= m <= 14
 
 def quadratic_character(field, a):
     """0 for a = 0, +1 for a nonzero square, -1 otherwise (Euler's criterion)."""
-    return _euler_sign(field, a) if any(a) else 0
+    return euler_sign(field, a) if any(a) else 0
+
+
+def monic_polynomials(p, m):
+    """Every monic polynomial of degree m over F_p, constant term first."""
+    return [rest + (1,) for rest in product(range(p), repeat=m)]
+
+
+def reducible_polynomials(p, m):
+    """The monic products of two monic factors of positive degree."""
+    products = set()
+    for d in range(1, m // 2 + 1):
+        for f in monic_polynomials(p, d):
+            for g in monic_polynomials(p, m - d):
+                h = [0] * (m + 1)
+                for i, fi in enumerate(f):
+                    for j, gj in enumerate(g):
+                        h[i + j] = (h[i + j] + fi * gj) % p
+                products.add(tuple(h))
+    return products
+
+
+def irreducible_count(p, m):
+    """(1/m) sum over d | m of mu(d) p^(m/d), Gauss's count."""
+    def mu(d):
+        sign, k = 1, 2
+        while d > 1:
+            if d % k == 0:
+                d //= k
+                if d % k == 0:
+                    return 0
+                sign = -sign
+            k += 1
+        return sign
+
+    return sum(mu(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
 
 
 class TestBuildField:
@@ -50,6 +87,50 @@ class TestBuildField:
         for _ in range(25):
             a = field.element_from_index(rng.randrange(field.size))
             assert field.pow_t(a, field.size) == a
+
+
+class TestModuli:
+    # the six pairs hold 216 reducible moduli; a ring that is not a field
+    # must fail the walk or the norm check
+    @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (3, 4), (5, 3), (7, 2)])
+    def test_reducible_modulus_is_caught(self, p, m):
+        reducible = reducible_polynomials(p, m)
+        assert len(reducible) == p**m - irreducible_count(p, m)
+        for modulus in sorted(reducible):
+            with pytest.raises(InternalCheckError):
+                FieldSpec(p, m, modulus).chi_table()
+
+    @pytest.mark.parametrize("p,m", [(3, m) for m in range(1, 7)] + [(5, m) for m in range(1, 5)]
+                             + [(7, m) for m in range(1, 4)] + [(13, 2), (13, 3)])
+    def test_irreducible_count(self, p, m):
+        irreducible = [f for f in monic_polynomials(p, m) if _is_irreducible(f, p, m)]
+        assert len(irreducible) == irreducible_count(p, m)
+        if m <= 4:
+            assert not set(irreducible) & reducible_polynomials(p, m)
+
+    @pytest.mark.parametrize("p,m,modulus", [
+        (3, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1)), (5, 5, (1, 0, 0, 0, 4, 1)), (7, 4, (1, 0, 0, 1, 1)),
+        (13, 3, (1, 0, 4, 1)), (3, 7, (1, 0, 0, 0, 0, 1, 2, 1)), (7, 3, (1, 0, 1, 1)), (5, 3, (1, 0, 1, 1)),
+    ])
+    def test_count_sweep_moduli(self, p, m, modulus):
+        assert build_field(p, m).modulus == modulus
+
+
+class TestFrobenius:
+    # x^3 - 1 = (x - 1)^3 over F_3 and x^2 over F_5 give rings with
+    # nilpotents, where a -> a^p is still a ring map
+    @pytest.mark.parametrize("p,m,modulus", [(3, 4, None), (5, 3, None), (7, 3, None), (13, 2, None), (3, 1, None),
+                                             (3, 3, (2, 0, 0, 1)), (5, 2, (0, 0, 1))])
+    def test_matrix_is_the_p_th_power(self, p, m, modulus):
+        field = FieldSpec(p, m, modulus) if modulus else build_field(p, m)
+        for a in field.elements_t():
+            assert field.frob_t(a) == field.pow_t(a, p), a
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 3), (7, 3), (13, 3)])
+    def test_norm_sign_against_euler_oracle(self, p, m):
+        field = build_field(p, m)
+        for a in list(field.elements_t())[1:]:
+            assert _norm_sign(field, a) == euler_sign(field, a), a
 
 
 class TestFieldAxioms:
@@ -101,7 +182,7 @@ class TestCharacterTable:
     @pytest.mark.parametrize("p,m", list(X_IS_SQUARE))
     def test_against_euler_criterion(self, p, m):
         field = build_field(p, m)
-        assert (_euler_sign(field, X[:m]) > 0) is self.X_IS_SQUARE[(p, m)]
+        assert (euler_sign(field, X[:m]) > 0) is self.X_IS_SQUARE[(p, m)]
         table = field.chi_table()
         assert len(table) == field.size
         for index, a in enumerate(field.elements_t()):
