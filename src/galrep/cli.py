@@ -90,10 +90,22 @@ def _add_budget_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
         sub.add_argument(flag, type=int, default=None, help=_BUDGET_FLAGS[flag][1])
 
 
+# each count mode: the degree flag and the budget flag it reads
+_COUNT_FLAGS = {
+    "curve": ("--m", "--enum-budget"),
+    "twisted": ("--n", "--coset-budget"),
+    "twisted-naive": ("--n", "--enum-budget"),
+}
+
+
+def _flag_value(args, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"), None)
+
+
 def _budgets_from(args) -> Budgets:
     overrides = {}
     for flag, (fields, _) in _BUDGET_FLAGS.items():
-        value = getattr(args, flag[2:].replace("-", "_"), None)
+        value = _flag_value(args, flag)
         if value is not None:
             overrides.update(dict.fromkeys(fields, value))
     return replace(default_budgets(), **overrides)
@@ -211,22 +223,16 @@ def _cmd_chartab(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    flag, value = ("--n", args.n) if args.mode == "curve" else ("--m", args.m)
-    if value is not None:
-        raise InputError("unexpected_flag", f"--mode {args.mode} does not read {flag}")
+    degree_flag, budget_flag = _COUNT_FLAGS[args.mode]
+    for flag in ("--m", "--n", "--enum-budget", "--coset-budget"):
+        if flag not in (degree_flag, budget_flag) and _flag_value(args, flag) is not None:
+            raise InputError("unexpected_flag", f"--mode {args.mode} does not read {flag}")
     budgets = _budgets_from(args)
-    if args.mode == "curve":
-        if args.m is None:
-            raise InputError("missing_flag", "--mode curve requires --m")
-        result = count_curve(args.p, args.m, budgets)
-    elif args.mode == "twisted":
-        if args.n is None:
-            raise InputError("missing_flag", "--mode twisted requires --n")
-        result = count_twisted_fixed(args.p, args.n, budgets)
-    else:
-        if args.n is None:
-            raise InputError("missing_flag", "--mode twisted-naive requires --n")
-        result = naive_twisted_oracle(args.p, args.n, budgets)
+    degree = _flag_value(args, degree_flag)
+    if degree is None:
+        raise InputError("missing_flag", f"--mode {args.mode} requires {degree_flag}")
+    counter = {"curve": count_curve, "twisted": count_twisted_fixed, "twisted-naive": naive_twisted_oracle}[args.mode]
+    result = counter(args.p, degree, budgets)
     data = result.to_json_dict()
     if args.mode != "curve":
         data["mode"] = args.mode

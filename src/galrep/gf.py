@@ -2,15 +2,22 @@
 
 A field is a ``FieldSpec`` carrying the prime, the degree and a fixed monic
 irreducible modulus: the lexicographically smallest one, comparing
-coefficient tuples (a_0, ..., a_{m-1}) with the constant term first.  No
-Conway-polynomial tables: every computation stays inside one field, and
-the twisted point count works in F_q itself (see ``galrep.counting``).
+coefficient tuples (a_0, ..., a_{m-1}) with the constant term first.  Each
+candidate without a root in F_p goes through Ben-Or's test,
+gcd(x^(p^d) - x, f) = 1 for 2 <= d <= m/2, and ``build_field`` returns the
+``FieldSpec`` that passed it.  No Conway-polynomial tables: every
+computation stays inside one field, and the twisted point count works in
+F_q itself (see ``galrep.counting``).
 
 Elements are immutable coefficient tuples, and ``FieldSpec`` does their
 arithmetic.  a -> a^p is F_p-linear, so each field carries one Frobenius
-matrix, whose columns are x^(ip) mod f (``FieldSpec.frob_t``): it gives
-the conjugates behind the irreducibility test, the trace and the norm
-N(a) = a a^p ... a^(p^(m-1)).  The counters read the quadratic character
+matrix, whose columns x^(ip) mod f are built by (m-1)p multiplications by
+x, each a shift plus one multiple of x^m mod f (``FieldSpec.frob_t``): it
+gives the conjugates behind the irreducibility test, the trace and the
+norm N(a) = a a^p ... a^(p^(m-1)).  For monic f the norm is also the
+resultant Res(f, a), which Euclid's algorithm over F_p gives in
+O(m deg a) operations on ints; it is 0 exactly when gcd(f, a) != 1, which
+is the gcd test of Ben-Or.  The counters read the quadratic character
 from a table over element indices (``FieldSpec.chi_table``), built once per
 field by walking multiplication by g = x (g = 2 when m = 1) through the
 cosets of <g> in F_q*, with chi(a) = (N(a) | p) for g and each coset seed.
@@ -69,13 +76,21 @@ class FieldSpec:
 
     @cached_property
     def _frobenius_columns(self) -> tuple[Coeffs, ...]:
-        # x^(ip) mod modulus for i = 0..m-1, from one power x^p
-        if self.m == 1:
+        # x^(ip) mod modulus for i = 0..m-1, stepping x^k to x^(k+1) by a
+        # shift plus one multiple of x^m mod modulus
+        p, m = self.p, self.m
+        if m == 1:
             return ((1,),)
-        x_p = self.pow_t((0, 1) + (0,) * (self.m - 2), self.p)
-        columns = [self.one_t(), x_p]
-        for _ in range(self.m - 2):
-            columns.append(self.mul_t(columns[-1], x_p))
+        x_m = self._reduction_rows[0]
+        power = [1] + [0] * (m - 1)
+        columns = [tuple(power)]
+        for _ in range(m - 1):
+            for _ in range(p):
+                top = power.pop()
+                power.insert(0, 0)
+                if top:
+                    power = [(c + top * r) % p for c, r in zip(power, x_m)]
+            columns.append(tuple(power))
         return tuple(columns)
 
     def one_t(self) -> Coeffs:
@@ -151,8 +166,11 @@ class FieldSpec:
         using chi(h g^j) = chi(h) chi(g)^j, so chi is computed only for g
         and for each coset seed h, and no primitive element is needed.
         There chi(a) = a^((q-1)/2) = N(a)^((p-1)/2) is the Legendre symbol
-        of the norm, a product of m conjugates (Lidl and Niederreiter,
-        *Finite Fields*, ch. 2).
+        of the norm (Lidl and Niederreiter, *Finite Fields*, ch. 1-2).  For
+        a seed it is Res(f, a), by Euclid, and a zero resultant raises.  For
+        g it is the product of the m conjugates of g, which must equal
+        Res(f, g) = (-1)^m f(0) for g = x: this ties the Frobenius matrix to
+        the modulus.
         """
         q = self.size
         g = (0, 1) + (0,) * (self.m - 2) if self.m > 1 else (2,)
@@ -161,7 +179,7 @@ class FieldSpec:
         flip = 0 if _norm_sign(self, g) > 0 else 3  # label ^ 3 swaps 2 and 1
         seed = table.find(0, 1)
         while seed != -1:
-            label = start = 2 if _norm_sign(self, self.element_from_index(seed)) > 0 else 1
+            label = start = 2 if _seed_sign(self, self.element_from_index(seed)) > 0 else 1
             index = seed
             for _ in range(q):
                 table[index] = label
@@ -218,47 +236,26 @@ def _rotate_blocks(a: array, width: int, shift: int) -> None:
             a[s:s + width] = src[s + shift:s + width] + src[s:s + shift]
 
 
-def _poly_gcd_is_one(a: list[int], b: list[int], p: int) -> bool:
-    # monic-normalizing Euclid over F_p; returns gcd == nonzero constant
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = trim(list(a)), trim(list(b))
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        db = len(b) - 1
-        while len(a) - 1 >= db and a:
-            shiftn = len(a) - 1 - db
-            factor = a[-1] * inv_lead % p
-            for i in range(len(b)):
-                a[shiftn + i] = (a[shiftn + i] - factor * b[i]) % p
-            a = trim(a)
-        a, b = b, a
-    return len(a) == 1
-
-
-def _is_irreducible(modulus: Coeffs, p: int, m: int) -> bool:
-    """x^(p^m) = x mod f, and gcd(x^(p^d) - x, f) = 1 for proper divisors d.
+def _ben_or(field: FieldSpec) -> bool:
+    """Ben-Or's test for a modulus f with no root in F_p: gcd(x^(p^d) - x, f)
+    = 1 for d = 2..m/2, a gcd of 1 read as a nonzero resultant.  A
+    reducible f has an irreducible factor of degree d <= m/2, which divides
+    x^(p^d) - x; d = 1 would be a root, which the caller has ruled out.
 
     x^(p^d) is d applications of the Frobenius matrix of F_p[x]/(f), which
     is a ring map whether or not f is irreducible.
     """
-    if m == 1:
-        return True
-    field = FieldSpec(p, m, modulus)
-    x = (0, 1) + (0,) * (m - 2)
-    cur = x
-    for d in range(1, m + 1):
-        cur = field.frob_t(cur)
-        if d < m and m % d == 0:
-            diff = field.sub_t(cur, x)
-            if not any(diff):
-                return False
-            if not _poly_gcd_is_one(list(diff), list(modulus), p):
-                return False
-    return cur == x
+    x = (0, 1) + (0,) * (field.m - 2)
+    conjugate = x
+    for d in range(1, field.m // 2 + 1):
+        conjugate = field.frob_t(conjugate)
+        if d > 1 and not _resultant(field.modulus, field.sub_t(conjugate, x), field.p):
+            return False
+    return True
+
+
+def _is_irreducible(modulus: Coeffs, p: int, m: int) -> bool:
+    return m == 1 or not _has_root(modulus, p) and _ben_or(FieldSpec(p, m, modulus))
 
 
 def _has_root(modulus: Coeffs, p: int) -> bool:
@@ -276,7 +273,9 @@ def build_field(p: int, m: int) -> FieldSpec:
 
     Lex order compares the coefficient tuple (a_0, ..., a_{m-1}) with the
     constant term first.  For m >= 2 a zero constant term or a root in F_p
-    forces reducibility, which prunes the scan without changing its result.
+    forces reducibility, which prunes the scan without changing its result;
+    a candidate without a root is certified by ``_ben_or``, and the field
+    returned is the one certified, its Frobenius matrix already built.
     """
     require_odd_prime(p)
     if m < 1:
@@ -288,16 +287,54 @@ def build_field(p: int, m: int) -> FieldSpec:
             modulus = (a0,) + rest + (1,)
             if _has_root(modulus, p):
                 continue
-            if _is_irreducible(modulus, p, m):
-                return FieldSpec(p, m, modulus)
+            field = FieldSpec(p, m, modulus)
+            if _ben_or(field):
+                return field
     raise InternalCheckError(f"no irreducible polynomial of degree {m} over F_{p}")
+
+
+def _resultant(f: Coeffs, g: Coeffs, p: int) -> int:
+    """Res(f, g) mod p for a monic f of positive degree, by Euclid over F_p.
+
+    With r = f mod g, Res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r)
+    Res(g, r), and Res(f, c) = c^(deg f) for a constant c.  It is 0 exactly
+    when gcd(f, g) != 1, and for an irreducible f it is the norm
+    N(g) = prod g(alpha) over the roots alpha of f (Lidl and Niederreiter,
+    *Finite Fields*, ch. 1-2).
+    """
+    f, g = list(f), list(g)
+    while g and not g[-1]:
+        g.pop()
+    res = 1
+    while len(g) > 1:
+        df, dg = len(f) - 1, len(g) - 1
+        inverse = pow(g[-1], -1, p)
+        for k in range(df - dg, -1, -1):  # f becomes f mod g in place
+            c = f[k + dg] * inverse % p
+            if c:
+                f[k:k + dg] = [(a - c * b) % p for a, b in zip(f[k:k + dg], g)]
+        del f[dg:]
+        while f and not f[-1]:
+            f.pop()
+        if not f:
+            return 0
+        if df & dg & 1:
+            res = -res
+        res = res * pow(g[-1], df - len(f) + 1, p) % p
+        f, g = g, f
+    return res * pow(g[0], len(f) - 1, p) % p if g else 0
+
+
+def _legendre(a: int, p: int) -> int:
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def _norm_sign(field: FieldSpec, a: Coeffs) -> int:
     """chi(a) for a nonzero a: the Legendre symbol of N(a) = a a^p ... a^(p^(m-1)).
 
-    A norm outside F_p* means the modulus is not irreducible, an internal
-    fault.
+    The product of the conjugates must be Res(f, a) in F_p*: anything else
+    means the modulus is not irreducible or the Frobenius matrix is not
+    a -> a^p, an internal fault.
     """
     p = field.p
     norm = conjugate = a
@@ -306,4 +343,18 @@ def _norm_sign(field: FieldSpec, a: Coeffs) -> int:
         norm = field.mul_t(norm, conjugate)
     if any(norm[1:]) or not norm[0]:
         raise InternalCheckError("the norm of a nonzero element is not in F_p*")
-    return 1 if pow(norm[0], (p - 1) // 2, p) == 1 else -1
+    if norm[0] != _resultant(field.modulus, a, p):
+        raise InternalCheckError("the product of the conjugates is not the resultant with the modulus")
+    return _legendre(norm[0], p)
+
+
+def _seed_sign(field: FieldSpec, a: Coeffs) -> int:
+    """chi(a) for a nonzero a: the Legendre symbol of N(a) = Res(f, a).
+
+    A zero resultant means a shares a factor with the modulus, which is
+    then not irreducible, an internal fault.
+    """
+    norm = _resultant(field.modulus, a, field.p)
+    if not norm:
+        raise InternalCheckError("a coset seed shares a factor with the modulus")
+    return _legendre(norm, field.p)

@@ -1,11 +1,12 @@
 """Test-side arithmetic that galrep itself does not need: integer powers of
-cyclotomic values, the character inner product, and Euler's criterion in a
-finite field."""
+cyclotomic values, the character inner product, Euler's criterion in a
+finite field, and Rabin's irreducibility test over F_p."""
 
 import math
 from collections import Counter
 
 from galrep.cyclotomic import Cyclotomic
+from galrep.gf import FieldSpec
 
 
 def power(value, k):
@@ -42,3 +43,44 @@ def euler_sign(field, a):
         return 1
     assert s == field.scalar_t(-1), (a, s)
     return -1
+
+
+def poly_gcd_is_one(a, b, p):
+    """gcd(a, b) over F_p is a nonzero constant, by monic-normalising Euclid
+    on ascending coefficient lists."""
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        inv_lead = pow(b[-1], p - 2, p)
+        db = len(b) - 1
+        while len(a) - 1 >= db and a:
+            shiftn = len(a) - 1 - db
+            factor = a[-1] * inv_lead % p
+            for i in range(len(b)):
+                a[shiftn + i] = (a[shiftn + i] - factor * b[i]) % p
+            a = trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def rabin_is_irreducible(modulus, p, m):
+    """Rabin's test: x^(p^m) = x mod f, and gcd(x^(p^d) - x, f) = 1 for the
+    proper divisors d of m, with x^(p^d) by repeated pow_t(., p)."""
+    if m == 1:
+        return True
+    field = FieldSpec(p, m, modulus)
+    x = (0, 1) + (0,) * (m - 2)
+    cur = x
+    for d in range(1, m + 1):
+        cur = field.pow_t(cur, p)
+        if d < m and m % d == 0:
+            diff = field.sub_t(cur, x)
+            if not any(diff):
+                return False
+            if not poly_gcd_is_one(diff, modulus, p):
+                return False
+    return cur == x

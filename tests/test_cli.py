@@ -215,6 +215,14 @@ class TestCountCommand:
         assert error["code"] == "unexpected_flag"
         assert error["message"] == f"--mode {mode} does not read {flag}"
 
+    # each mode reads one budget flag and refuses the other
+    @pytest.mark.parametrize("mode,degree,flag", [("curve", "--m", "--coset-budget"), ("twisted", "--n", "--enum-budget"),
+                                                  ("twisted-naive", "--n", "--coset-budget")])
+    def test_other_mode_budget_flag_exit_two(self, capsys, mode, degree, flag):
+        code, out = run(capsys, "count", "--mode", mode, "--p", "3", degree, "1", flag, "1")
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "unexpected_flag", "message": f"--mode {mode} does not read {flag}"}
+
     def test_budget_override(self, capsys):
         code, out = run(capsys, "count", "--mode", "curve", "--p", "3", "--m", "4", "--enum-budget", "10")
         assert code == 2

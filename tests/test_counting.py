@@ -5,6 +5,7 @@ elimination in F_{p^(n*p)}), the closed form, the naive oracle, and the
 fiber construction against a brute-force trace and the images of x^p - x."""
 
 import time
+from functools import cached_property
 from itertools import product
 
 import pytest
@@ -15,7 +16,7 @@ from galrep.arith import is_odd_prime
 from galrep.config import Budgets
 from galrep.counting import _artin_schreier_tally, _trace_fiber, count_curve, count_twisted_fixed, naive_twisted_oracle
 from galrep.errors import BudgetExceeded, InputError, InternalCheckError, UsageError
-from galrep.gf import build_field
+from galrep.gf import FieldSpec, build_field
 from galrep.polys import power_sums
 
 
@@ -274,6 +275,45 @@ class TestTwistedCounts:
         with pytest.raises(BudgetExceeded, match=r"field size 3\^300000003 exceeds"):
             naive_twisted_oracle(3, 100000001)
         assert time.perf_counter() - started < 5
+
+
+class TestFieldSetUp:
+    # the eight calls of the count-sweep benchmark workload
+    COUNT_SWEEP = [(count_curve, 3, 8), (count_curve, 5, 5), (count_curve, 7, 4), (count_curve, 13, 3),
+                   (count_twisted_fixed, 3, 7), (count_twisted_fixed, 7, 3), (count_twisted_fixed, 5, 3),
+                   (count_twisted_fixed, 13, 1)]
+
+    # the modulus is certified by Frobenius matrices and resultants, and
+    # each candidate builds its matrix once, the chosen one in build_field
+    def test_counting_calls_no_generic_power(self, monkeypatch):
+        expected = [counter(p, k) for counter, p, k in self.COUNT_SWEEP]
+        built = []
+        columns = FieldSpec.__dict__["_frobenius_columns"]
+
+        def counted_columns(field):
+            built.append(field.modulus)
+            return columns.func(field)
+
+        def refuse(*_):
+            raise AssertionError("pow_t on the counting path")
+
+        spy = cached_property(counted_columns)
+        spy.__set_name__(FieldSpec, "_frobenius_columns")
+        monkeypatch.setattr(FieldSpec, "_frobenius_columns", spy)
+        monkeypatch.setattr(FieldSpec, "pow_t", refuse)
+        for (counter, p, k), result in zip(self.COUNT_SWEEP, expected):
+            modulus = build_field(p, k).modulus
+            built.clear()
+            assert counter(p, k) == result
+            assert len(built) == len(set(built))
+            assert built[-1:] == ([modulus] if k > 1 else [])
+
+    @pytest.mark.parametrize("p,m", [(p, k) for _, p, k in COUNT_SWEEP])
+    def test_certified_field_carries_its_frobenius_columns(self, p, m):
+        field = build_field(p, m)
+        assert ("_frobenius_columns" in vars(field)) is (m > 1)
+        x = (0, 1) + (0,) * (m - 2) if m > 1 else (0,)
+        assert field._frobenius_columns == tuple(field.pow_t(x, i * p) for i in range(m))
 
 
 class TestTraceFiber:

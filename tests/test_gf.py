@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from galrep import gf
 from galrep.errors import InputError, InternalCheckError
-from galrep.gf import FieldSpec, _is_irreducible, _norm_sign, _times_x_successors, build_field
-from oracles import euler_sign
+from galrep.gf import FieldSpec, _is_irreducible, _norm_sign, _seed_sign, _times_x_successors, build_field
+from oracles import euler_sign, rabin_is_irreducible
 from test_counting import literal_coset
 
 TABLE_VALUE = {0: 0, 1: 2, -1: 1}  # the character table's code for chi = 0, +1, -1
@@ -28,6 +28,15 @@ def quadratic_character(field, a):
 def monic_polynomials(p, m):
     """Every monic polynomial of degree m over F_p, constant term first."""
     return [rest + (1,) for rest in product(range(p), repeat=m)]
+
+
+def multiply(f, g, p):
+    """The product of two polynomials over F_p, constant term first."""
+    h = [0] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            h[i + j] = (h[i + j] + fi * gj) % p
+    return tuple(h)
 
 
 def reducible_polynomials(p, m):
@@ -131,6 +140,49 @@ class TestFrobenius:
         field = build_field(p, m)
         for a in list(field.elements_t())[1:]:
             assert _norm_sign(field, a) == euler_sign(field, a), a
+
+
+IRREDUCIBILITY_CASES = ([(3, m) for m in range(1, 7)] + [(5, m) for m in range(1, 5)]
+                        + [(7, m) for m in range(1, 4)] + [(13, 2), (13, 3)])
+
+
+class TestBenOr:
+    @pytest.mark.parametrize("p,m", IRREDUCIBILITY_CASES)
+    def test_agrees_with_rabin(self, p, m):
+        for f in monic_polynomials(p, m):
+            assert _is_irreducible(f, p, m) == rabin_is_irreducible(f, p, m), f
+
+
+class TestNormSigns:
+    @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 3), (7, 3), (13, 3), (3, 8)])
+    def test_against_euler_oracle(self, p, m):
+        field = build_field(p, m)
+        for a in list(field.elements_t())[1:]:
+            assert _seed_sign(field, a) == euler_sign(field, a), a
+
+    # every monic g of degree 1..m-1 is a seed sharing the factor g with g h
+    @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (3, 4), (5, 3)])
+    def test_shared_factor_raises(self, p, m):
+        for d in range(1, m):
+            for g in monic_polynomials(p, d):
+                for h in monic_polynomials(p, m - d):
+                    field = FieldSpec(p, m, multiply(g, h, p))
+                    for c in range(1, p):
+                        seed = tuple(c * gi % p for gi in g) + (0,) * (m - 1 - d)
+                        with pytest.raises(InternalCheckError, match="shares a factor"):
+                            _seed_sign(field, seed)
+
+    # x^2 + 1 is irreducible over F_3, F_7 and F_11.  The identity matrix is
+    # a ring map of the field but not a -> a^p: with it the product of the
+    # conjugates of x is x^2 = -1, in F_p* but not N(x) = f(0) = 1, and x has
+    # order 4, so the walk would close with the wrong flip unnoticed
+    @pytest.mark.parametrize("p", [3, 7, 11])
+    def test_frobenius_that_is_not_the_p_th_power_is_caught(self, p):
+        field = FieldSpec(p, 2, (1, 0, 1))
+        assert _is_irreducible(field.modulus, p, 2)
+        field.__dict__["_frobenius_columns"] = ((1, 0), (0, 1))
+        with pytest.raises(InternalCheckError, match="not the resultant"):
+            field.chi_table()
 
 
 class TestFieldAxioms:
