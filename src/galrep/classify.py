@@ -1,12 +1,12 @@
 """End-to-end classification of the Galois representation.
 
-``classify`` validates the maximal-inertia hypotheses, builds the relevant
-character tables, and assembles the full answer: the unramified character
-(its Frobenius value, an exact cyclotomic), the finite-group factor psi,
-the Frobenius eigenvalue multiset, the conductor exponent, and, for odd
-residue degree with budgets permitting, a verification block comparing the
-twisted point count with the representation-theoretic trace prediction and
-the closed form.
+``classify`` validates the maximal-inertia hypotheses, builds psi from the
+closed-form induced rows (never a whole character table), and assembles the
+full answer: the unramified character (its Frobenius value, an exact
+cyclotomic), the finite-group factor psi, the Frobenius eigenvalue multiset,
+the conductor exponent, and, for odd residue degree with budgets permitting,
+a verification block comparing the twisted point count with the
+representation-theoretic trace prediction and the closed form.
 
 Reports are plain data and serialize deterministically: identical inputs
 produce byte-identical JSON.
@@ -24,7 +24,8 @@ from .config import Budgets, default_budgets
 from .counting import count_twisted_fixed
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError
-from .groups import FULL, INERTIA, CharacterRow, CharacterTable, build_group, character_table, gauss_sum, identify_psi
+from .groups import (FULL, INERTIA, SIGMA_PHI, CharacterRow, GroupSpec, build_group, class_index, conjugacy_classes,
+                     gauss_sum, identify_psi)
 from .padic import AssumptionReport, BaseField, InputPolynomial, conductor_exponent, validate_assumptions
 
 SCHEMA_VERSION = 1
@@ -125,6 +126,10 @@ class GroupSummary:
         return {"order": self.order, "b": self.b, "class_count": self.class_count}
 
 
+def _summary(group: GroupSpec) -> GroupSummary:
+    return GroupSummary(group.order, group.b, len(conjugacy_classes(group)))
+
+
 @dataclass(frozen=True)
 class Eigenvalue:
     value: Cyclotomic
@@ -211,8 +216,8 @@ def _check_printable(p: int, n: int) -> None:
 
 @lru_cache(maxsize=None)
 def _twisted_trace(p: int, n: int, budgets: Budgets) -> int:
-    """The counted trace, once per (p, n, budgets): like the character
-    tables, it depends on the model curve alone, not on the input."""
+    """The counted trace, once per (p, n, budgets): like psi, it depends on
+    the model curve alone, not on the input."""
     return count_twisted_fixed(p, n, budgets).trace_sigma_frob
 
 
@@ -221,8 +226,7 @@ def _twisted_closed_form(p: int, n: int) -> int:
     return -(signed_p(p) ** ((n + 1) // 2))
 
 
-def verify_consistency(p: int, n: int, budgets: Budgets | None = None,
-                       psi: CharacterRow | None = None) -> Verification:
+def verify_consistency(p: int, n: int, budgets: Budgets | None = None) -> Verification:
     """Compare the counted twisted trace with tr psi(s*f) * chi(Frob) and
     with the closed form -(+-p)^((n+1)/2).
 
@@ -234,10 +238,7 @@ def verify_consistency(p: int, n: int, budgets: Budgets | None = None,
     group = build_group(p, FULL, budgets.group_p_bound)
     # the count's budgets are decided from the exponent: they bound n before G^n is formed
     counted = _twisted_trace(p, n, budgets)
-    if psi is None:
-        psi = identify_psi(p, "odd", budgets.group_p_bound)
-    table = character_table(group)
-    trace_psi = psi.values[table.sigma_phi_class()]
+    trace_psi = identify_psi(p, "odd", budgets.group_p_bound).values[class_index(group, SIGMA_PHI)]
     predicted_cyclo = trace_psi * _gauss_sum_power(p, n)
     if not predicted_cyclo.is_rational():
         raise InternalCheckError("predicted trace of a Frobenius-coset element is not rational")
@@ -265,16 +266,7 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
     parity = "even" if n % 2 == 0 else "odd"
     g = (p - 1) // 2
 
-    inertia_table = character_table(inertia_group)
-    inertia_summary = GroupSummary(inertia_table.group.order, inertia_table.group.b,
-                                   len(inertia_table.classes))
-    full_summary = None
-    psi_table: CharacterTable = inertia_table
-    if parity == "odd":
-        full_table = character_table(build_group(p, FULL, budgets.group_p_bound))
-        full_summary = GroupSummary(full_table.group.order, full_table.group.b,
-                                    len(full_table.classes))
-        psi_table = full_table
+    full_group = build_group(p, FULL, budgets.group_p_bound) if parity == "odd" else None
     psi = identify_psi(p, parity, budgets.group_p_bound)
 
     chi_frob = _gauss_sum_power(p, n)
@@ -287,7 +279,7 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
 
     if parity == "odd":
         try:
-            verification = verify_consistency(p, n, budgets, psi)
+            verification = verify_consistency(p, n, budgets)
         except BudgetExceeded as exc:
             verification = Verification(status="skipped", reason=str(exc))
     else:
@@ -299,11 +291,11 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
         n=n,
         f=f,
         assumptions=assumptions,
-        inertia_group=inertia_summary,
-        full_group=full_summary,
+        inertia_group=_summary(inertia_group),
+        full_group=_summary(full_group) if full_group else None,
         chi_frobenius=chi_frob,
         psi=psi,
-        psi_classes=psi_table.classes,
+        psi_classes=conjugacy_classes(full_group or inertia_group),
         eigenvalues=eigenvalues,
         conductor=conductor,
         verification=verification,

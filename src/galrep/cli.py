@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -26,7 +27,7 @@ from .config import Budgets, default_budgets
 from .counting import count_curve, count_twisted_fixed, naive_twisted_oracle
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
-from .groups import build_group, character_table, check_p_bound, gauss_sum
+from .groups import SIGMA_PHI, build_group, character_table, check_p_bound, gauss_sum
 from .padic import AssumptionReport, BaseField, InputPolynomial
 
 EXIT_OK = 0
@@ -38,12 +39,42 @@ DEFAULT_VERIFY_PAIRS = ((3, 1), (5, 1), (7, 1), (3, 3), (5, 3))
 
 
 def _approx(value: Cyclotomic) -> str:
+    """Ten significant digits of each part of a nonzero value.  Whether the
+    value is real, purely imaginary or neither is decided exactly, so a part
+    that is zero is never printed."""
     z = value.embed()
-    if abs(z.imag) < 1e-12:
-        return f"{z.real:.10g}"
-    if abs(z.real) < 1e-12:
-        return f"{z.imag:.10g}i"
-    return f"{z.real:.10g}{z.imag:+.10g}i"
+    conj = value.conjugate()
+    if value == conj:
+        return _ten_digits(z.real)
+    if value == -conj:
+        return f"{_ten_digits(z.imag)}i"
+    imag = _ten_digits(z.imag)
+    return f"{_ten_digits(z.real)}{'' if imag[0] == '-' else '+'}{imag}i"
+
+
+def _ten_digits(x) -> str:
+    """``format(x, ".10g")`` for a nonzero mpmath real, rounded half to even
+    from its exact binary value, so no size overflows to ``inf``."""
+    man, exp = x.man_exp  # |x| = man * 2^exp
+    q = Fraction(man) * Fraction(2) ** exp
+    ten = Fraction(10)
+    e = math.floor(math.log10(man) + exp * math.log10(2))  # off by at most one
+    while q >= ten ** (e + 1):
+        e += 1
+    while q < ten ** e:
+        e -= 1
+    digits = round(q / ten ** (e - 9))
+    if digits == 10**10:
+        digits, e = 10**9, e + 1
+    mantissa = str(digits).rstrip("0")  # |x| rounds to 0.mantissa * 10^(e+1)
+    if e < -4 or e >= 10:  # the exponents float formatting writes in scientific notation
+        text = mantissa[0] + (f".{mantissa[1:]}" if mantissa[1:] else "") + f"e{e:+03d}"
+    elif e < 0:
+        text = "0." + "0" * (-e - 1) + mantissa
+    else:
+        whole, frac = mantissa[:e + 1].ljust(e + 1, "0"), mantissa[e + 1:]
+        text = f"{whole}.{frac}" if frac else whole
+    return f"-{text}" if x < 0 else text
 
 
 def render_value(value: Cyclotomic, p: int | None = None) -> str:
@@ -122,7 +153,7 @@ def _parse_poly(p: int, text: str) -> InputPolynomial:
     return InputPolynomial.from_string(p, stripped)
 
 
-def _render_classification_text(report: ClassificationReport, budgets: Budgets) -> str:
+def _render_classification_text(report: ClassificationReport) -> str:
     p, n = report.p, report.n
     lines = [_input_line(report.f, n), f"assumptions: maximal inertia image of order {2 * p * (p - 1)}",
              *_assumption_lines(report.assumptions)]
@@ -134,8 +165,8 @@ def _render_classification_text(report: ClassificationReport, budgets: Budgets) 
     lines.append(f"chi(Frob) = {render_value(report.chi_frobenius, p)}")
     lines.append(f"psi = {report.psi.label}, dimension {report.psi.dimension}, faithful")
     if report.full_group:
-        table = character_table(build_group(p, "full", budgets.group_p_bound))
-        trace = report.psi.values[table.sigma_phi_class()]
+        # s*f is the lex-least member of its class, so it is that class's representative
+        trace = report.psi.values[[cls.rep for cls in report.psi_classes].index(SIGMA_PHI)]
         lines.append(f"  trace of psi at the sigma*phi class = {render_value(trace, p)}")
     eig = ", ".join(f"{render_value(e.value, p)} x{e.multiplicity}" for e in report.eigenvalues)
     lines.append(f"Frobenius eigenvalues: {eig}")
@@ -204,7 +235,7 @@ def _cmd_classify(args) -> int:
     if args.format == "json":
         print(report.to_json())
     else:
-        print(_render_classification_text(report, budgets))
+        print(_render_classification_text(report))
     v = report.verification
     if v.status == "mismatch":
         return EXIT_INTERNAL

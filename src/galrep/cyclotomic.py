@@ -31,7 +31,7 @@ from typing import Mapping
 
 from .errors import UsageError
 
-_EMBED_DPS = 20  # decimal digits of the numeric embedding
+_EMBED_GUARD_BITS = 70  # bits of the numeric embedding beyond the largest coefficient
 
 
 @lru_cache(maxsize=None)
@@ -204,21 +204,23 @@ class Cyclotomic:
             raise UsageError("not_rational", "value is not a rational number")
         return self.coeffs[0]
 
-    def embed(self) -> complex:
-        """Numeric image under zeta_m -> exp(2*pi*i/m).
+    def embed(self):
+        """Numeric image under zeta_m -> exp(2*pi*i/m), an mpmath ``mpc``.
 
-        For display and sign disambiguation only; equality decisions always
-        use the exact coefficient vectors.  mpmath is imported here, on
-        first use, so that JSON output never loads it.
+        It is summed with 70 bits beyond the bit length of the largest
+        coefficient, so each term is off by less than about 2^-70 however
+        large the coefficients grow.  For display and sign disambiguation only;
+        equality decisions always use the exact coefficient vectors.  mpmath
+        is imported here, on first use, so that JSON output never loads it.
         """
         import mpmath
 
-        with mpmath.workdps(_EMBED_DPS):
+        with mpmath.workprec(max(map(abs, self.coeffs)).bit_length() + _EMBED_GUARD_BITS):
             total = mpmath.mpc(0)
             for e, c in enumerate(self.coeffs):
                 if c:
-                    total += mpmath.mpf(c) * mpmath.expjpi(mpmath.mpf(2 * e) / self.m)
-            return complex(total)
+                    total += c * mpmath.expjpi(mpmath.mpf(2 * e) / self.m)
+            return total
 
     # -- serialization -----------------------------------------------------
 

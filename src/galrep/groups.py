@@ -30,7 +30,8 @@ rows are written in closed form (``_induced_row``): each value is p-1, -1,
 0 or a sign times the Gauss sum.  All values are exact cyclotomics with
 conductor dividing 2p(p-1).
 
-Tables are immutable after construction and cached per (p, variant).
+psi is an induced row: ``identify_psi`` builds the induced rows alone and
+caches psi per group.  Whole tables are built only on request, uncached.
 """
 
 from __future__ import annotations
@@ -151,6 +152,16 @@ def conjugacy_classes(group: GroupSpec) -> tuple[ConjClass, ...]:
     return _classes_and_index(group)[0]
 
 
+SIGMA_PHI = El(1, 0, 1)  # s*f, the lex-least member of its class
+
+
+def class_index(group: GroupSpec, element: El) -> int:
+    """Position of the class of ``element`` in ``conjugacy_classes(group)``."""
+    if element.k and group.variant != FULL:
+        raise UsageError("bad_variant", f"{element} lives in the full variant")
+    return _classes_and_index(group)[1][_class_rep(group, element)]
+
+
 @dataclass(frozen=True)
 class CharacterRow:
     label: str
@@ -185,16 +196,6 @@ class CharacterTable:
         self.group = group
         self.classes = classes
         self.rows = rows
-
-    def class_of(self, element: El) -> int:
-        """Position of the class of ``element`` in ``classes``."""
-        return _classes_and_index(self.group)[1][_class_rep(self.group, element)]
-
-    def sigma_phi_class(self) -> int:
-        """Index of the class of s*f (full variant only)."""
-        if self.group.variant != FULL:
-            raise UsageError("bad_variant", "s*f lives in the full variant")
-        return self.class_of(El(1, 0, 1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,6 +248,20 @@ def _induced_row(group: GroupSpec, nu_sign: int, phi_sign: int | None) -> tuple[
     return tuple(values)
 
 
+def _wild_rows(group: GroupSpec) -> list[CharacterRow]:
+    """The rows induced from the centralizer of s, wild+- (inertia) or
+    wild+-+- (full), faithful when their kernel is trivial."""
+    dim = group.p - 1
+    rows = []
+    for nu_sign in (1, -1):
+        for phi_sign in (None,) if group.variant == INERTIA else (1, -1):
+            tag = "wild" + "".join("+" if sign > 0 else "-" for sign in (nu_sign, phi_sign) if sign is not None)
+            values = _induced_row(group, nu_sign, phi_sign)
+            rows.append(CharacterRow(tag, dim, values, _kernel_size(conjugacy_classes(group), values, dim) == 1,
+                                     ("induced", nu_sign, phi_sign)))
+    return rows
+
+
 def _kernel_size(classes: tuple[ConjClass, ...], values: tuple[Cyclotomic, ...], dimension: int) -> int:
     target = Cyclotomic.rational(values[0].m, dimension)
     return sum(cls.size for cls, v in zip(classes, values) if v == target)
@@ -279,30 +294,27 @@ def _lifted_full_2d_row(classes, twice, zero, c: int):
     return f"tame2d{c}", values
 
 
-@lru_cache(maxsize=None)
 def character_table(group: GroupSpec) -> CharacterTable:
-    """Complete irreducible character table of either variant."""
+    """Complete irreducible character table of either variant, built anew on each call."""
     classes = conjugacy_classes(group)
     p = group.p
     to = group.tau_order
     # the lifted rows take their values among the 2(p-1)-th roots of unity
     roots = [Cyclotomic.root_of_unity(to, e) for e in range(to)]
-    raw: list[tuple[str, int, tuple[Cyclotomic, ...], tuple]] = []
-
+    # a lifted row factors through the quotient by the normal C_p = <s>, so s
+    # lies in its kernel: only the induced rows can be faithful
+    rows = _wild_rows(group)
     if group.variant == INERTIA:
         for c in range(to):
             label, values = _lifted_inertia_row(classes, roots, c)
-            raw.append((label, 1, values, ("lifted", c)))
-        for nu_sign, tag in ((1, "wild+"), (-1, "wild-")):
-            values = _induced_row(group, nu_sign, None)
-            raw.append((tag, p - 1, values, ("induced", nu_sign, None)))
+            rows.append(CharacterRow(label, 1, values, False, ("lifted", c)))
     else:
         # rows factoring through the quotient <t, f>: the f-action t -> t^p
         # fixes exactly the even characters of <t> and pairs up the odd ones
         for c in range(0, to, 2):
             for phi_sign in (1, -1):
                 label, values = _lifted_full_1d_row(classes, roots, c, phi_sign)
-                raw.append((label, 1, values, ("lifted", c, phi_sign)))
+                rows.append(CharacterRow(label, 1, values, False, ("lifted", c, phi_sign)))
         twice = [r + r for r in roots]
         zero = Cyclotomic.zero(to)
         seen: set[int] = set()
@@ -312,20 +324,7 @@ def character_table(group: GroupSpec) -> CharacterTable:
             partner = c * p % to
             seen |= {c, partner}
             label, values = _lifted_full_2d_row(classes, twice, zero, min(c, partner))
-            raw.append((label, 2, values, ("lifted", min(c, partner), "pair")))
-        for nu_sign in (1, -1):
-            for phi_sign in (1, -1):
-                tag = f"wild{'+' if nu_sign > 0 else '-'}{'+' if phi_sign > 0 else '-'}"
-                values = _induced_row(group, nu_sign, phi_sign)
-                raw.append((tag, p - 1, values, ("induced", nu_sign, phi_sign)))
-
-    # a lifted row factors through the quotient by the normal C_p = <s>, so s
-    # lies in its kernel: only the induced rows can be faithful
-    rows = [
-        CharacterRow(label, dim, values,
-                     construction[0] == "induced" and _kernel_size(classes, values, dim) == 1, construction)
-        for label, dim, values, construction in raw
-    ]
+            rows.append(CharacterRow(label, 2, values, False, ("lifted", min(c, partner), "pair")))
     rows.sort(key=lambda r: (r.dimension, r.label))
     if len(rows) != len(classes):
         raise InternalCheckError(
@@ -337,25 +336,28 @@ def character_table(group: GroupSpec) -> CharacterTable:
 
 
 def identify_psi(p: int, n_parity: str, p_bound: int = 13) -> CharacterRow:
-    """Pick the finite-group factor of the Galois representation.
+    """The finite-group factor psi of the Galois representation, cached per group.
 
-    Even residue degree: the unique faithful (p-1)-dimensional row of the
-    inertia table.  Odd: the faithful (p-1)-dimensional row of the full
-    table whose value on the class of s*f is minus the Gauss sum.  Selection
-    is by exact cyclotomic comparison; anything but a unique match means the
+    Even residue degree: the unique faithful induced row of the inertia
+    group.  Odd: the faithful induced row of the full group whose value on
+    s*f is minus the Gauss sum.  No other row is built, as no other can be
+    faithful.  Anything but a unique match, by exact comparison, means the
     construction itself is broken.
     """
     if n_parity not in ("even", "odd"):
         raise UsageError("bad_parity", f"parity must be 'even' or 'odd', got {n_parity!r}")
-    variant = INERTIA if n_parity == "even" else FULL
-    table = character_table(build_group(p, variant, p_bound))
-    candidates = [row for row in table.rows if row.faithful and row.dimension == p - 1]
-    if n_parity == "odd":
-        target = -gauss_sum(p)
-        idx = table.sigma_phi_class()
+    return _psi_row(build_group(p, INERTIA if n_parity == "even" else FULL, p_bound))
+
+
+@lru_cache(maxsize=None)
+def _psi_row(group: GroupSpec) -> CharacterRow:
+    candidates = [row for row in _wild_rows(group) if row.faithful]
+    if group.variant == FULL:
+        idx = class_index(group, SIGMA_PHI)
+        target = -gauss_sum(group.p)
         candidates = [row for row in candidates if row.values[idx] == target]
     if len(candidates) != 1:
         raise InternalCheckError(
-            f"expected exactly one candidate for psi (p={p}, {n_parity}), found {len(candidates)}"
+            f"expected exactly one candidate for psi (p={group.p}, {group.variant}), found {len(candidates)}"
         )
     return candidates[0]

@@ -1,12 +1,15 @@
 """Test-side arithmetic that galrep itself does not need: integer powers of
-cyclotomic values, the character inner product, Euler's criterion in a
-finite field, and Rabin's irreducibility test over F_p."""
+cyclotomic values, the character inner product, psi found by searching a
+whole character table, Euler's criterion in a finite field, and Rabin's
+irreducibility test over F_p."""
 
 import math
 from collections import Counter
 
 from galrep.cyclotomic import Cyclotomic
 from galrep.gf import FieldSpec
+from galrep.groups import (FULL, INERTIA, SIGMA_PHI, build_group, character_table, class_index, faithful_kernel,
+                           gauss_sum)
 
 
 def power(value, k):
@@ -34,6 +37,21 @@ def assert_orthogonal(table):
                             terms[(e1 * lift_r - e2 * lift_s) % m] += cls.size * c1 * c2
             expected = order if s is r else 0
             assert Cyclotomic.from_terms(m, terms) == Cyclotomic.rational(m, expected), (r.label, s.label)
+
+
+def psi_by_table_search(p, n_parity):
+    """psi as the whole table gives it: the rows of dimension p-1 whose
+    kernel, sized over every class, is trivial, and for odd parity the one
+    among them whose value at the class of s*f is minus the Gauss sum.  The
+    search must pick exactly one row."""
+    group = build_group(p, INERTIA if n_parity == "even" else FULL, p_bound=p)
+    candidates = [row for row in character_table(group).rows
+                  if row.dimension == p - 1 and faithful_kernel(group, row) == 1]
+    if n_parity == "odd":
+        idx = class_index(group, SIGMA_PHI)
+        candidates = [row for row in candidates if row.values[idx] == -gauss_sum(p)]
+    assert len(candidates) == 1, (p, n_parity, [row.label for row in candidates])
+    return candidates[0]
 
 
 def euler_sign(field, a):

@@ -17,7 +17,7 @@ import galrep.cli as cli
 from galrep.classify import classify, verify_consistency
 from galrep.counting import count_curve, count_twisted_fixed, naive_twisted_oracle
 from galrep.cyclotomic import Cyclotomic
-from galrep.groups import FULL, INERTIA, build_group, character_table, gauss_sum
+from galrep.groups import FULL, INERTIA, SIGMA_PHI, build_group, character_table, class_index, gauss_sum
 from galrep.padic import BaseField, InputPolynomial, _single_cluster, conductor_exponent, difference_polynomial
 from galrep.arith import vp
 
@@ -59,7 +59,7 @@ def test_criterion_03_faithfulness_dichotomy():
         faithful = [r for r in full.rows if r.faithful and r.dimension == p - 1]
         assert len(faithful) == 2
         g = gauss_sum(p)
-        idx = full.sigma_phi_class()
+        idx = class_index(full.group, SIGMA_PHI)
         assert {r.values[idx] for r in faithful} == {g, -g}
     report_pass(3, "one faithful (p-1)-row per inertia table, two per full table with values +-gauss_sum")
 
@@ -101,8 +101,7 @@ def test_criterion_07_end_to_end_model_curve():
     odd = classify(f, BaseField(5, 1))
     assert odd.psi.label == "wild--"
     assert odd.psi.construction_json() == {"kind": "induced", "nu": -1, "phi": -1}
-    full_table = character_table(build_group(5, FULL))
-    assert odd.psi.values[full_table.sigma_phi_class()] == -g5
+    assert odd.psi.values[class_index(build_group(5, FULL), SIGMA_PHI)] == -g5
     assert odd.chi_frobenius == g5
     assert [(e.value, e.multiplicity) for e in odd.eigenvalues] == [(g5, 2), (-g5, 2)]
     assert odd.conductor == 9 == 2 * 5 - 1

@@ -10,7 +10,7 @@ from oracles import power
 from galrep.classify import ClassificationRefused, _gauss_sum_power, classify, verify_consistency
 from galrep.cyclotomic import Cyclotomic
 from galrep.errors import InputError
-from galrep.groups import FULL, build_group, character_table, gauss_sum
+from galrep.groups import FULL, SIGMA_PHI, build_group, class_index, gauss_sum
 from galrep.padic import BaseField, InputPolynomial
 
 
@@ -49,8 +49,7 @@ class TestGoldenOddCase:
         assert report.psi.label == "wild--"
         assert report.psi.dimension == 4 and report.psi.faithful
         assert report.psi.construction_json() == {"kind": "induced", "nu": -1, "phi": -1}
-        table = character_table(build_group(5, FULL))
-        assert report.psi.values[table.sigma_phi_class()] == -gauss_sum(5)
+        assert report.psi.values[class_index(build_group(5, FULL), SIGMA_PHI)] == -gauss_sum(5)
 
     def test_chi(self, report):
         assert report.chi_frobenius == gauss_sum(5)

@@ -1,21 +1,31 @@
 """CLI surface: subcommands, exit codes, JSON validity, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from oracles import power
 
 
 import galrep
 import galrep.cli as cli
 import galrep.counting as counting
+import galrep.groups as groups
+from galrep.arith import signed_p
 from galrep.classify import Verification, _twisted_trace
 from galrep.config import Budgets
+from galrep.cyclotomic import Cyclotomic
 
 
 # a child interpreter imports the galrep these tests import, installed or not
@@ -159,6 +169,79 @@ class TestClassifyCommand:
         code = cli.main(["classify", "--p", "5", "--f", "x^5-5"])
         capsys.readouterr()
         assert code == 2
+
+
+class TestClassifyBuildsNoTable:
+    """classify, its text rendering and verify read psi's one induced row and
+    the class list; only chartab builds a character table."""
+
+    ARGVS = [*(["classify", "--p", "5", "--f", "x^5-5", "--n", n, "--format", fmt]
+               for n in ("1", "2") for fmt in ("json", "text")),
+             ["verify"], ["verify", "--format", "text"]]
+
+    def test_same_output_with_character_table_refused(self, capsys, monkeypatch):
+        expected = [run(capsys, *argv) for argv in self.ARGVS]
+        assert [code for code, _ in expected] == [0] * len(self.ARGVS)
+
+        def refuse(*_):
+            raise AssertionError("character_table on the classify path")
+
+        for module in (groups, cli, galrep):
+            monkeypatch.setattr(module, "character_table", refuse)
+        groups._psi_row.cache_clear()  # so psi is built anew, with the table refused
+        assert [run(capsys, *argv) for argv in self.ARGVS] == expected
+
+
+class TestTextApproximations:
+    """The numeric tags of r*sqrt(+-p) for large r: a real value prints no
+    imaginary part and an imaginary one no real part, nothing overflows, and
+    the ten digits are those of the exact square root."""
+
+    TAG = re.compile(r"(-?\d*)\*?√(-?\d+) \(([^()]*)\)")
+    NUMBER = r"-?\d+(?:\.\d+)?(?:e[+-]\d+)?"
+
+    @pytest.mark.parametrize("n", [41, 81, 201, 1001])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_tags_of_sqrt_multiples(self, capsys, p, n):
+        code, out = run(capsys, "classify", "--p", str(p), "--f", f"x^{p}-{p}", "--n", str(n), "--format", "text")
+        assert code == 0
+        assert "inf" not in out and "nan" not in out
+        tags = self.TAG.findall(out)
+        assert len(tags) == 4  # chi(Frob), the trace of psi at s*f, and the two eigenvalues
+        for prefix, radicand, tag in tags:
+            r = {"": 1, "-": -1}[prefix] if prefix in ("", "-") else int(prefix)
+            assert int(radicand) == signed_p(p)
+            assert re.fullmatch(self.NUMBER + ("" if signed_p(p) > 0 else "i"), tag), tag
+            assert tag.startswith("-") == (r < 0)
+            half = max(0, 12 - len(str(abs(r))))  # floor(|r| sqrt(p) 10^half) has 12 digits or more
+            digits = str(math.isqrt(r * r * p * 10 ** (2 * half)))
+            rounded = (int(digits[:11]) + 5) // 10  # sqrt(p) is irrational: no tie
+            exponent = len(digits) - 1 - half
+            if rounded == 10**10:
+                rounded, exponent = 10**9, exponent + 1
+            assert abs(Decimal(tag.rstrip("i"))) == Decimal(rounded).scaleb(exponent - 9), tag
+
+    def test_both_parts_of_a_large_value(self):
+        value = Cyclotomic.root_of_unity(8, 1) * 10**400  # 10^400 (1 + i) / sqrt(2)
+        assert cli._approx(value) == "7.071067812e+399+7.071067812e+399i"
+        assert cli._approx(-value.conjugate()) == "-7.071067812e+399+7.071067812e+399i"
+
+    def test_digits_of_a_small_value_with_large_coefficients(self):
+        # (zeta_5 + zeta_5^4)^40 = ((sqrt(5) - 1)/2)^40 is about 4e-9, its coefficients about 10^8
+        value = power(Cyclotomic.from_terms(5, {1: 1, 4: 1}), 40)
+        assert max(value.coeffs) > 10**8
+        with mpmath.workdps(60):
+            assert cli._approx(value) == cli._ten_digits(((mpmath.sqrt(5) - 1) / 2) ** 40)
+
+    def test_a_tiny_nonzero_part_is_printed(self):
+        # 1 + i ((sqrt(5) - 1)/2)^60 in Z[zeta_20]: the imaginary part is about 2.9e-13
+        value = Cyclotomic.rational(20, 1) + Cyclotomic.root_of_unity(20, 5) * power(
+            Cyclotomic.from_terms(20, {4: 1, 16: 1}), 60)
+        assert re.fullmatch(r"1\+2\.\d+e-13i", cli._approx(value))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+    def test_ten_digits_agree_with_float_formatting(self, x):
+        assert cli._ten_digits(mpmath.mpf(x)) == format(x, ".10g")
 
 
 class TestChartabCommand:

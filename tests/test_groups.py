@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_orthogonal
+from oracles import assert_orthogonal, psi_by_table_search
 
 from galrep.arith import is_odd_prime
 from galrep.cyclotomic import Cyclotomic
@@ -20,10 +20,12 @@ from galrep.errors import InputError, UsageError
 from galrep.groups import (
     FULL,
     INERTIA,
+    SIGMA_PHI,
     El,
     _induced_row,
     build_group,
     character_table,
+    class_index,
     conjugacy_classes,
     faithful_kernel,
     gauss_sum,
@@ -73,7 +75,7 @@ def row(table, label):
 
 
 def value_at(table, r, element):
-    return r.values[table.class_of(element)]
+    return r.values[class_index(table.group, element)]
 
 
 @lru_cache(maxsize=None)
@@ -191,9 +193,8 @@ class TestConjugacyClasses:
         group = build_group(p, variant, p_bound=23)
         orbits, index = brute_force_classes(group)
         assert [(cls.rep, cls.size) for cls in conjugacy_classes(group)] == [(rep, len(o)) for rep, o in orbits]
-        table = character_table(group)
         for x in GroupLaw(group).elements():
-            assert table.class_of(x) == index[x]
+            assert class_index(group, x) == index[x]
 
     @settings(max_examples=200, deadline=None)
     @given(p=st.sampled_from(PROPERTY_P), variant=st.sampled_from([INERTIA, FULL]), data=st.data())
@@ -205,9 +206,8 @@ class TestConjugacyClasses:
             return El(data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, group.tau_order - 1)),
                       data.draw(st.integers(0, k)))
 
-        table = character_table(group)
         x, g = element(), element()
-        assert table.class_of(GroupLaw(group).conjugate(g, x)) == table.class_of(x)
+        assert class_index(group, GroupLaw(group).conjugate(g, x)) == class_index(group, x)
 
     def test_class_count_equals_row_count(self):
         for variant in (INERTIA, FULL):
@@ -271,7 +271,7 @@ class TestFaithfulness:
         table = character_table(build_group(p, FULL))
         faithful = [r for r in table.rows if r.faithful and r.dimension == p - 1]
         assert len(faithful) == 2
-        idx = table.sigma_phi_class()
+        idx = class_index(table.group, SIGMA_PHI)
         g = gauss_sum(p)
         values = {r.values[idx] for r in faithful}
         assert values == {g, -g}
@@ -310,14 +310,13 @@ class TestInducedCharacter:
 
     def test_nu_value_of_untwisted_induction(self):
         group = build_group(5, INERTIA)
-        table = character_table(group)
         values = _induced_row(group, 1, None)
-        assert values[table.class_of(GroupLaw(group).nu())] == Cyclotomic.rational(5, 4)
+        assert values[class_index(group, GroupLaw(group).nu())] == Cyclotomic.rational(5, 4)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_sigma_phi_values(self, p):
         group = build_group(p, FULL)
-        idx = character_table(group).sigma_phi_class()
+        idx = class_index(group, SIGMA_PHI)
         assert _induced_row(group, -1, -1)[idx] == -gauss_sum(p)
         assert _induced_row(group, -1, 1)[idx] == gauss_sum(p)
 
@@ -378,9 +377,23 @@ class TestIdentifyPsi:
         row = identify_psi(p, "odd")
         assert row.label == "wild--"
         assert row.construction_json() == {"kind": "induced", "nu": -1, "phi": -1}
-        table = character_table(build_group(p, FULL))
-        assert row.values[table.sigma_phi_class()] == -gauss_sum(p)
+        assert row.values[class_index(build_group(p, FULL), SIGMA_PHI)] == -gauss_sum(p)
 
     def test_bad_parity(self):
         with pytest.raises(UsageError):
             identify_psi(5, "both")
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_against_table_search(self, p, parity):
+        # label, dimension, values, faithful flag and construction
+        assert identify_psi(p, parity, p_bound=p) == psi_by_table_search(p, parity)
+
+    def test_sigma_phi_is_its_class_representative(self):
+        for p in ORACLE_P:
+            group = build_group(p, FULL, p_bound=p)
+            assert conjugacy_classes(group)[class_index(group, SIGMA_PHI)].rep == SIGMA_PHI
+
+    def test_coset_element_outside_the_inertia_group(self):
+        with pytest.raises(UsageError):
+            class_index(build_group(5, INERTIA), SIGMA_PHI)
