@@ -11,7 +11,7 @@ tables (:mod:`galrep.groups`), count points on the reduced model curve
 
 from .classify import ClassificationReport, ClassificationRefused, classify, verify_consistency
 from .config import Budgets, default_budgets
-from .counting import CountResult, TwistedCountResult, count_curve, count_twisted_fixed, naive_twisted_oracle
+from .counting import CountResult, TwistedCountResult, count_curve, count_twisted_fixed
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial
 from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError, UsageError
 from .gf import FieldSpec, build_field
@@ -72,7 +72,6 @@ __all__ = [
     "gauss_sum",
     "identify_psi",
     "irreducibility_certificate",
-    "naive_twisted_oracle",
     "validate_assumptions",
     "verify_consistency",
 ]

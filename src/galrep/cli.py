@@ -24,7 +24,7 @@ from fractions import Fraction
 from .arith import signed_p
 from .classify import ClassificationRefused, ClassificationReport, Verification, classify, dump_json, verify_consistency
 from .config import Budgets, default_budgets
-from .counting import count_curve, count_twisted_fixed, naive_twisted_oracle
+from .counting import count_curve, count_twisted_fixed
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
 from .groups import SIGMA_PHI, build_group, character_table, check_p_bound, gauss_sum
@@ -108,11 +108,11 @@ def _coeff_prefix(r: int) -> str:
     return f"{r}*"
 
 
-# each budget flag: the Budgets fields it sets, and its help
+# each budget flag: the Budgets field it sets, and its help
 _BUDGET_FLAGS = {
-    "--enum-budget": (("curve_enum", "naive_enum"), "cap on exhaustive field scans (also via GALREP_ENUM_BUDGET)"),
-    "--coset-budget": (("coset_q",), "cap on the coset subfield size"),
-    "--group-bound": (("group_p_bound",), "largest prime with character tables"),
+    "--enum-budget": ("curve_enum", "cap on the field size p^m of the curve count (also via GALREP_ENUM_BUDGET)"),
+    "--coset-budget": ("coset_q", "cap on the coset subfield size"),
+    "--group-bound": ("group_p_bound", "largest prime with character tables"),
 }
 
 
@@ -125,7 +125,6 @@ def _add_budget_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
 _COUNT_FLAGS = {
     "curve": ("--m", "--enum-budget"),
     "twisted": ("--n", "--coset-budget"),
-    "twisted-naive": ("--n", "--enum-budget"),
 }
 
 
@@ -135,10 +134,10 @@ def _flag_value(args, flag: str):
 
 def _budgets_from(args) -> Budgets:
     overrides = {}
-    for flag, (fields, _) in _BUDGET_FLAGS.items():
+    for flag, (field, _) in _BUDGET_FLAGS.items():
         value = _flag_value(args, flag)
         if value is not None:
-            overrides.update(dict.fromkeys(fields, value))
+            overrides[field] = value
     return replace(default_budgets(), **overrides)
 
 
@@ -262,11 +261,8 @@ def _cmd_count(args) -> int:
     degree = _flag_value(args, degree_flag)
     if degree is None:
         raise InputError("missing_flag", f"--mode {args.mode} requires {degree_flag}")
-    counter = {"curve": count_curve, "twisted": count_twisted_fixed, "twisted-naive": naive_twisted_oracle}[args.mode]
-    result = counter(args.p, degree, budgets)
-    data = result.to_json_dict()
-    if args.mode != "curve":
-        data["mode"] = args.mode
+    counter = {"curve": count_curve, "twisted": count_twisted_fixed}[args.mode]
+    data = counter(args.p, degree, budgets).to_json_dict()
     if args.format == "json":
         print(dump_json(data))
     else:
@@ -315,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=_cmd_chartab)
 
     k = sub.add_parser("count", help="point counts on the model curve")
-    k.add_argument("--mode", choices=("curve", "twisted", "twisted-naive"), required=True)
+    k.add_argument("--mode", choices=("curve", "twisted"), required=True)
     k.add_argument("--p", type=int, required=True)
     k.add_argument("--m", type=int, default=None, help="extension degree (curve mode)")
-    k.add_argument("--n", type=int, default=None, help="residue degree (twisted modes)")
+    k.add_argument("--n", type=int, default=None, help="residue degree (twisted mode)")
     k.add_argument("--format", choices=("json", "text"), default="json")
     _add_budget_flags(k, "--enum-budget", "--coset-budget")
     k.set_defaults(func=_cmd_count)

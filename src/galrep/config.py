@@ -2,7 +2,7 @@
 
 Budgets are configuration, not constants: every counting entry point takes a
 ``Budgets`` value (or uses ``default_budgets()``, which honours the
-``GALREP_ENUM_BUDGET`` environment variable for the plain enumeration caps).
+``GALREP_ENUM_BUDGET`` environment variable for the curve count's cap).
 Each field bounds work that is actually done: the coset budget alone decides
 which (p, n) the twisted count, and so the consistency gate, takes on.
 """
@@ -21,8 +21,6 @@ class Budgets:
     curve_enum: int = 10**7
     # largest field size q = p^n enumerated by the twisted count
     coset_q: int = 10**6
-    # largest field size p^(n*p) scanned by the naive twisted oracle
-    naive_enum: int = 10**6
     # largest prime for which groups and character tables are built
     group_p_bound: int = 13
 
@@ -35,5 +33,5 @@ def default_budgets() -> Budgets:
             cap = int(env)
         except ValueError:
             raise InputError("bad_budget", f"GALREP_ENUM_BUDGET must be an integer, got {env!r}") from None
-        budgets = replace(budgets, curve_enum=cap, naive_enum=cap)
+        budgets = replace(budgets, curve_enum=cap)
     return budgets

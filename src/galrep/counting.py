@@ -25,8 +25,6 @@ helper (``_artin_schreier_tally``):
 
   inside F_q itself, on the fiber Tr t = -1 (the trace lemma in its
   docstring).
-* ``naive_twisted_oracle`` re-derives the same count by direct scan of
-  F_{p^(n*p)}, for cross-validation only.
 
 Counts depend only on (p, m) resp. (p, n): the classifier relies on the
 model curve alone, never on the user's polynomial.  Budgets are compared
@@ -78,6 +76,7 @@ class TwistedCountResult:
 
     def to_json_dict(self) -> dict:
         return {
+            "mode": "twisted",
             "p": self.p,
             "n": self.n,
             "affine_solutions": self.affine_solutions,
@@ -192,35 +191,3 @@ def count_twisted_fixed(p: int, n: int, budgets: Budgets | None = None) -> Twist
     fixed = affine + 1
     return TwistedCountResult(p=p, n=n, affine_solutions=affine, fixed_points=fixed, trace_sigma_frob=p**n + 1 - fixed)
 
-
-def naive_twisted_oracle(p: int, n: int, budgets: Budgets | None = None) -> TwistedCountResult:
-    """Independent check of ``count_twisted_fixed`` by direct scan.
-
-    Walks all of F_{p^(n*p)} once, classifying each element e by its q-power
-    (e^q = e collects the subfield, e^q = e - 1 the solutions of the first
-    equation), then counts y solutions per x by scanning the subfield.
-    """
-    budgets = budgets or default_budgets()
-    if n % 2 == 0 or n < 1:
-        raise UsageError("n_must_be_odd", f"the twisted count is only defined for odd n, got {n}")
-    if p > 2 and power_exceeds(p, n * p, budgets.naive_enum):
-        raise BudgetExceeded(f"field size {p}^{n * p} exceeds the naive-scan budget {budgets.naive_enum}")
-    require_odd_prime(p)
-    field = build_field(p, n * p)
-    q = p**n
-    one = field.one_t()
-    subfield: set = set()
-    solutions = []
-    for e in field.elements_t():
-        eq = field.pow_t(e, q)
-        if eq == e:
-            subfield.add(e)
-        if eq == field.sub_t(e, one):
-            solutions.append(e)
-    affine = 0
-    for x in solutions:
-        t = field.sub_t(field.pow_t(x, p), x)
-        affine += sum(1 for y in subfield if field.mul_t(y, y) == t)
-    fixed = affine + 1
-    return TwistedCountResult(p=p, n=n, affine_solutions=affine, fixed_points=fixed,
-                              trace_sigma_frob=q + 1 - fixed)

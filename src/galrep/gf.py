@@ -31,9 +31,8 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterator
 
-from .arith import require_odd_prime
+from .arith import legendre_symbol, require_odd_prime
 from .errors import InputError, InternalCheckError
 
 Coeffs = tuple[int, ...]
@@ -93,9 +92,6 @@ class FieldSpec:
             columns.append(tuple(power))
         return tuple(columns)
 
-    def one_t(self) -> Coeffs:
-        return (1,) + (0,) * (self.m - 1)
-
     def add_t(self, a: Coeffs, b: Coeffs) -> Coeffs:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
@@ -125,16 +121,6 @@ class FieldSpec:
                         out[i] = (out[i] + c * row[i]) % p
         return tuple(out)
 
-    def pow_t(self, a: Coeffs, e: int) -> Coeffs:
-        result = self.one_t()
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul_t(result, base)
-            base = self.mul_t(base, base)
-            e >>= 1
-        return result
-
     def frob_t(self, a: Coeffs) -> Coeffs:
         """a^p = sum of a_i x^(ip), as a_i^p = a_i in F_p."""
         p = self.p
@@ -151,10 +137,6 @@ class FieldSpec:
     def element_from_index(self, index: int) -> Coeffs:
         """index in base p, little-endian digits; enumerates the whole field."""
         return tuple(_digits(index, self.p, self.m))
-
-    def elements_t(self) -> Iterator[Coeffs]:
-        for index in range(self.size):
-            yield self.element_from_index(index)
 
     def chi_table(self) -> bytearray:
         """The quadratic character chi over element indices: 2 at a nonzero
@@ -254,10 +236,6 @@ def _ben_or(field: FieldSpec) -> bool:
     return True
 
 
-def _is_irreducible(modulus: Coeffs, p: int, m: int) -> bool:
-    return m == 1 or not _has_root(modulus, p) and _ben_or(FieldSpec(p, m, modulus))
-
-
 def _has_root(modulus: Coeffs, p: int) -> bool:
     for c in range(p):
         acc = 0
@@ -325,10 +303,6 @@ def _resultant(f: Coeffs, g: Coeffs, p: int) -> int:
     return res * pow(g[0], len(f) - 1, p) % p if g else 0
 
 
-def _legendre(a: int, p: int) -> int:
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def _norm_sign(field: FieldSpec, a: Coeffs) -> int:
     """chi(a) for a nonzero a: the Legendre symbol of N(a) = a a^p ... a^(p^(m-1)).
 
@@ -345,7 +319,7 @@ def _norm_sign(field: FieldSpec, a: Coeffs) -> int:
         raise InternalCheckError("the norm of a nonzero element is not in F_p*")
     if norm[0] != _resultant(field.modulus, a, p):
         raise InternalCheckError("the product of the conjugates is not the resultant with the modulus")
-    return _legendre(norm[0], p)
+    return legendre_symbol(norm[0], p)
 
 
 def _seed_sign(field: FieldSpec, a: Coeffs) -> int:
@@ -357,4 +331,4 @@ def _seed_sign(field: FieldSpec, a: Coeffs) -> int:
     norm = _resultant(field.modulus, a, field.p)
     if not norm:
         raise InternalCheckError("a coset seed shares a factor with the modulus")
-    return _legendre(norm, field.p)
+    return legendre_symbol(norm, field.p)

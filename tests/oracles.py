@@ -1,13 +1,16 @@
 """Test-side arithmetic that galrep itself does not need: integer powers of
 cyclotomic values, the character inner product, psi found by searching a
-whole character table, Euler's criterion in a finite field, and Rabin's
-irreducibility test over F_p."""
+whole character table, powers and the element list of a finite field,
+Euler's criterion, Rabin's irreducibility test over F_p, the irreducibility
+test of galrep's moduli as a yes/no answer, and the twisted fixed-point
+count by direct scan of F_{p^(n*p)}."""
 
 import math
 from collections import Counter
 
+from galrep.counting import TwistedCountResult
 from galrep.cyclotomic import Cyclotomic
-from galrep.gf import FieldSpec
+from galrep.gf import FieldSpec, _ben_or, _has_root, build_field
 from galrep.groups import (FULL, INERTIA, SIGMA_PHI, build_group, character_table, class_index, faithful_kernel,
                            gauss_sum)
 
@@ -54,10 +57,26 @@ def psi_by_table_search(p, n_parity):
     return candidates[0]
 
 
+def pow_t(field, a, e):
+    """a^e in the field for e >= 0, by square and multiply."""
+    result = field.scalar_t(1)
+    while e:
+        if e & 1:
+            result = field.mul_t(result, a)
+        a = field.mul_t(a, a)
+        e >>= 1
+    return result
+
+
+def elements_t(field):
+    """Every element of the field, in the order of its index."""
+    return (field.element_from_index(index) for index in range(field.size))
+
+
 def euler_sign(field, a):
     """a^((q-1)/2) for a nonzero a of F_q, by one power: +1 or -1."""
-    s = field.pow_t(a, (field.size - 1) // 2)
-    if s == field.one_t():
+    s = pow_t(field, a, (field.size - 1) // 2)
+    if s == field.scalar_t(1):
         return 1
     assert s == field.scalar_t(-1), (a, s)
     return -1
@@ -94,7 +113,7 @@ def rabin_is_irreducible(modulus, p, m):
     x = (0, 1) + (0,) * (m - 2)
     cur = x
     for d in range(1, m + 1):
-        cur = field.pow_t(cur, p)
+        cur = pow_t(field, cur, p)
         if d < m and m % d == 0:
             diff = field.sub_t(cur, x)
             if not any(diff):
@@ -102,3 +121,37 @@ def rabin_is_irreducible(modulus, p, m):
             if not poly_gcd_is_one(diff, modulus, p):
                 return False
     return cur == x
+
+
+def is_irreducible(field):
+    """Whether the field's modulus is irreducible, by the test build_field
+    runs on each candidate: no root in F_p, then Ben-Or's gcds."""
+    return field.m == 1 or not _has_root(field.modulus, field.p) and _ben_or(field)
+
+
+def naive_twisted_oracle(p, n):
+    """The twisted fixed-point count of galrep.counting by direct scan.
+
+    Walks all of F_{p^(n*p)} once, classifying each element e by its q-power
+    (e^q = e collects the subfield, e^q = e - 1 the solutions of the first
+    equation), then counts y solutions per x by scanning the subfield.
+    """
+    assert n % 2 == 1, n
+    field = build_field(p, n * p)
+    q = p**n
+    one = field.scalar_t(1)
+    subfield = set()
+    solutions = []
+    for e in elements_t(field):
+        eq = pow_t(field, e, q)
+        if eq == e:
+            subfield.add(e)
+        if eq == field.sub_t(e, one):
+            solutions.append(e)
+    affine = 0
+    for x in solutions:
+        t = field.sub_t(pow_t(field, x, p), x)
+        affine += sum(1 for y in subfield if field.mul_t(y, y) == t)
+    fixed = affine + 1
+    return TwistedCountResult(p=p, n=n, affine_solutions=affine, fixed_points=fixed,
+                              trace_sigma_frob=q + 1 - fixed)

@@ -11,11 +11,11 @@ from fractions import Fraction
 
 import sympy
 
-from oracles import assert_orthogonal
+from oracles import assert_orthogonal, naive_twisted_oracle
 
 import galrep.cli as cli
 from galrep.classify import classify, verify_consistency
-from galrep.counting import count_curve, count_twisted_fixed, naive_twisted_oracle
+from galrep.counting import count_curve, count_twisted_fixed
 from galrep.cyclotomic import Cyclotomic
 from galrep.groups import FULL, INERTIA, SIGMA_PHI, build_group, character_table, class_index, gauss_sum
 from galrep.padic import BaseField, InputPolynomial, _single_cluster, conductor_exponent, difference_polynomial

@@ -3,8 +3,7 @@ even or composite p with the same error."""
 
 import pytest
 
-from galrep.config import Budgets
-from galrep.counting import count_curve, count_twisted_fixed, naive_twisted_oracle
+from galrep.counting import count_curve, count_twisted_fixed
 from galrep.errors import InputError
 from galrep.gf import build_field
 from galrep.groups import build_group, gauss_sum
@@ -18,7 +17,6 @@ ENTRY_POINTS = {
     "build_field": lambda p: build_field(p, 2),
     "count_curve": lambda p: count_curve(p, 1),
     "count_twisted_fixed": lambda p: count_twisted_fixed(p, 1),
-    "naive_twisted_oracle": lambda p: naive_twisted_oracle(p, 1, Budgets(naive_enum=9**9)),
 }
 
 

@@ -12,18 +12,15 @@ def test_defaults():
     budgets = default_budgets()
     assert budgets.curve_enum == 10**7
     assert budgets.coset_q == 10**6
-    assert budgets.naive_enum == 10**6
     assert budgets.group_p_bound == 13
-    assert len(dataclasses.fields(Budgets)) == 4
+    assert len(dataclasses.fields(Budgets)) == 3
 
 
 def test_env_override(monkeypatch):
     monkeypatch.setenv("GALREP_ENUM_BUDGET", "1234")
     budgets = default_budgets()
-    assert budgets.curve_enum == 1234
-    assert budgets.naive_enum == 1234
-    # the non-enumeration budgets stay put
-    assert budgets.coset_q == 10**6
+    # the curve count's cap alone moves
+    assert budgets == dataclasses.replace(Budgets(), curve_enum=1234)
 
 
 def test_env_override_must_be_an_integer(monkeypatch):

@@ -1,8 +1,8 @@
 """Point counts on y^2 = x^p - x: the trace-fiber counters for the full
 field and for the twisted fixed-point system, checked against per-element
 Euler scans (the twisted one on the literal coset of solutions, found by
-elimination in F_{p^(n*p)}), the closed form, the naive oracle, and the
-fiber construction against a brute-force trace and the images of x^p - x."""
+elimination in F_{p^(n*p)}), the closed form, the naive oracle of
+oracles.py, and the fiber construction against a brute-force trace and the images of x^p - x."""
 
 import time
 from functools import cached_property
@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from galrep.arith import is_odd_prime
 from galrep.config import Budgets
-from galrep.counting import _artin_schreier_tally, _trace_fiber, count_curve, count_twisted_fixed, naive_twisted_oracle
+from galrep.counting import _artin_schreier_tally, _trace_fiber, count_curve, count_twisted_fixed
 from galrep.errors import BudgetExceeded, InputError, InternalCheckError, UsageError
 from galrep.gf import FieldSpec, build_field
 from galrep.polys import power_sums
+from oracles import elements_t, naive_twisted_oracle, pow_t
 
 
 def signed_p(p):
@@ -29,15 +30,15 @@ def euler_curve_affine(field):
     counter before it became linear), as the oracle for count_curve."""
     p = field.p
     half = (field.size - 1) // 2
-    one = field.one_t()
+    one = field.scalar_t(1)
     minus_one = field.scalar_t(-1)
     count = 0
-    for x in field.elements_t():
-        t = field.sub_t(field.pow_t(x, p), x)
+    for x in elements_t(field):
+        t = field.sub_t(pow_t(field, x, p), x)
         if not any(t):
             count += 1
             continue
-        s = field.pow_t(t, half)
+        s = pow_t(field, t, half)
         if s == one:
             count += 2
         else:
@@ -57,7 +58,7 @@ def literal_coset(p, n):
     field = build_field(p, n * p)
     m, q = field.m, p**n
     basis = [field.element_from_index(p**j) for j in range(m)]
-    images = [field.sub_t(field.pow_t(v, q), v) for v in basis]
+    images = [field.sub_t(pow_t(field, v, q), v) for v in basis]
     minus_one = field.scalar_t(-1)
     rows = [[images[j][i] for j in range(m)] + [minus_one[i]] for i in range(m)]
     pivots = []
@@ -88,9 +89,9 @@ def literal_coset(p, n):
     subfield = {tuple(sum(ci * v[i] for ci, v in zip(c, kernel)) % p for i in range(m))
                 for c in product(range(p), repeat=len(kernel))}
     x0 = tuple(x0)
-    assert field.pow_t(x0, q) == field.sub_t(x0, field.one_t())
+    assert pow_t(field, x0, q) == field.sub_t(x0, field.scalar_t(1))
     assert len(subfield) == q
-    assert all(field.pow_t(c, q) == c for c in subfield)
+    assert all(pow_t(field, c, q) == c for c in subfield)
     return field, x0, sorted(subfield)
 
 
@@ -101,14 +102,14 @@ def euler_coset_affine(p, n):
     field, x0, subfield = literal_coset(p, n)
     q = p**n
     half = (q - 1) // 2
-    one = field.one_t()
+    one = field.scalar_t(1)
     minus_one = field.scalar_t(-1)
     affine = 0
     for c in subfield:
         x = field.add_t(x0, c)
-        t = field.sub_t(field.pow_t(x, p), x)
+        t = field.sub_t(pow_t(field, x, p), x)
         assert any(t)
-        s = field.pow_t(t, half)
+        s = pow_t(field, t, half)
         if s == one:
             affine += 2
         else:
@@ -120,7 +121,7 @@ def trace_to_prime_field(field, a):
     """Tr(a) as an integer mod p, from a's conjugates a^(p^k)."""
     total = (0,) * field.m
     for k in range(field.m):
-        total = field.add_t(total, field.pow_t(a, field.p**k))
+        total = field.add_t(total, pow_t(field, a, field.p**k))
     assert not any(total[1:])
     return total[0]
 
@@ -218,14 +219,10 @@ class TestTwistedCounts:
     def test_even_n_rejected(self):
         with pytest.raises(UsageError):
             count_twisted_fixed(3, 2)
-        with pytest.raises(UsageError):
-            naive_twisted_oracle(3, 2)
 
     def test_budgets(self):
         with pytest.raises(BudgetExceeded):
             count_twisted_fixed(5, 3, budgets=Budgets(coset_q=100))
-        with pytest.raises(BudgetExceeded):
-            naive_twisted_oracle(5, 3)  # 5^15 above the naive default
 
     # L(x) = x^p - x maps F_q onto the trace-0 fiber and a + L(F_q) onto the
     # fiber of Tr a, each element hit p times (the additive Hilbert 90).
@@ -233,7 +230,7 @@ class TestTwistedCounts:
     @pytest.mark.parametrize("p,m", [(3, 3), (5, 3), (3, 4), (7, 3)])
     def test_hilbert_90_fibers(self, p, m):
         field = build_field(p, m)
-        traces = [trace_to_prime_field(field, a) for a in field.elements_t()]
+        traces = [trace_to_prime_field(field, a) for a in elements_t(field)]
         sums = power_sums(field.modulus, m)
         fibers = {c: _trace_fiber(p, sums, c) for c in (0, p - 1)}
         for c, fiber in fibers.items():
@@ -241,8 +238,8 @@ class TestTwistedCounts:
         a = field.element_from_index(traces.index(p - 1))
         for base, c in (((0,) * m, 0), (a, p - 1)):
             hits = [0] * field.size
-            for x in field.elements_t():
-                t = field.add_t(base, field.sub_t(field.pow_t(x, p), x))
+            for x in elements_t(field):
+                t = field.add_t(base, field.sub_t(pow_t(field, x, p), x))
                 hits[sum(d * p**j for j, d in enumerate(t))] += 1
             assert hits == [p * b for b in fibers[c]]
 
@@ -272,8 +269,6 @@ class TestTwistedCounts:
         started = time.perf_counter()
         with pytest.raises(BudgetExceeded, match=r"subfield size 3\^100000001 exceeds"):
             count_twisted_fixed(3, 100000001)
-        with pytest.raises(BudgetExceeded, match=r"field size 3\^300000003 exceeds"):
-            naive_twisted_oracle(3, 100000001)
         assert time.perf_counter() - started < 5
 
 
@@ -283,8 +278,9 @@ class TestFieldSetUp:
                    (count_twisted_fixed, 3, 7), (count_twisted_fixed, 7, 3), (count_twisted_fixed, 5, 3),
                    (count_twisted_fixed, 13, 1)]
 
-    # the modulus is certified by Frobenius matrices and resultants, and
-    # each candidate builds its matrix once, the chosen one in build_field
+    # galrep has no generic power: the modulus is certified by Frobenius
+    # matrices and resultants, and each candidate builds its matrix once, the
+    # chosen one in build_field
     def test_counting_calls_no_generic_power(self, monkeypatch):
         expected = [counter(p, k) for counter, p, k in self.COUNT_SWEEP]
         built = []
@@ -294,13 +290,9 @@ class TestFieldSetUp:
             built.append(field.modulus)
             return columns.func(field)
 
-        def refuse(*_):
-            raise AssertionError("pow_t on the counting path")
-
         spy = cached_property(counted_columns)
         spy.__set_name__(FieldSpec, "_frobenius_columns")
         monkeypatch.setattr(FieldSpec, "_frobenius_columns", spy)
-        monkeypatch.setattr(FieldSpec, "pow_t", refuse)
         for (counter, p, k), result in zip(self.COUNT_SWEEP, expected):
             modulus = build_field(p, k).modulus
             built.clear()
@@ -313,7 +305,7 @@ class TestFieldSetUp:
         field = build_field(p, m)
         assert ("_frobenius_columns" in vars(field)) is (m > 1)
         x = (0, 1) + (0,) * (m - 2) if m > 1 else (0,)
-        assert field._frobenius_columns == tuple(field.pow_t(x, i * p) for i in range(m))
+        assert field._frobenius_columns == tuple(pow_t(field, x, i * p) for i in range(m))
 
 
 class TestTraceFiber:
