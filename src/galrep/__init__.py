@@ -10,7 +10,7 @@ tables (:mod:`galrep.groups`), count points on the reduced model curve
 """
 
 from .classify import ClassificationReport, ClassificationRefused, classify, verify_consistency
-from .config import Budgets, default_budgets
+from .config import Budgets
 from .counting import CountResult, TwistedCountResult, count_curve, count_twisted_fixed
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial
 from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError, UsageError
@@ -32,6 +32,7 @@ from .padic import (
     InputPolynomial,
     NewtonPolygon,
     conductor_exponent,
+    difference_polynomial,
     irreducibility_certificate,
     validate_assumptions,
 )
@@ -67,7 +68,7 @@ __all__ = [
     "count_curve",
     "count_twisted_fixed",
     "cyclotomic_polynomial",
-    "default_budgets",
+    "difference_polynomial",
     "faithful_kernel",
     "gauss_sum",
     "identify_psi",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import power_exceeds, signed_p
-from .config import Budgets, default_budgets
+from .config import Budgets
 from .counting import count_twisted_fixed
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError
@@ -234,7 +234,7 @@ def verify_consistency(p: int, n: int, budgets: Budgets | None = None) -> Verifi
     "ok" only when all three agree; any disagreement is reported as
     "mismatch", never raised.  The closed form is compared but not in the JSON.
     """
-    budgets = budgets or default_budgets()
+    budgets = budgets or Budgets()
     group = build_group(p, FULL, budgets.group_p_bound)
     # the count's budgets are decided from the exponent: they bound n before G^n is formed
     counted = _twisted_trace(p, n, budgets)
@@ -255,11 +255,13 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
     Raises :class:`ClassificationRefused` (carrying the assumption report)
     when any hypothesis fails or stays undetermined.
     """
-    budgets = budgets or default_budgets()
+    if f.p != K.p:
+        raise InputError("p_mismatch", f"polynomial p = {f.p} but base field p = {K.p}")
+    budgets = budgets or Budgets()
     # the bound checks are cheap: refuse an out-of-bound p or n before any p-adic work
     inertia_group = build_group(f.p, INERTIA, budgets.group_p_bound)
     _check_printable(f.p, K.n)
-    assumptions = validate_assumptions(f, K)
+    assumptions = validate_assumptions(f)
     if not assumptions.maximal_inertia:
         raise ClassificationRefused(assumptions.failed_conditions(), assumptions)
     p, n = f.p, K.n
@@ -275,7 +277,7 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
     else:
         eigenvalues = (Eigenvalue(chi_frob, g), Eigenvalue(-chi_frob, g))
 
-    conductor = conductor_exponent(f, K, assumptions)
+    conductor = conductor_exponent(assumptions)
 
     if parity == "odd":
         try:

@@ -18,12 +18,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .arith import signed_p
 from .classify import ClassificationRefused, ClassificationReport, Verification, classify, dump_json, verify_consistency
-from .config import Budgets, default_budgets
+from .config import Budgets
 from .counting import count_curve, count_twisted_fixed
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
@@ -83,21 +82,22 @@ def render_value(value: Cyclotomic, p: int | None = None) -> str:
         return str(value.as_rational())
     if p is not None and value.m == p:
         # r * (Gauss sum) for rational r renders as r*sqrt(+-p)
-        for r in _rational_multiples(value, gauss_sum(p)):
+        r = _rational_multiple(value, gauss_sum(p))
+        if r is not None:
             return f"{_coeff_prefix(r)}√{signed_p(p)} ({_approx(value)})"
     return f"{value} ({_approx(value)})"
 
 
-def _rational_multiples(value: Cyclotomic, base: Cyclotomic):
+def _rational_multiple(value: Cyclotomic, base: Cyclotomic) -> int | None:
+    """The integer r with value == r * base, or None."""
     # value == r * base iff value * conj(base) == r * (base * conj(base));
     # base * conj(base) is a nonzero integer for the Gauss sum, and only an
     # integral r keeps r * base in Z[zeta]
     prod = value * base.conjugate()
-    norm = (base * base.conjugate()).as_rational()
-    if prod.is_rational():
-        r = Fraction(prod.as_rational(), norm)
-        if r.denominator == 1 and value == base * r.numerator:
-            yield r.numerator
+    if not prod.is_rational():
+        return None
+    r = Fraction(prod.as_rational(), (base * base.conjugate()).as_rational())
+    return r.numerator if r.denominator == 1 and value == base * r.numerator else None
 
 
 def _coeff_prefix(r: int) -> str:
@@ -110,7 +110,7 @@ def _coeff_prefix(r: int) -> str:
 
 # each budget flag: the Budgets field it sets, and its help
 _BUDGET_FLAGS = {
-    "--enum-budget": ("curve_enum", "cap on the field size p^m of the curve count (also via GALREP_ENUM_BUDGET)"),
+    "--enum-budget": ("curve_enum", "cap on the field size p^m of the curve count"),
     "--coset-budget": ("coset_q", "cap on the coset subfield size"),
     "--group-bound": ("group_p_bound", "largest prime with character tables"),
 }
@@ -138,7 +138,7 @@ def _budgets_from(args) -> Budgets:
         value = _flag_value(args, flag)
         if value is not None:
             overrides[field] = value
-    return replace(default_budgets(), **overrides)
+    return Budgets(**overrides)
 
 
 def _parse_poly(p: int, text: str) -> InputPolynomial:
@@ -213,7 +213,7 @@ def _render_chartab_text(table) -> str:
     cols = [[f"({c.rep.i},{c.rep.j},{c.rep.k})", str(c.size)] for c in table.classes]
     for row in table.rows:
         for idx, value in enumerate(row.values):
-            cols[idx].append(f"{value} ({_approx(value)})" if not value.is_rational() else str(value.as_rational()))
+            cols[idx].append(render_value(value))
     widths = [max(len(header[j]), max(len(cols[i][j]) for i in range(len(cols)))) for j in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for col in cols:

@@ -1,18 +1,15 @@
 """Runtime limits for the enumeration-heavy parts of the package.
 
 Budgets are configuration, not constants: every counting entry point takes a
-``Budgets`` value (or uses ``default_budgets()``, which honours the
-``GALREP_ENUM_BUDGET`` environment variable for the curve count's cap).
-Each field bounds work that is actually done: the coset budget alone decides
-which (p, n) the twisted count, and so the consistency gate, takes on.
+``Budgets`` value (``Budgets()`` when none is given), and each CLI budget
+flag sets one field.  Each field bounds work that is actually done: the
+coset budget alone decides which (p, n) the twisted count, and so the
+consistency gate, takes on.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
-
-from .errors import InputError
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -24,14 +21,3 @@ class Budgets:
     # largest prime for which groups and character tables are built
     group_p_bound: int = 13
 
-
-def default_budgets() -> Budgets:
-    budgets = Budgets()
-    env = os.environ.get("GALREP_ENUM_BUDGET")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InputError("bad_budget", f"GALREP_ENUM_BUDGET must be an integer, got {env!r}") from None
-        budgets = replace(budgets, curve_enum=cap)
-    return budgets

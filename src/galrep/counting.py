@@ -41,7 +41,7 @@ from itertools import chain, compress
 from typing import Sequence
 
 from .arith import power_exceeds, require_odd_prime
-from .config import Budgets, default_budgets
+from .config import Budgets
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
 from .gf import Coeffs, FieldSpec, build_field
 from .polys import power_sums
@@ -140,7 +140,7 @@ def _artin_schreier_tally(field: FieldSpec, c: int) -> list[int]:
 def count_curve(p: int, m: int, budgets: Budgets | None = None) -> CountResult:
     """Exact affine count of y^2 = x^p - x over F_{p^m}: t = 0 gives one
     point, a nonzero square two, a non-square none."""
-    budgets = budgets or default_budgets()
+    budgets = budgets or Budgets()
     if m < 1:
         raise InputError("bad_degree", f"extension degree must be >= 1, got {m}")
     if p > 2 and power_exceeds(p, m, budgets.curve_enum):
@@ -178,7 +178,7 @@ def count_twisted_fixed(p: int, n: int, budgets: Budgets | None = None) -> Twist
     ``classify.verify_consistency`` compares it with the prediction and the
     closed form.  The coset budget caps q.
     """
-    budgets = budgets or default_budgets()
+    budgets = budgets or Budgets()
     if n % 2 == 0 or n < 1:
         raise UsageError("n_must_be_odd", f"the twisted count is only defined for odd n, got {n}")
     if p > 2 and power_exceeds(p, n, budgets.coset_q):

@@ -102,8 +102,6 @@ class FieldSpec:
 
     def mul_t(self, a: Coeffs, b: Coeffs) -> Coeffs:
         p, m = self.p, self.m
-        if m == 1:
-            return (a[0] * b[0] % p,)
         full = [0] * (2 * m - 1)
         for i, ai in enumerate(a):
             if ai:

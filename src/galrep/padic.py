@@ -1,13 +1,17 @@
 """Exact p-adic analysis of the input polynomial.
 
-Inputs are monic degree-p polynomials over an unramified p-adic base field
-K (so the valuation of a rational number is the plain p-adic one).  This
-module computes the discriminant, the Newton polygon, a totally-ramified
+Inputs are monic degree-p polynomials with p-integral rational
+coefficients.  Every hypothesis for a maximal inertia image is a property
+of f alone, the same over every unramified base field: a totally-ramified
 irreducibility certificate, the all-root-differences-share-one-valuation
 check (equivalently: the roots form a single cluster, so the curve
-y^2 = f(x) has potentially good reduction), the combined hypothesis report
-for a maximal inertia image, and the conductor exponent in the monogenic
-case.
+y^2 = f(x) has potentially good reduction), and v(disc f) coprime to p-1.
+This module decides them, and the conductor exponent in the monogenic case.
+
+All the work runs on one integer model of f: M(x) = d^p f(x/d), with d the
+lcm of the coefficient denominators, which is prime to p.  M is monic in
+Z[x], has the valuations of f's coefficients, roots and root differences,
+and M(x + dc) = d^p f(x/d + c) for every c.
 
 Irreducibility is certificate-based: a one-segment Newton polygon with
 slope denominator exactly p (for f itself or an integer shift of it) proves
@@ -90,9 +94,6 @@ class InputPolynomial:
         for k, c in terms.items():
             coeffs[k] = Fraction(c)
         return cls(p, tuple(coeffs))
-
-    def as_poly(self) -> polys.Poly:
-        return list(self.coeffs)
 
     def __str__(self) -> str:
         parts = []
@@ -231,7 +232,7 @@ def _lower_hull(points: Sequence[tuple[int, Fraction | int]]) -> NewtonPolygon:
     return NewtonPolygon(tuple(segments))
 
 
-def newton_polygon_of(coeffs: Sequence[Fraction], p: int) -> NewtonPolygon:
+def newton_polygon_of(coeffs: Sequence[Fraction | int], p: int) -> NewtonPolygon:
     """Newton polygon of an arbitrary polynomial (constant term nonzero)."""
     coeffs = polys.trim(coeffs)
     if not coeffs or len(coeffs) == 1:
@@ -241,50 +242,43 @@ def newton_polygon_of(coeffs: Sequence[Fraction], p: int) -> NewtonPolygon:
     return _lower_hull([(i, vp(c, p)) for i, c in enumerate(coeffs) if c])
 
 
-def _shifted(f: InputPolynomial, m: int) -> polys.Poly:
-    """Coefficients of f(x + m), shifted in integers once denominators are cleared."""
-    if not m:
-        return f.as_poly()
+def _integer_model(f: InputPolynomial) -> tuple[list[int], int]:
+    """M(x) = d^p f(x/d), monic in Z[x], and d, the lcm of the coefficient
+    denominators: the coefficient of x^i in M is d^(p-i) a_i."""
+    p = f.p
     # a list, not a generator: unpacking a generator resizes the argument
     # tuple, and the resized tuples pile up in CPython's per-size free lists
     d = math.lcm(*[c.denominator for c in f.coeffs])
-    return [Fraction(c, d) for c in polys.shift([int(c * d) for c in f.coeffs], m)]
+    return [c.numerator * d ** (p - i) // c.denominator for i, c in enumerate(f.coeffs)], d
 
 
-def _centred(f: InputPolynomial) -> polys.Poly:
-    """Coefficients of f(x + m), m the integer nearest the mean of the roots.
+def _certificate(f: InputPolynomial, model: list[int], d: int) -> tuple[list[int], Fraction] | None:
+    """g = M(x + dc) = d^p f(x/d + c) and the valuation k/p of its roots
+    when they certify f, else None.
 
-    A translation changes no root difference, and centring keeps the
-    integers of the difference polynomial as small as the spread of the
-    roots allows, wherever the roots lie.
+    c = -f(0) mod p in [0, p) is the only shift for which every root of
+    f(x + c) can have positive valuation: all of them are then congruent to
+    0, so f = (x - c)^p = x^p - c mod p.  The roots of g are d times those
+    of f(x + c).  M must be shifted by dc exactly: a shift that differs from
+    it by a multiple of p, such as -M(0) mod p, moves roots of valuation
+    above 1 to valuation 1.
     """
-    return _shifted(f, round(-f.coeffs[-2] / f.p))
-
-
-def _candidate_shift(f: InputPolynomial) -> int:
-    """The only c in [0, p) for which every root of f(x + c) can have positive valuation.
-
-    All roots of f(x + c) are then congruent to 0, so f = (x - c)^p = x^p - c
-    mod p, and c = -f(0) mod p.
-    """
+    p = f.p
     c0 = f.coeffs[0]
-    return -c0.numerator * pow(c0.denominator, -1, f.p) % f.p
-
-
-def _certified_shift(f: InputPolynomial) -> tuple[polys.Poly, Fraction] | None:
-    """g = f(x + c) and the valuation k/p of its roots when they certify f, else None."""
-    shifted = _shifted(f, _candidate_shift(f))
-    if shifted[0] == 0:
+    c = -c0.numerator * pow(c0.denominator, -1, p) % p
+    g = polys.shift(model, d * c)
+    if not g[0]:
         return None  # f(c) = 0: no certificate from this shift
-    polygon = newton_polygon_of(shifted, f.p)
+    polygon = newton_polygon_of(g, p)
     slope = polygon.segments[0].root_valuation
-    if polygon.is_single_segment() and slope.denominator == f.p:
-        return shifted, slope
+    if polygon.is_single_segment() and slope.denominator == p:
+        return g, slope
     return None
 
 
-def irreducibility_certificate(f: InputPolynomial, K: BaseField) -> str:
-    """Certify that f is irreducible over K with K(root)/K totally ramified.
+def irreducibility_certificate(f: InputPolynomial) -> str:
+    """Certify that f is irreducible over every unramified extension K of
+    Q_p, with K(root)/K totally ramified.
 
     The certificate holds when the Newton polygon of some integer shift
     f(x + c), 0 <= c < p, is one segment whose slope has denominator exactly
@@ -292,13 +286,13 @@ def irreducibility_certificate(f: InputPolynomial, K: BaseField) -> str:
     every unramified base (shifting by an integer changes neither the field
     a root generates nor irreducibility).  Such a slope is positive, so only
     the shift c = -f(0) mod p can give the certificate, and it is the one
-    tried.  Returns "undetermined" otherwise; reducibility is never claimed.
+    tried, on the integer model.  Returns "undetermined" otherwise;
+    reducibility is never claimed.
     """
-    _require_same_p(f, K)
-    return CERTIFIED if _certified_shift(f) else UNDETERMINED
+    return CERTIFIED if _certificate(f, *_integer_model(f)) else UNDETERMINED
 
 
-def _ramification_polygon(g: polys.Poly, slope: Fraction, p: int) -> NewtonPolygon:
+def _ramification_polygon(g: list[int], slope: Fraction, p: int) -> NewtonPolygon:
     """Newton polygon of g(beta(x + 1)) / x, beta a root of g of valuation k/p.
 
     Its roots are (beta' - beta) / beta over the other roots beta' of g
@@ -347,36 +341,48 @@ def _difference_power_sums(s: Sequence[int]) -> list[int]:
     return sums
 
 
-def difference_polynomial(f: InputPolynomial) -> polys.Poly:
-    """Monic polynomial whose roots are the p(p-1) differences of roots of f.
+def _difference_model(model: list[int]) -> list[int]:
+    """Monic integer polynomial whose roots are the D = p(p-1) differences
+    of roots of the monic integer polynomial ``model`` of degree p.
 
     Built from power sums, as for composed differences in Bostan, Flajolet,
     Salvy and Schost, "Fast computation of special resultants" (2006).  The
-    differences are those of the centred f(x + m), m an integer.  With d the
-    lcm of its coefficient denominators (prime to p), g(x) = d^p f(x/d + m)
-    is monic in Z[x].  Newton's identities give the power sums s_l of its
-    roots; the differences of those roots have power sums S_k, formed from
-    the s_l in ``_difference_power_sums``.  The differences come in pairs
-    +-delta, so the result is E(x^2), where E has the D/2 roots delta^2 with
-    power sums S_2k / 2 (each S_2k counts every unordered pair twice);
-    Newton's identities turn those into E's integer coefficients.  Dividing
-    coefficient j by d^(p(p-1)-j) undoes the scaling.
+    model is first translated by an integer next to the mean of its roots: a
+    translation changes no root difference, and it keeps the integers as
+    small as the spread of the roots allows, wherever the roots lie.
+    Newton's identities give the power sums s_l of its roots; the
+    differences have power sums S_k, formed from the s_l in
+    ``_difference_power_sums``.  The differences come in pairs +-delta, so
+    the result is E(x^2), where E has the D/2 roots delta^2 with power sums
+    S_2k / 2 (each S_2k counts every unordered pair twice); Newton's
+    identities turn those into E's integer coefficients.
 
-    The constant term is the product of the differences, which is
-    (-1)^(p(p-1)/2) disc f; it is zero exactly when f has a repeated root.
     An odd S_2k or an inexact division in Newton's identities would mean a
     root power sum went wrong, and raises InternalCheckError.
     """
-    p = f.p
+    p = len(model) - 1
     deg = p * p - p
-    h = _centred(f)
-    d = math.lcm(*[c.denominator for c in h])
-    s = polys.power_sums([int(c * d ** (p - i)) for i, c in enumerate(h)], deg + 1)
+    s = polys.power_sums(polys.shift(model, -model[-2] // p), deg + 1)
     even = _difference_power_sums(s)
     if any(S % 2 for S in even):
         raise InternalCheckError("a power sum of the root differences is odd")
     b = [0] * (deg + 1)
     b[::2] = polys.from_power_sums([deg // 2] + [S // 2 for S in even[1:]])
+    return b
+
+
+def difference_polynomial(f: InputPolynomial) -> polys.Poly:
+    """Monic polynomial whose roots are the p(p-1) differences of roots of f.
+
+    The differences of roots of the integer model M are d times those of f,
+    so coefficient j of M's difference polynomial is divided by d^(D-j),
+    D = p(p-1).  The constant term is the product of the differences, which
+    is (-1)^(p(p-1)/2) disc f; it is zero exactly when f has a repeated
+    root.
+    """
+    model, d = _integer_model(f)
+    b = _difference_model(model)
+    deg = len(b) - 1
     return [Fraction(c, d ** (deg - j)) for j, c in enumerate(b)]
 
 
@@ -392,7 +398,7 @@ class SingleClusterResult:
         return out
 
 
-def _single_cluster(diff: polys.Poly, p: int) -> SingleClusterResult:
+def _single_cluster(diff: Sequence[Fraction | int], p: int) -> SingleClusterResult:
     """The single-cluster check from the Newton polygon of a difference
     polynomial with nonzero constant term."""
     polygon = newton_polygon_of(diff, p)
@@ -412,6 +418,7 @@ class AssumptionReport:
     disc_valuation_odd: bool
     single_cluster: SingleClusterResult
     maximal_inertia: bool
+    slope: Fraction | None  # root valuation k/p of the certifying shift; not in the JSON
 
     def failed_conditions(self) -> list[str]:
         failures = []
@@ -437,12 +444,7 @@ class AssumptionReport:
         }
 
 
-def _require_same_p(f: InputPolynomial, K: BaseField) -> None:
-    if f.p != K.p:
-        raise InputError("p_mismatch", f"polynomial p = {f.p} but base field p = {K.p}")
-
-
-def validate_assumptions(f: InputPolynomial, K: BaseField) -> AssumptionReport:
+def validate_assumptions(f: InputPolynomial) -> AssumptionReport:
     """Check every hypothesis needed for the maximal inertia image.
 
     maximal_inertia is true exactly when irreducibility is certified, the
@@ -456,14 +458,14 @@ def validate_assumptions(f: InputPolynomial, K: BaseField) -> AssumptionReport:
     sigma(b) - b and back, so all p(p-1) root differences share one
     valuation w, read off the ramification polygon (Greve and Pauli, 2012).
     Then the roots form one cluster and v(disc f) = p(p-1)w.  Any other f
-    is decided from its difference polynomial, built once: its constant
-    term c_0 = (-1)^(p(p-1)/2) disc f is nonzero exactly when f is
-    squarefree, gives v(disc f) = v(c_0), and, when nonzero, its Newton
-    polygon decides the single-cluster check.
+    is decided from the difference polynomial of its integer model, built
+    once: its constant term c_0 = d^(p(p-1)) (-1)^(p(p-1)/2) disc f is
+    nonzero exactly when f is squarefree, gives v(disc f) = v(c_0), and,
+    when nonzero, its Newton polygon decides the single-cluster check.
     """
-    _require_same_p(f, K)
     p = f.p
-    certified = _certified_shift(f)
+    model, d = _integer_model(f)
+    certified = _certificate(f, model, d)
     if certified:
         g, slope = certified
         polygon = _ramification_polygon(g, slope, p)
@@ -473,62 +475,48 @@ def validate_assumptions(f: InputPolynomial, K: BaseField) -> AssumptionReport:
         disc_valuation: Fraction | None = p * (p - 1) * w
         if disc_valuation.denominator != 1:
             raise InternalCheckError(f"p(p-1)w = {disc_valuation} is not an integer")
-        squarefree = True
-        irreducibility = CERTIFIED
         single_cluster = SingleClusterResult("yes", w)
     else:
-        irreducibility = UNDETERMINED
-        diff = difference_polynomial(f)
-        squarefree = diff[0] != 0
-        disc_valuation = Fraction(vp(diff[0], p)) if squarefree else None
-        single_cluster = _single_cluster(diff, p) if squarefree else SingleClusterResult("not_computed")
-    if squarefree:
-        v = int(disc_valuation)
-        gcd_condition = math.gcd(v, p - 1) == 1
-        disc_valuation_odd = v % 2 == 1
-    else:
-        gcd_condition = False
-        disc_valuation_odd = False
-    maximal = (
-        squarefree
-        and irreducibility == CERTIFIED
-        and gcd_condition
-        and single_cluster.status != "no"
-    )
+        slope = None
+        diff = _difference_model(model)
+        if diff[0]:
+            disc_valuation = Fraction(vp(diff[0], p))
+            single_cluster = _single_cluster(diff, p)
+        else:
+            disc_valuation = None
+            single_cluster = SingleClusterResult("not_computed")
+    squarefree = disc_valuation is not None
+    v = int(disc_valuation) if squarefree else 0
+    gcd_condition = squarefree and math.gcd(v, p - 1) == 1
     return AssumptionReport(
         disc_valuation=disc_valuation,
         squarefree=squarefree,
-        irreducibility=irreducibility,
+        irreducibility=CERTIFIED if certified else UNDETERMINED,
         gcd_condition=gcd_condition,
-        disc_valuation_odd=disc_valuation_odd,
+        disc_valuation_odd=v % 2 == 1,
         single_cluster=single_cluster,
-        maximal_inertia=maximal,
+        # a certified f is squarefree and one cluster
+        maximal_inertia=bool(certified) and gcd_condition,
+        slope=slope,
     )
 
 
-def conductor_exponent(
-    f: InputPolynomial, K: BaseField, assumptions: AssumptionReport | None = None
-) -> int | None:
+def conductor_exponent(report: AssumptionReport) -> int | None:
     """Conductor exponent N = v(disc f), in the monogenic case.
 
-    Requires a passing assumption report.  When f becomes Eisenstein after
+    Requires a report with maximal_inertia.  When f becomes Eisenstein after
     some integer shift x -> x + c with 0 <= c < p, a root generates the full
     ring of integers of the (totally ramified, degree p) extension, and the
     extension discriminant equals disc f up to a unit.  Only the shift
     c = -f(0) mod p can make f Eisenstein, and it is the certificate's: the
-    shifted g has one Newton segment of root valuation k/p, from (0, k) to
-    (p, 0), so g is Eisenstein exactly when k = 1.  Otherwise returns None:
-    the formula would need the extension discriminant itself, which is not
-    computed here.
+    shifted f has one Newton segment of root valuation k/p, the report's
+    slope, from (0, k) to (p, 0), so it is Eisenstein exactly when k = 1.
+    Otherwise returns None: the formula would need the extension
+    discriminant itself, which is not computed here.
     """
-    if assumptions is None:
-        assumptions = validate_assumptions(f, K)
-    if not assumptions.maximal_inertia:
+    if not report.maximal_inertia:
         raise UsageError(
             "assumptions_not_validated",
             "conductor_exponent requires a validated maximal-inertia report",
         )
-    certified = _certified_shift(f)
-    if certified and certified[1].numerator == 1:
-        return int(assumptions.disc_valuation)
-    return None
+    return int(report.disc_valuation) if report.slope.numerator == 1 else None

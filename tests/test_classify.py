@@ -255,23 +255,44 @@ class TestCountedTraceCache:
             module._twisted_trace.cache_clear()
 
 
+def record_calls(monkeypatch, name):
+    """The argument lists of every call to galrep.padic's ``name``."""
+    module = sys.modules["galrep.padic"]
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+class TestOneCertificatePerCall:
+    """classify computes the certificate once, in validate_assumptions; the
+    conductor exponent reads the slope off the report."""
+
+    def test_accepted_input(self, monkeypatch):
+        calls = record_calls(monkeypatch, "_certificate")
+        classify(InputPolynomial.from_string(5, "x^5+5*x^4+10*x^3+10*x^2+5*x-4"), BaseField(5, 1))
+        assert len(calls) == 1
+
+    def test_refused_input(self, monkeypatch):
+        calls = record_calls(monkeypatch, "_certificate")
+        with pytest.raises(ClassificationRefused):
+            classify(InputPolynomial.from_string(5, "x^5+x+1"), BaseField(5, 1))
+        assert len(calls) == 1
+
+
 class TestDiscriminantRoute:
-    """Only inputs without a certificate reach the difference polynomial,
-    which gives their discriminant; certified ones are decided from
-    valuations."""
+    """Only inputs without a certificate reach the difference polynomial of
+    the integer model, which gives their discriminant; certified ones are
+    decided from valuations."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        module = sys.modules["galrep.padic"]
-        calls = []
-        original = module.difference_polynomial
-
-        def counting(f):
-            calls.append(f)
-            return original(f)
-
-        monkeypatch.setattr(module, "difference_polynomial", counting)
-        return calls
+        return record_calls(monkeypatch, "_difference_model")
 
     def test_certified_input_never_reaches_them(self, calls):
         classify(model_input(13), BaseField(13, 2))
@@ -282,7 +303,7 @@ class TestDiscriminantRoute:
         with pytest.raises(ClassificationRefused) as refused:
             classify(f, BaseField(5, 1))
         assert "irreducibility" in refused.value.failures
-        assert calls == [f]
+        assert calls == [(list(f.coeffs),)]  # integer coefficients: M is f
 
     def test_repeated_root_reaches_it_once(self, calls):
         # (x-1)^2 (x+1)^3: the zero constant term alone says not squarefree
@@ -290,7 +311,7 @@ class TestDiscriminantRoute:
         with pytest.raises(ClassificationRefused) as refused:
             classify(f, BaseField(5, 1))
         assert "squarefree" in refused.value.failures
-        assert calls == [f]
+        assert calls == [(list(f.coeffs),)]  # integer coefficients: M is f
 
 
 class TestDeterminism:

@@ -414,8 +414,7 @@ class TestBudgetFlags:
         ("verify", "--coset-budget", {"coset_q"}),
         ("verify", "--group-bound", {"group_p_bound"}),
     ])
-    def test_each_flag_overrides_its_fields(self, monkeypatch, command, flag, fields):
-        monkeypatch.delenv("GALREP_ENUM_BUDGET", raising=False)
+    def test_each_flag_overrides_its_fields(self, command, flag, fields):
         args = cli.build_parser().parse_args(self.BASE[command] + [flag, "7"])
         budgets, defaults = cli._budgets_from(args), Budgets()
         changed = {name for name in vars(defaults) if getattr(budgets, name) != getattr(defaults, name)}
@@ -434,16 +433,6 @@ class TestBudgetFlags:
         code, out = run(capsys, *self.BASE[command], flag, value)
         assert code == 2
         assert out == ""
-
-    @pytest.mark.parametrize("command", ["classify", "count"])
-    @pytest.mark.parametrize("value", ["abc", "1e6", "12 x"])
-    def test_malformed_env_budget_exits_two(self, capsys, monkeypatch, command, value):
-        # classify never reads the enumeration caps, but every subcommand builds its budgets
-        monkeypatch.setenv("GALREP_ENUM_BUDGET", value)
-        code, out = run(capsys, *self.BASE[command])
-        assert code == 2
-        assert json.loads(out)["error"] == {
-            "code": "bad_budget", "message": f"GALREP_ENUM_BUDGET must be an integer, got {value!r}"}
 
 
 class TestUnexpectedErrors:

@@ -189,11 +189,13 @@ class TestFieldAxioms:
     @settings(max_examples=60, deadline=None)
     @given(ia=st.integers(0, 242), ib=st.integers(0, 242), ic=st.integers(0, 242))
     def test_ring_laws_f243(self, ia, ib, ic):
-        field = build_field(3, 5)
-        a, b, c = (field.element_from_index(i) for i in (ia, ib, ic))
-        assert field.mul_t(a, b) == field.mul_t(b, a)
-        assert field.mul_t(field.mul_t(a, b), c) == field.mul_t(a, field.mul_t(b, c))
-        assert field.mul_t(a, field.add_t(b, c)) == field.add_t(field.mul_t(a, b), field.mul_t(a, c))
+        # and in F_241, where m = 1 and the product is one residue
+        for field in (build_field(3, 5), build_field(241, 1)):
+            a, b, c = (field.element_from_index(i % field.size) for i in (ia, ib, ic))
+            assert field.mul_t(a, b) == field.mul_t(b, a)
+            assert field.mul_t(field.mul_t(a, b), c) == field.mul_t(a, field.mul_t(b, c))
+            assert field.mul_t(a, field.add_t(b, c)) == field.add_t(field.mul_t(a, b), field.mul_t(a, c))
+        assert build_field(241, 1).mul_t((ia % 241,), (ib % 241,)) == (ia * ib % 241,)
 
     @settings(max_examples=40, deadline=None)
     @given(ia=st.integers(1, 242))

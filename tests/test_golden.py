@@ -176,6 +176,5 @@ def test_one_hundred_invocations():
 
 
 @pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
-def test_stdout_and_exit_code_unchanged(argv, monkeypatch):
-    monkeypatch.delenv("GALREP_ENUM_BUDGET", raising=False)
+def test_stdout_and_exit_code_unchanged(argv):
     assert run_digest(argv) == GOLDEN[" ".join(argv)]

@@ -94,14 +94,30 @@ def certified_inputs(draw):
     return InputPolynomial(p, tuple(f))
 
 
-def oracle_report(f, K):
+def searched_slope(f):
+    """The root valuation of f(x + c) for a c in [0, p) whose Newton
+    polygon is one segment of slope denominator p, or None; every shift is
+    tried, in Fractions on f itself."""
+    p = f.p
+    for c in range(p):
+        shifted = polys.shift(list(f.coeffs), Fraction(c))
+        if shifted[0] == 0:
+            continue
+        segments = newton_polygon_of(shifted, p).segments
+        if len(segments) == 1 and segments[0].root_valuation.denominator == p:
+            return segments[0].root_valuation
+    return None
+
+
+def oracle_report(f):
     """The assumption report by the discriminant route: sympy's
     discriminant, the difference polynomial's Newton polygon and the
-    certificate, each computed on its own."""
+    certificate by a search over every shift, each computed on its own."""
     p = f.p
     v = vp(sympy_disc(f.coeffs), p)
     single_cluster = _single_cluster(difference_polynomial(f), p)
-    irreducibility = irreducibility_certificate(f, K)
+    slope = searched_slope(f)
+    irreducibility = UNDETERMINED if slope is None else CERTIFIED
     gcd_condition = math.gcd(v, p - 1) == 1
     return AssumptionReport(
         disc_valuation=Fraction(v),
@@ -111,6 +127,7 @@ def oracle_report(f, K):
         disc_valuation_odd=v % 2 == 1,
         single_cluster=single_cluster,
         maximal_inertia=irreducibility == CERTIFIED and gcd_condition and single_cluster.status != "no",
+        slope=slope,
     )
 
 
@@ -238,21 +255,21 @@ class TestDiscriminant:
 
 class TestNewtonPolygon:
     def test_eisenstein(self):
-        segs = newton_polygon_of(poly(5, "x^5-5").as_poly(), 5).segments
+        segs = newton_polygon_of(list(poly(5, "x^5-5").coeffs), 5).segments
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [(Fraction(1, 5), 5)]
 
     def test_shallower_slope(self):
-        segs = newton_polygon_of(poly(5, "x^5-25").as_poly(), 5).segments
+        segs = newton_polygon_of(list(poly(5, "x^5-25").coeffs), 5).segments
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [(Fraction(2, 5), 5)]
 
     def test_unit_slope_zero(self):
-        segs = newton_polygon_of(poly(5, "x^5+x+1").as_poly(), 5).segments
+        segs = newton_polygon_of(list(poly(5, "x^5+x+1").coeffs), 5).segments
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [(Fraction(0), 5)]
 
     def test_two_segments_from_factored_input(self):
         # (x^2 - 5)(x^3 - 25): valuations 1/2 (twice) and 2/3 (three times)
         f = poly(5, "x^5-5*x^3-25*x^2+125")
-        segs = newton_polygon_of(f.as_poly(), 5).segments
+        segs = newton_polygon_of(list(f.coeffs), 5).segments
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [
             (Fraction(2, 3), 3),
             (Fraction(1, 2), 2),
@@ -260,44 +277,52 @@ class TestNewtonPolygon:
 
     @pytest.mark.parametrize("text", ["x^5-5", "x^5-25", "x^5+x+1", "x^5-5*x^3-25*x^2+125"])
     def test_multiplicities_sum_to_degree(self, text):
-        assert sum(s.multiplicity for s in newton_polygon_of(poly(5, text).as_poly(), 5).segments) == 5
+        assert sum(s.multiplicity for s in newton_polygon_of(list(poly(5, text).coeffs), 5).segments) == 5
 
     def test_x_divides_is_an_error(self):
         with pytest.raises(InputError) as err:
-            newton_polygon_of(poly(5, "x^5-5*x").as_poly(), 5)
+            newton_polygon_of(list(poly(5, "x^5-5*x").coeffs), 5)
         assert err.value.code == "reducible_x_divides"
 
 
 class TestIrreducibilityCertificate:
     def test_certified_all_unramified_bases(self):
         f = poly(5, "x^5-5")
-        assert irreducibility_certificate(f, BaseField(5, 1)) == CERTIFIED
-        assert irreducibility_certificate(f, BaseField(5, 3)) == CERTIFIED
+        assert irreducibility_certificate(f) == CERTIFIED
 
     def test_slope_zero_undetermined(self):
-        assert irreducibility_certificate(poly(5, "x^5+x+1"), BaseField(5, 1)) == UNDETERMINED
+        assert irreducibility_certificate(poly(5, "x^5+x+1")) == UNDETERMINED
 
     def test_non_coprime_slope_numerator(self):
         # one segment of valuation 5/5 = 1: certificate must not fire
-        assert irreducibility_certificate(poly(5, "x^5-3125"), BaseField(5, 1)) == UNDETERMINED
+        assert irreducibility_certificate(poly(5, "x^5-3125")) == UNDETERMINED
 
     def test_certified_non_eisenstein(self):
-        assert irreducibility_certificate(poly(5, "x^5-25"), BaseField(5, 1)) == CERTIFIED
+        assert irreducibility_certificate(poly(5, "x^5-25")) == CERTIFIED
 
     @settings(max_examples=25, deadline=None)
     @given(f=shifted_inputs())
     def test_same_as_search_over_every_shift(self, f):
         # the certificate tries one shift; searching all p of them must agree
-        p = f.p
-        found = UNDETERMINED
-        for c in range(p):
-            shifted = polys.shift(f.as_poly(), Fraction(c))
-            if shifted[0] == 0:
-                continue
-            segments = newton_polygon_of(shifted, p).segments
-            if len(segments) == 1 and segments[0].root_valuation.denominator == p:
-                found = CERTIFIED
-        assert irreducibility_certificate(f, BaseField(p, 1)) == found
+        slope = searched_slope(f)
+        assert irreducibility_certificate(f) == (UNDETERMINED if slope is None else CERTIFIED)
+        assert validate_assumptions(f).slope == slope
+
+    def test_roots_of_valuation_above_one(self):
+        # f = (x - c)^p - p^(p+1) + (p^(p+2)/den) x: the roots of f(x + c)
+        # have valuation (p+1)/p.  Only the shift by c itself certifies f; one
+        # off by a multiple of p moves those roots to valuation 1
+        missed = []
+        for p in (3, 5, 7):
+            for c in range(p):
+                for den in (d for d in (1, 2, 3, 7, 11) if d % p):
+                    coeffs = [Fraction(math.comb(p, k) * (-c) ** (p - k)) for k in range(p + 1)]
+                    coeffs[0] -= p ** (p + 1)
+                    coeffs[1] += Fraction(p ** (p + 2), den)
+                    f = InputPolynomial(p, tuple(coeffs))
+                    if irreducibility_certificate(f) != CERTIFIED or validate_assumptions(f).slope != Fraction(p + 1, p):
+                        missed.append((p, c, den))
+        assert missed == []
 
 
 class TestDifferenceRootValuations:
@@ -386,7 +411,7 @@ class TestDifferenceRootValuations:
         with pytest.raises(InputError) as err:
             newton_polygon_of(diff, 5)
         assert err.value.code == "reducible_x_divides"
-        report = validate_assumptions(f, BaseField(5, 1))
+        report = validate_assumptions(f)
         assert not report.squarefree and report.single_cluster.status == "not_computed"
 
 
@@ -418,7 +443,7 @@ def _vp(x, p):
 
 class TestValidateAssumptions:
     def test_model_family_passes(self):
-        report = validate_assumptions(poly(5, "x^5-5"), BaseField(5, 1))
+        report = validate_assumptions(poly(5, "x^5-5"))
         assert report.maximal_inertia
         assert report.disc_valuation == 9
         assert report.gcd_condition and report.disc_valuation_odd
@@ -426,14 +451,14 @@ class TestValidateAssumptions:
         assert report.failed_conditions() == []
 
     def test_undetermined_input_fails(self):
-        report = validate_assumptions(poly(5, "x^5+x+1"), BaseField(5, 1))
+        report = validate_assumptions(poly(5, "x^5+x+1"))
         assert not report.maximal_inertia
         assert report.irreducibility == UNDETERMINED
         assert "irreducibility" in report.failed_conditions()
 
     def test_repeated_roots_fail(self):
         f = InputPolynomial.from_coefficients(5, [1, 1, -2, -2, 1, 1])
-        report = validate_assumptions(f, BaseField(5, 1))
+        report = validate_assumptions(f)
         assert not report.squarefree
         assert report.disc_valuation is None
         assert report.single_cluster.status == "not_computed"
@@ -441,22 +466,17 @@ class TestValidateAssumptions:
 
     def test_even_disc_valuation_fails_gcd(self):
         # v(disc) = 8 here, so gcd with p-1 = 4 is 4
-        report = validate_assumptions(poly(5, "x^5-5*x^4+5"), BaseField(5, 1))
+        report = validate_assumptions(poly(5, "x^5-5*x^4+5"))
         assert not report.gcd_condition
         assert not report.disc_valuation_odd
         assert not report.maximal_inertia
-
-    def test_p_mismatch(self):
-        with pytest.raises(InputError) as err:
-            validate_assumptions(poly(5, "x^5-5"), BaseField(3, 1))
-        assert err.value.code == "p_mismatch"
 
     @settings(max_examples=30, deadline=None)
     @given(coeffs=st.lists(st.integers(min_value=-20, max_value=20), min_size=3, max_size=3))
     def test_gcd_condition_implies_odd_valuation(self, coeffs):
         # p - 1 is even, so coprimality forces oddness; checked on random cubics
         f = InputPolynomial.from_coefficients(3, coeffs + [1])
-        report = validate_assumptions(f, BaseField(3, 1))
+        report = validate_assumptions(f)
         if report.gcd_condition:
             assert report.disc_valuation_odd
 
@@ -466,7 +486,7 @@ class TestValidateAssumptions:
         # v(disc) is the sum of all difference valuations, so a single shared
         # valuation w forces v(disc) = p(p-1) w
         f = InputPolynomial.from_coefficients(3, coeffs + [1])
-        report = validate_assumptions(f, BaseField(3, 1))
+        report = validate_assumptions(f)
         if report.squarefree and report.single_cluster.status == "yes":
             disc = sympy_disc(f.coeffs)
             assert Fraction(_vp(disc, 3)) == 6 * report.single_cluster.w
@@ -479,9 +499,8 @@ class TestCertifiedFromValuations:
     @settings(max_examples=150, deadline=None)
     @given(f=certified_inputs())
     def test_report_equals_discriminant_route(self, f):
-        K = BaseField(f.p, 1)
-        assert irreducibility_certificate(f, K) == CERTIFIED
-        report, oracle = validate_assumptions(f, K), oracle_report(f, K)
+        assert irreducibility_certificate(f) == CERTIFIED
+        report, oracle = validate_assumptions(f), oracle_report(f)
         assert report == oracle
         assert report.to_json_dict() == oracle.to_json_dict()
 
@@ -489,48 +508,48 @@ class TestCertifiedFromValuations:
         two = NewtonPolygon((Segment(Fraction(1), 2), Segment(Fraction(0), 2)))
         monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, slope, p: two)
         with pytest.raises(InternalCheckError):
-            validate_assumptions(poly(5, "x^5-5"), BaseField(5, 1))
+            validate_assumptions(poly(5, "x^5-5"))
 
     def test_fractional_disc_valuation_raises(self, monkeypatch):
         # in units of 1/p: w = 1/5 + 1/7 gives p(p-1)w = 48/7
         one = NewtonPolygon((Segment(Fraction(5, 7), 4),))
         monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, slope, p: one)
         with pytest.raises(InternalCheckError):
-            validate_assumptions(poly(5, "x^5-5"), BaseField(5, 1))
+            validate_assumptions(poly(5, "x^5-5"))
 
 
 class TestConductorExponent:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_model_family(self, p):
         f = poly(p, f"x^{p}-{p}")
-        assert conductor_exponent(f, BaseField(p, 1)) == 2 * p - 1
+        assert conductor_exponent(validate_assumptions(f)) == 2 * p - 1
 
     def test_eisenstein_after_shift(self):
         # (x+1)^5 - 5 becomes Eisenstein under x -> x + 4
         f = poly(5, "x^5+5*x^4+10*x^3+10*x^2+5*x-4")
-        assert conductor_exponent(f, BaseField(5, 1)) == 9
+        assert conductor_exponent(validate_assumptions(f)) == 9
 
     @settings(max_examples=25, deadline=None)
     @given(f=shifted_inputs())
     def test_same_as_search_over_every_shift(self, f):
         p = f.p
-        report = validate_assumptions(f, BaseField(p, 1))
+        report = validate_assumptions(f)
         if not report.maximal_inertia:
             return
         eisenstein = False
         for c in range(p):
-            g = polys.shift(f.as_poly(), Fraction(c))
+            g = polys.shift(list(f.coeffs), Fraction(c))
             if all(a == 0 or vp(a, p) >= 1 for a in g[:-1]) and g[0] != 0 and vp(g[0], p) == 1:
                 eisenstein = True
         expected = vp(sympy_disc(f.coeffs), p) if eisenstein else None
-        assert conductor_exponent(f, BaseField(p, 1), report) == expected
+        assert conductor_exponent(report) == expected
 
     def test_not_monogenic_not_computed(self):
-        assert conductor_exponent(poly(5, "x^5-25"), BaseField(5, 1)) is None
+        assert conductor_exponent(validate_assumptions(poly(5, "x^5-25"))) is None
 
     def test_requires_validated_assumptions(self):
         with pytest.raises(UsageError) as err:
-            conductor_exponent(poly(5, "x^5+x+1"), BaseField(5, 1))
+            conductor_exponent(validate_assumptions(poly(5, "x^5+x+1")))
         assert err.value.code == "assumptions_not_validated"
 
 
