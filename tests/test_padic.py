@@ -3,6 +3,7 @@ conductor exponents.  sympy serves as the independent oracle for resultant
 and discriminant values."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from galrep import polys
 from galrep.arith import vp
+from galrep.classify import classify
 from galrep.errors import InputError, InternalCheckError, UsageError
 from galrep.padic import (
     CERTIFIED,
@@ -463,6 +465,17 @@ class TestValidateAssumptions:
         assert report.disc_valuation is None
         assert report.single_cluster.status == "not_computed"
         assert "squarefree" in report.failed_conditions()
+
+    def test_p_mismatch(self, monkeypatch):
+        # validate_assumptions takes no base field: classify refuses a
+        # mismatched p itself, before any p-adic work on f
+        def fail(*args):
+            raise AssertionError("validate_assumptions ran before the p check")
+
+        monkeypatch.setattr(sys.modules["galrep.classify"], "validate_assumptions", fail)
+        with pytest.raises(InputError) as err:
+            classify(poly(5, "x^5-5"), BaseField(3, 1))
+        assert err.value.code == "p_mismatch"
 
     def test_even_disc_valuation_fails_gcd(self):
         # v(disc) = 8 here, so gcd with p-1 = 4 is 4
