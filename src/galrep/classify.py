@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import power_exceeds, signed_p
 from .config import Budgets
@@ -96,8 +96,7 @@ class ClassificationRefused(GalrepError):
         }
 
 
-@dataclass(frozen=True)
-class Verification:
+class Verification(NamedTuple):
     status: str  # "ok" | "mismatch" | "skipped"
     trace_counted: int | None = None
     trace_predicted: int | None = None
@@ -116,8 +115,7 @@ class Verification:
         return out
 
 
-@dataclass(frozen=True)
-class GroupSummary:
+class GroupSummary(NamedTuple):
     order: int
     b: int
     class_count: int
@@ -130,8 +128,7 @@ def _summary(group: GroupSpec) -> GroupSummary:
     return GroupSummary(group.order, group.b, len(conjugacy_classes(group)))
 
 
-@dataclass(frozen=True)
-class Eigenvalue:
+class Eigenvalue(NamedTuple):
     value: Cyclotomic
     multiplicity: int
 
@@ -139,8 +136,7 @@ class Eigenvalue:
         return {"value": self.value.to_json(), "multiplicity": self.multiplicity}
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     p: int
     n: int
     f: InputPolynomial

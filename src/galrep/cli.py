@@ -146,7 +146,7 @@ def _parse_poly(p: int, text: str) -> InputPolynomial:
     if stripped.startswith("["):
         try:
             items = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
             raise InputError("poly_parse", f"bad coefficient list: {exc}") from exc
         return InputPolynomial.from_coefficients(p, items)
     return InputPolynomial.from_string(p, stripped)

@@ -9,11 +9,10 @@ consistency gate, takes on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(NamedTuple):
     # largest field size scanned exhaustively by the curve counter
     curve_enum: int = 10**7
     # largest field size q = p^n enumerated by the twisted count

@@ -36,9 +36,8 @@ p^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import power_exceeds, require_odd_prime
 from .config import Budgets
@@ -47,8 +46,7 @@ from .gf import Coeffs, FieldSpec, build_field
 from .polys import power_sums
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     p: int
     m: int
     affine: int
@@ -66,8 +64,7 @@ class CountResult:
         }
 
 
-@dataclass(frozen=True)
-class TwistedCountResult:
+class TwistedCountResult(NamedTuple):
     p: int
     n: int
     affine_solutions: int

@@ -25,9 +25,8 @@ All values are immutable and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import UsageError
 
@@ -106,20 +105,27 @@ def _reduce_terms(m: int, terms: Mapping[int, int]) -> tuple[int, ...]:
     return tuple(acc)
 
 
-@dataclass(frozen=True)
-class Cyclotomic:
-    """An element of Z[zeta_m] in the reduced power basis."""
-
+class _CyclotomicFields(NamedTuple):
     m: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        d = len(cyclotomic_polynomial(self.m)) - 1
-        if type(self.coeffs) is not tuple or len(self.coeffs) != d:
-            raise UsageError("bad_coordinates", f"an element of Z[zeta_{self.m}] is a tuple of {d} "
-                             f"coordinates, got {self.coeffs!r}")
-        for c in self.coeffs:
+
+class Cyclotomic(_CyclotomicFields):
+    """An element of Z[zeta_m] in the reduced power basis."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, coeffs: tuple[int, ...]):
+        d = len(cyclotomic_polynomial(m)) - 1
+        if type(coeffs) is not tuple or len(coeffs) != d:
+            raise UsageError("bad_coordinates", f"an element of Z[zeta_{m}] is a tuple of {d} "
+                             f"coordinates, got {coeffs!r}")
+        for c in coeffs:
             _integer(c)
+        return tuple.__new__(cls, (m, coeffs))
+
+    # the base class's _make, which _replace calls, would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     # -- constructors ------------------------------------------------------
 
@@ -183,7 +189,7 @@ class Cyclotomic:
                     terms[e] = prod
         return Cyclotomic(self.m, _reduce_terms(self.m, terms))
 
-    __rmul__ = __mul__
+    __rmul__ = __mul__  # else the tuple's, and 3 * z would repeat its fields
 
     def conjugate(self) -> "Cyclotomic":
         """Image under zeta_m -> zeta_m^(-1) (complex conjugation)."""
@@ -209,18 +215,34 @@ class Cyclotomic:
 
         It is summed with 70 bits beyond the bit length of the largest
         coefficient, so each term is off by less than about 2^-70 however
-        large the coefficients grow.  For display and sign disambiguation only;
-        equality decisions always use the exact coefficient vectors.  mpmath
-        is imported here, on first use, so that JSON output never loads it.
+        large the coefficients grow.  A part that comes out at about 2^-k,
+        for k > 0, has lost k of those bits to cancellation, so it is summed
+        again with k bits more: each nonzero part is off by less than about
+        2^-70 of itself.  A part that is zero, decided exactly from the
+        conjugate, is an exact 0, as it would cancel at every precision.  For
+        display and sign disambiguation only; equality decisions always use
+        the exact coefficient vectors.  mpmath is imported here, on first
+        use, so that JSON output never loads it.
         """
         import mpmath
 
-        with mpmath.workprec(max(map(abs, self.coeffs)).bit_length() + _EMBED_GUARD_BITS):
-            total = mpmath.mpc(0)
-            for e, c in enumerate(self.coeffs):
-                if c:
-                    total += c * mpmath.expjpi(mpmath.mpf(2 * e) / self.m)
-            return total
+        conj = self.conjugate()
+        zero_real, zero_imag = self == -conj, self == conj
+        scale = max(map(abs, self.coeffs)).bit_length()
+        prec, needed = 0, scale + _EMBED_GUARD_BITS
+        while prec < needed:
+            prec = needed
+            with mpmath.workprec(prec):
+                total = mpmath.mpc(0)
+                for e, c in enumerate(self.coeffs):
+                    if c:
+                        total += c * mpmath.expjpi(mpmath.mpf(2 * e) / self.m)
+                total = mpmath.mpc(0 if zero_real else total.real, 0 if zero_imag else total.imag)
+            # the exponent of the smallest nonzero part; one that summed to 0 lost every bit
+            size = min([mpmath.mag(x) if x else scale - prec
+                        for x, zero in ((total.real, zero_real), (total.imag, zero_imag)) if not zero], default=0)
+            needed = scale + _EMBED_GUARD_BITS - size
+        return total
 
     # -- serialization -----------------------------------------------------
 

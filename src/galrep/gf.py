@@ -28,9 +28,9 @@ nxt[i] = index of g times element i, which is built by array slicing.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 from .arith import legendre_symbol, require_odd_prime
 from .errors import InputError, InternalCheckError
@@ -47,11 +47,14 @@ def _digits(index: int, p: int, k: int) -> list[int]:
     return digits
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class _FieldSpecFields(NamedTuple):
     p: int
     m: int
     modulus: Coeffs  # length m+1, monic
+
+
+class FieldSpec(_FieldSpecFields):
+    # no __slots__: the cached properties are kept in the instance __dict__
 
     @property
     def size(self) -> int:

@@ -36,7 +36,6 @@ caches psi per group.  Whole tables are built only on request, uncached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -56,8 +55,7 @@ class El(NamedTuple):
     k: int
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     p: int
     b: int
     variant: str
@@ -162,8 +160,7 @@ def class_index(group: GroupSpec, element: El) -> int:
     return _classes_and_index(group)[1][_class_rep(group, element)]
 
 
-@dataclass(frozen=True)
-class CharacterRow:
+class CharacterRow(NamedTuple):
     label: str
     dimension: int
     values: tuple[Cyclotomic, ...]  # one per conjugacy class

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import polys
 from .arith import require_odd_prime, vp
@@ -45,28 +44,35 @@ CERTIFIED = "certified_totally_ramified"
 UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class InputPolynomial:
-    """A monic degree-p polynomial with p-integral rational coefficients."""
-
+class _InputPolynomialFields(NamedTuple):
     p: int
     coeffs: tuple[Fraction, ...]  # ascending, coeffs[p] == 1
 
-    def __post_init__(self):
-        require_odd_prime(self.p)
-        if len(self.coeffs) != self.p + 1 or self.coeffs[-1] == 0:
+
+class InputPolynomial(_InputPolynomialFields):
+    """A monic degree-p polynomial with p-integral rational coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, coeffs: tuple[Fraction, ...]):
+        require_odd_prime(p)
+        if len(coeffs) != p + 1 or coeffs[-1] == 0:
             raise InputError(
                 "degree_mismatch",
-                f"polynomial must have degree exactly p = {self.p}",
+                f"polynomial must have degree exactly p = {p}",
             )
-        if self.coeffs[-1] != 1:
+        if coeffs[-1] != 1:
             raise InputError("not_monic", "leading coefficient must be 1")
-        for i, c in enumerate(self.coeffs):
-            if c and vp(c, self.p) < 0:
+        for i, c in enumerate(coeffs):
+            if c and vp(c, p) < 0:
                 raise InputError(
                     "non_integral_coefficient",
-                    f"coefficient of x^{i} has negative {self.p}-adic valuation",
+                    f"coefficient of x^{i} has negative {p}-adic valuation",
                 )
+        return tuple.__new__(cls, (p, coeffs))
+
+    # the base class's _make, which _replace calls, would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_coefficients(cls, p: int, coeffs: Sequence[Fraction | int | str]) -> "InputPolynomial":
@@ -182,27 +188,32 @@ def parse_polynomial_string(text: str) -> dict[int, int]:
     return {k: c for k, c in terms.items() if c}
 
 
-@dataclass(frozen=True)
-class BaseField:
-    """Unramified extension of Q_p of degree n; its valuation restricts to v_p."""
-
+class _BaseFieldFields(NamedTuple):
     p: int
     n: int
 
-    def __post_init__(self):
-        require_odd_prime(self.p)
-        if self.n < 1:
-            raise InputError("bad_inertia_degree", f"inertia degree must be >= 1, got {self.n}")
+
+class BaseField(_BaseFieldFields):
+    """Unramified extension of Q_p of degree n; its valuation restricts to v_p."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, n: int):
+        require_odd_prime(p)
+        if n < 1:
+            raise InputError("bad_inertia_degree", f"inertia degree must be >= 1, got {n}")
+        return tuple.__new__(cls, (p, n))
+
+    # the base class's _make, which _replace calls, would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     root_valuation: Fraction
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Lower convex hull of (i, v_p(a_i)), as (root valuation, multiplicity) segments.
 
     Segments are listed in hull order, i.e. with strictly decreasing root
@@ -386,8 +397,7 @@ def difference_polynomial(f: InputPolynomial) -> polys.Poly:
     return [Fraction(c, d ** (deg - j)) for j, c in enumerate(b)]
 
 
-@dataclass(frozen=True)
-class SingleClusterResult:
+class SingleClusterResult(NamedTuple):
     status: str  # "yes" | "no" | "not_computed"
     w: Fraction | None = None
 
@@ -407,8 +417,7 @@ def _single_cluster(diff: Sequence[Fraction | int], p: int) -> SingleClusterResu
     return SingleClusterResult("no")
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     """Outcome of all hypothesis checks for a maximal inertia image."""
 
     disc_valuation: Fraction | None  # None when disc = 0

@@ -12,6 +12,9 @@ from galrep.padic import BaseField, InputPolynomial
 ENTRY_POINTS = {
     "InputPolynomial": lambda p: InputPolynomial.from_coefficients(p, [1] * (p + 1)),
     "BaseField": lambda p: BaseField(p, 1),
+    # _replace goes through _make, which must keep the constructor's checks
+    "InputPolynomial._replace": lambda p: InputPolynomial.from_string(3, "x^3-3")._replace(p=p),
+    "BaseField._replace": lambda p: BaseField(3, 1)._replace(p=p),
     "build_group": lambda p: build_group(p, p_bound=13),
     "gauss_sum": gauss_sum,
     "build_field": lambda p: build_field(p, 2),

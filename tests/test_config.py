@@ -1,8 +1,17 @@
-"""Budget configuration."""
+"""Budget configuration, and the immutability of every record."""
 
-import dataclasses
+import importlib
+from fractions import Fraction
 
+import pytest
+
+import galrep
 from galrep.config import Budgets
+
+# galrep.classify is the function, so the modules are looked up by name
+classify, config, counting, cyclotomic, gf, groups, padic = (
+    importlib.import_module(f"galrep.{name}") for name in ("classify", "config", "counting", "cyclotomic", "gf",
+                                                            "groups", "padic"))
 
 
 def test_defaults():
@@ -10,14 +19,49 @@ def test_defaults():
     assert budgets.curve_enum == 10**7
     assert budgets.coset_q == 10**6
     assert budgets.group_p_bound == 13
-    assert len(dataclasses.fields(Budgets)) == 3
+    assert len(Budgets._fields) == 3
 
 
-def test_budgets_are_immutable():
-    assert dataclasses.fields(Budgets)
-    try:
-        Budgets().curve_enum = 5
-        raised = False
-    except dataclasses.FrozenInstanceError:
-        raised = True
-    assert raised
+def _report():
+    return galrep.classify(padic.InputPolynomial.from_string(3, "x^3-3"), padic.BaseField(3, 1))
+
+
+# one instance of each record class, made the way the package makes it
+RECORDS = {
+    "Budgets": Budgets,
+    "CountResult": lambda: counting.count_curve(3, 1),
+    "TwistedCountResult": lambda: counting.count_twisted_fixed(3, 1),
+    "Verification": lambda: _report().verification,
+    "GroupSummary": lambda: _report().inertia_group,
+    "Eigenvalue": lambda: _report().eigenvalues[0],
+    "ClassificationReport": _report,
+    "GroupSpec": lambda: groups.build_group(3),
+    "El": lambda: groups.SIGMA_PHI,
+    "ConjClass": lambda: groups.conjugacy_classes(groups.build_group(3))[0],
+    "CharacterRow": lambda: _report().psi,
+    "Segment": lambda: padic.newton_polygon_of([-3, 0, 0, 1], 3).segments[0],
+    "NewtonPolygon": lambda: padic.newton_polygon_of([-3, 0, 0, 1], 3),
+    "SingleClusterResult": lambda: _report().assumptions.single_cluster,
+    "AssumptionReport": lambda: _report().assumptions,
+    "InputPolynomial": lambda: padic.InputPolynomial(3, (Fraction(-3), Fraction(0), Fraction(0), Fraction(1))),
+    "BaseField": lambda: padic.BaseField(3, 1),
+    "Cyclotomic": lambda: cyclotomic.Cyclotomic.root_of_unity(5, 1),
+    "FieldSpec": lambda: gf.build_field(3, 2),
+}
+
+
+def test_every_record_class_is_checked():
+    modules = (classify, config, counting, cyclotomic, gf, groups, padic)
+    found = {name for module in modules for name, obj in vars(module).items()
+             if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
+             and not name.startswith("_")}
+    assert found == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_budgets_are_immutable(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))

@@ -62,6 +62,7 @@ class TestIntegerCoordinates:
             lambda: zeta(5) * bad,
             lambda: bad * zeta(5),
             lambda: Cyclotomic(5, (bad, 0, 0, 0)),
+            lambda: zeta(5)._replace(coeffs=(bad, 0, 0, 0)),
         ]
         for call in calls:
             with pytest.raises(UsageError) as err:
@@ -73,9 +74,10 @@ class TestIntegerCoordinates:
     def test_wrong_coordinate_vector_refused(self, coeffs):
         # deg Phi_5 = 4: zip would otherwise drop the missing coordinates of
         # Cyclotomic(5, (1, 2)) in a sum and return a wrong value
-        with pytest.raises(UsageError) as err:
-            Cyclotomic(5, coeffs)
-        assert err.value.code == "bad_coordinates"
+        for call in (lambda: Cyclotomic(5, coeffs), lambda: zeta(5)._replace(coeffs=coeffs)):
+            with pytest.raises(UsageError) as err:
+                call()
+            assert err.value.code == "bad_coordinates"
 
     def test_direct_constructor_accepts_a_reduced_vector(self):
         assert Cyclotomic(5, (1, 2, 0, 0)) == Cyclotomic.from_terms(5, {0: 1, 1: 2})
