@@ -24,8 +24,8 @@ from .config import Budgets
 from .counting import count_twisted_fixed
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError
-from .groups import (FULL, INERTIA, SIGMA_PHI, CharacterRow, GroupSpec, build_group, class_index, conjugacy_classes,
-                     gauss_sum, identify_psi)
+from .groups import (FULL, INERTIA, SIGMA_PHI, CharacterRow, ConjClass, GroupSpec, build_group, class_index,
+                     conjugacy_classes, gauss_sum, identify_psi)
 from .padic import AssumptionReport, BaseField, InputPolynomial, conductor_exponent, validate_assumptions
 
 SCHEMA_VERSION = 1
@@ -46,11 +46,34 @@ def dump_json(obj) -> str:
 
     The bytes are those the json module's ``dumps(obj, indent=2,
     sort_keys=True)`` gives for the types reports are made of: dicts with str
-    keys, lists, str, int, bool and None.  Any other type raises TypeError.
-    (With an indent, the json module encodes in pure Python, twice as slow,
-    and leaves cyclic garbage behind.)
+    keys, lists, str, int, bool and None, and two records written in place
+    of the dicts they stand for, so that no dict is built per value:
+    a ``Cyclotomic`` as ``{"coeffs": [int strings], "m": m}`` and a
+    ``ConjClass`` as ``{"rep": [i, j, k], "size": size}``.  Any other type,
+    other tuples included, raises TypeError.  (With an indent, the json
+    module encodes in pure Python, twice as slow, and leaves cyclic garbage
+    behind.)
     """
     return _encode(obj, "\n")
+
+
+def _encode_cyclotomic(value: Cyclotomic, newline: str) -> str:
+    inner = newline + "  "
+    # never empty (deg Phi_m >= 1); repr keeps the digit-limit ValueError, and
+    # the zeros, most of a large table, share one string
+    coeffs = ('",' + inner + '  "').join([repr(c) if c else "0" for c in value.coeffs])
+    return f'{{{inner}"coeffs": [{inner}  "{coeffs}"{inner}],{inner}"m": {value.m!r}{newline}}}'
+
+
+def _encode_class(cls: ConjClass, newline: str) -> str:
+    inner = newline + "  "
+    write = int.__repr__  # neither ConjClass nor El checks its fields: a str raises TypeError here
+    (i, j, k), size = cls
+    return (f'{{{inner}"rep": [{inner}  {write(i)},{inner}  {write(j)},{inner}  {write(k)}{inner}],'
+            f'{inner}"size": {write(size)}{newline}}}')
+
+
+_RECORDS = {Cyclotomic: _encode_cyclotomic, ConjClass: _encode_class}
 
 
 def _encode(obj, newline: str) -> str:
@@ -59,6 +82,9 @@ def _encode(obj, newline: str) -> str:
     leaf = _LEAVES.get(kind)
     if leaf is not None:
         return leaf(obj)
+    record = _RECORDS.get(kind)
+    if record is not None:
+        return record(obj, newline)
     inner = newline + "  "
     # each body is joined from a temporary list and framed in one f-string,
     # so a large table is held at most twice while it is written
@@ -133,7 +159,7 @@ class Eigenvalue(NamedTuple):
     multiplicity: int
 
     def to_json_dict(self) -> dict:
-        return {"value": self.value.to_json(), "multiplicity": self.multiplicity}
+        return {"value": self.value, "multiplicity": self.multiplicity}
 
 
 class ClassificationReport(NamedTuple):
@@ -165,15 +191,15 @@ class ClassificationReport(NamedTuple):
             },
             "chi": {
                 "description": "unramified character, trivial on inertia",
-                "frobenius_value": self.chi_frobenius.to_json(),
+                "frobenius_value": self.chi_frobenius,
             },
             "psi": {
                 "label": self.psi.label,
                 "dimension": self.psi.dimension,
                 "faithful": self.psi.faithful,
                 "construction": self.psi.construction_json(),
-                "classes": [{"rep": list(c.rep), "size": c.size} for c in self.psi_classes],
-                "values": [v.to_json() for v in self.psi.values],
+                "classes": list(self.psi_classes),
+                "values": list(self.psi.values),
             },
             "eigenvalues": [e.to_json_dict() for e in self.eigenvalues],
             "conductor": {"status": "computed", "exponent": self.conductor}

@@ -5,8 +5,8 @@ A value is a vector of integers over the power basis
 cyclotomic polynomial Phi_m: an element of Z[zeta_m].  Every value the
 package forms (character values, the Gauss sum and its powers) is an
 algebraic integer, so every value, however it is constructed, refuses a
-coordinate that is not an int and a vector whose length is not deg Phi_m,
-and scalar multiplication refuses a factor that is not an int.  The
+coordinate or conductor that is not an int and a vector whose length is not
+deg Phi_m, and scalar multiplication refuses a factor that is not an int.  The
 representation is canonical, so two values are equal exactly when their
 coefficient vectors agree.  Addition, subtraction and multiplication are
 closed and exact; division is deliberately not provided
@@ -116,6 +116,8 @@ class Cyclotomic(_CyclotomicFields):
     __slots__ = ()
 
     def __new__(cls, m: int, coeffs: tuple[int, ...]):
+        if type(m) is not int:  # True would pass as 1, and dump_json would write it as True
+            raise UsageError("bad_conductor", f"conductor must be an int, got {m!r}")
         d = len(cyclotomic_polynomial(m)) - 1
         if type(coeffs) is not tuple or len(coeffs) != d:
             raise UsageError("bad_coordinates", f"an element of Z[zeta_{m}] is a tuple of {d} "
@@ -245,10 +247,6 @@ class Cyclotomic(_CyclotomicFields):
         return total
 
     # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        # the zeros, most of a large table, share one string
-        return {"m": self.m, "coeffs": [str(c) if c else "0" for c in self.coeffs]}
 
     def __str__(self) -> str:
         if self.is_zero():

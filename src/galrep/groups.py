@@ -182,7 +182,7 @@ class CharacterRow(NamedTuple):
             "dimension": self.dimension,
             "faithful": self.faithful,
             "construction": self.construction_json(),
-            "values": [v.to_json() for v in self.values],
+            "values": list(self.values),
         }
 
 
@@ -200,7 +200,7 @@ class CharacterTable:
             "b": self.group.b,
             "variant": self.group.variant,
             "order": self.group.order,
-            "classes": [{"rep": list(c.rep), "size": c.size} for c in self.classes],
+            "classes": list(self.classes),
             "rows": [row.to_json_dict() for row in self.rows],
         }
 

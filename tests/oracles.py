@@ -2,8 +2,9 @@
 cyclotomic values, the character inner product, psi found by searching a
 whole character table, powers and the element list of a finite field,
 Euler's criterion, Rabin's irreducibility test over F_p, the irreducibility
-test of galrep's moduli as a yes/no answer, and the twisted fixed-point
-count by direct scan of F_{p^(n*p)}."""
+test of galrep's moduli as a yes/no answer, the twisted fixed-point count
+by direct scan of F_{p^(n*p)}, and the plain data of a report tree, which
+``json.dumps`` writes as the oracle of galrep's JSON writer."""
 
 import math
 from collections import Counter
@@ -11,8 +12,25 @@ from collections import Counter
 from galrep.counting import TwistedCountResult
 from galrep.cyclotomic import Cyclotomic
 from galrep.gf import FieldSpec, _ben_or, _has_root, build_field
-from galrep.groups import (FULL, INERTIA, SIGMA_PHI, build_group, character_table, class_index, faithful_kernel,
-                           gauss_sum)
+from galrep.groups import (FULL, INERTIA, SIGMA_PHI, ConjClass, build_group, character_table, class_index,
+                           faithful_kernel, gauss_sum)
+
+
+def plain(tree):
+    """``tree`` with each Cyclotomic as ``{"m", "coeffs"}`` (integer strings)
+    and each ConjClass as ``{"rep", "size"}``: the plain data for which
+    ``json.dumps(plain(tree), indent=2, sort_keys=True)`` is the bytes galrep
+    writes.  Other values are kept as they are, tuples included."""
+    kind = type(tree)
+    if kind is dict:
+        return {key: plain(value) for key, value in tree.items()}
+    if kind is list:
+        return [plain(value) for value in tree]
+    if kind is Cyclotomic:
+        return {"m": tree.m, "coeffs": [str(c) for c in tree.coeffs]}
+    if kind is ConjClass:
+        return {"rep": list(tree.rep), "size": tree.size}
+    return tree
 
 
 def power(value, k):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import sympy
 
-from oracles import assert_orthogonal, naive_twisted_oracle
+from oracles import assert_orthogonal, naive_twisted_oracle, plain
 
 import galrep.cli as cli
 from galrep.classify import classify, verify_consistency
@@ -122,7 +122,7 @@ def test_criterion_07_end_to_end_model_curve():
     assert data["assumptions"]["maximal_inertia"] is True
     assert data["groups"]["inertia"] == {"order": 40, "b": 2, "class_count": 10}
     assert data["groups"]["full"] == {"order": 80, "b": 2, "class_count": 14}
-    assert data["chi"]["frobenius_value"] == g5.to_json()
+    assert data["chi"]["frobenius_value"] == plain(g5)
     assert data["psi"]["label"] == "wild--"
     assert data["conductor"] == {"status": "computed", "exponent": 9}
     assert data["verification"] == {

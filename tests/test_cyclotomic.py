@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic in Z[zeta_m]: canonical form, int coordinates,
 ring laws, conjugation, embedding."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import plain
+
+from galrep.classify import dump_json
 from galrep.cyclotomic import Cyclotomic, _power_table, cyclotomic_polynomial
 from galrep.errors import UsageError
 from galrep.groups import gauss_sum
@@ -78,6 +82,13 @@ class TestIntegerCoordinates:
             with pytest.raises(UsageError) as err:
                 call()
             assert err.value.code == "bad_coordinates"
+
+    @pytest.mark.parametrize("m", [True, 5.0, "5"])
+    def test_conductor_that_is_not_an_int_refused(self, m):
+        for call in (lambda: Cyclotomic(m, (1,)), lambda: zeta(1)._replace(m=m)):
+            with pytest.raises(UsageError) as err:
+                call()
+            assert err.value.code == "bad_conductor"
 
     def test_direct_constructor_accepts_a_reduced_vector(self):
         assert Cyclotomic(5, (1, 2, 0, 0)) == Cyclotomic.from_terms(5, {0: 1, 1: 2})
@@ -181,5 +192,4 @@ class TestEmbed:
 
 class TestSerialization:
     def test_json_shape(self):
-        data = zeta(4).to_json()
-        assert data == {"m": 4, "coeffs": ["0", "1"]}
+        assert json.loads(dump_json(zeta(4))) == plain(zeta(4)) == {"m": 4, "coeffs": ["0", "1"]}

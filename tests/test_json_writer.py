@@ -1,19 +1,32 @@
-"""galrep's JSON writer against its oracle, ``json.dumps(indent=2, sort_keys=True)``."""
+"""galrep's JSON writer against its oracle, ``json.dumps(indent=2, sort_keys=True)``
+over the plain data of ``oracles.plain``."""
 
+import contextlib
 import gc
+import importlib
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galrep.classify import classify, dump_json
+from oracles import plain
+
+import galrep.cli as cli
+from galrep.classify import Eigenvalue, GroupSummary, classify, dump_json
+from galrep.cyclotomic import Cyclotomic, cyclotomic_polynomial
+from galrep.groups import CharacterRow, ConjClass, El
 from galrep.padic import BaseField, InputPolynomial
+
+# galrep.classify is the function, so the module is looked up by name
+classify_module = importlib.import_module("galrep.classify")
 
 
 def oracle(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(plain(obj), indent=2, sort_keys=True)
 
 
 # every code point, lone surrogates included, with the characters json escapes drawn often
@@ -22,14 +35,33 @@ _chars = st.one_of(st.characters(exclude_categories=()),
 _text = st.text(_chars, max_size=8)
 _ints = st.one_of(st.integers(), st.integers(min_value=-2**200, max_value=2**200))
 _leaves = st.one_of(st.none(), st.booleans(), _ints, _text)
-_trees = st.recursive(_leaves, lambda children: st.one_of(st.lists(children, max_size=5),
-                                                          st.dictionaries(_text, children, max_size=5)),
-                      max_leaves=40)
+
+
+def _trees(leaves):
+    return st.recursive(leaves, lambda children: st.one_of(st.lists(children, max_size=5),
+                                                           st.dictionaries(_text, children, max_size=5)),
+                        max_leaves=40)
+
+
+def _cyclotomics(m):
+    degree = len(cyclotomic_polynomial(m)) - 1
+    coeffs = st.one_of(st.just(0), _ints, st.sampled_from([2**200, -2**200]))
+    return st.lists(coeffs, min_size=degree, max_size=degree).map(lambda cs: Cyclotomic(m, tuple(cs)))
+
+
+_records = st.one_of(st.sampled_from([1, 2, 3, 4, 5, 12, 13]).flatmap(_cyclotomics),
+                     st.builds(ConjClass, st.builds(El, _ints, _ints, _ints), _ints))
 
 
 @settings(max_examples=150, deadline=None)
-@given(_trees)
+@given(_trees(_leaves))
 def test_bytes_equal_the_oracle(obj):
+    assert dump_json(obj) == oracle(obj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees(st.one_of(_leaves, _records)))
+def test_records_equal_the_oracle(obj):
     assert dump_json(obj) == oracle(obj)
 
 
@@ -38,8 +70,15 @@ def test_edge_shapes(obj):
     assert dump_json(obj) == oracle(obj)
 
 
-@pytest.mark.parametrize("bad", [1.5, (1, 2), {1, 2}, Fraction(1, 2), {1: "a"}],
-                         ids=["float", "tuple", "set", "Fraction", "int key"])
+# tuple subclasses, which json.dumps would write as lists, and a class that is not made of ints
+_RECORD_LIKE = [El(0, 1, 0), GroupSummary(40, 2, 10), Eigenvalue(Cyclotomic.rational(5, 5), 4),
+                CharacterRow("wild-", 4, (Cyclotomic.rational(5, 4),), True, ("induced", 1, None)),
+                ConjClass(El(0, 1, "0"), 1)]
+
+
+@pytest.mark.parametrize("bad", [1.5, (1, 2), {1, 2}, Fraction(1, 2), {1: "a"}, *_RECORD_LIKE],
+                         ids=["float", "tuple", "set", "Fraction", "int key",
+                              "El", "GroupSummary", "Eigenvalue", "CharacterRow", "ConjClass of a str"])
 @pytest.mark.parametrize("wrap", [lambda x: x, lambda x: ["a", x], lambda x: {"k": [{"j": x}]}],
                          ids=["bare", "in a leaf list", "nested"])
 def test_other_types_raise_type_error(bad, wrap):
@@ -55,6 +94,14 @@ def test_int_beyond_the_digit_limit_raises_like_the_oracle():
         dump_json([big])
 
 
+def test_coefficient_beyond_the_digit_limit_raises_like_the_oracle():
+    tree = {"values": [Cyclotomic(3, (0, 10**sys.get_int_max_str_digits()))]}
+    with pytest.raises(ValueError):
+        oracle(tree)
+    with pytest.raises(ValueError):
+        dump_json(tree)
+
+
 def test_leaves_no_cyclic_garbage():
     report = classify(InputPolynomial.from_string(13, "x^13-13"), BaseField(13, 1))
     enabled = gc.isenabled()
@@ -67,3 +114,35 @@ def test_leaves_no_cyclic_garbage():
         if enabled:
             gc.enable()
     assert text == oracle(report.to_json_dict())
+
+
+def _whole_outputs():
+    for p in (3, 5, 7, 11, 13):
+        for n in (1, 2, 3):
+            yield ("classify", "--p", str(p), "--f", f"x^{p}-{p}", "--n", str(n))
+    yield ("classify", "--p", "5", "--f", "x^5+x+1", "--n", "1")  # refused
+    for p in (3, 5, 7, 11, 13, 17, 19):
+        for group in ("inertia", "full"):
+            yield ("chartab", "--p", str(p), "--group", group, "--group-bound", str(p))
+    yield ("count", "--mode", "curve", "--p", "5", "--m", "2")
+    yield ("count", "--mode", "twisted", "--p", "5", "--n", "3")
+    yield ("verify",)
+
+
+@pytest.mark.parametrize("argv", tuple(_whole_outputs()), ids=" ".join)
+def test_whole_output_equals_the_oracle(argv, monkeypatch):
+    """What the CLI prints is the oracle's bytes for the tree it wrote."""
+    trees = []
+
+    def recording_dump_json(tree):
+        trees.append(tree)
+        return dump_json(tree)
+
+    monkeypatch.setattr(classify_module, "dump_json", recording_dump_json)  # ClassificationReport.to_json
+    monkeypatch.setattr(cli, "dump_json", recording_dump_json)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(list(argv))
+    [tree] = trees
+    # line by line: pytest would take minutes to diff two long strings that differ
+    assert out.getvalue().splitlines(keepends=True) == (oracle(tree) + "\n").splitlines(keepends=True)
