@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -38,34 +37,47 @@ DEFAULT_VERIFY_PAIRS = ((3, 1), (5, 1), (7, 1), (3, 3), (5, 3))
 
 
 def _approx(value: Cyclotomic) -> str:
-    """Ten significant digits of each part of a nonzero value.  Whether the
-    value is real, purely imaginary or neither is decided exactly, so a part
-    that is zero is never printed."""
-    z = value.embed()
-    conj = value.conjugate()
-    if value == conj:
-        return _ten_digits(z.real)
-    if value == -conj:
-        return f"{_ten_digits(z.imag)}i"
-    imag = _ten_digits(z.imag)
-    return f"{_ten_digits(z.real)}{'' if imag[0] == '-' else '+'}{imag}i"
+    """Ten significant digits of each nonzero part of a nonzero value,
+    correctly rounded.  A rational part, zero included, is read exactly:
+    twice the real part is value + conj, and twice the imaginary part is
+    (value - conj) * zeta_m^(3m/4) when 4 | m; otherwise i is not in Q(zeta_m)
+    and a nonzero imaginary part is irrational.  An irrational part is never
+    a tie, so Ziv's loop ends: it doubles the bits of ``enclose`` until both
+    ends of the part's interval print the same digits."""
+    m, conj = value.m, value.conjugate()
+    twice_imag = value - conj
+    if m % 4 == 0:
+        twice_imag *= Cyclotomic.root_of_unity(m, 3 * m // 4)
+    exact = [Fraction(t.as_rational(), 2) if t.is_rational() else None for t in (value + conj, twice_imag)]
+    texts = [None if q is None else _ten_digits(q) if q else "" for q in exact]
+    bits = 64
+    while None in texts:
+        re, im, err = value.enclose(bits)
+        for i, x in enumerate((re, im)):
+            if texts[i] is None and abs(x) > err:  # both ends nonzero, of one sign
+                low, high = (_ten_digits(Fraction(x + d, 1 << bits)) for d in (-err, err))
+                if low == high:
+                    texts[i] = low
+        bits *= 2
+    real, imag = texts
+    if not imag:
+        return real
+    return f"{real}{'+' if real and imag[0] != '-' else ''}{imag}i"
 
 
-def _ten_digits(x) -> str:
-    """``format(x, ".10g")`` for a nonzero mpmath real, rounded half to even
-    from its exact binary value, so no size overflows to ``inf``."""
-    man, exp = x.man_exp  # |x| = man * 2^exp
-    q = Fraction(man) * Fraction(2) ** exp
-    ten = Fraction(10)
-    e = math.floor(math.log10(man) + exp * math.log10(2))  # off by at most one
-    while q >= ten ** (e + 1):
+def _ten_digits(q: Fraction) -> str:
+    """``format(q, ".10g")`` for a nonzero rational, rounded half to even
+    from its exact value, so no size overflows to ``inf``."""
+    a, ten = abs(q), Fraction(10)
+    e = (a.numerator.bit_length() - a.denominator.bit_length()) * 30103 // 10**5  # near log10(a)
+    while a >= ten ** (e + 1):
         e += 1
-    while q < ten ** e:
+    while a < ten ** e:
         e -= 1
-    digits = round(q / ten ** (e - 9))
+    digits = round(a / ten ** (e - 9))
     if digits == 10**10:
         digits, e = 10**9, e + 1
-    mantissa = str(digits).rstrip("0")  # |x| rounds to 0.mantissa * 10^(e+1)
+    mantissa = str(digits).rstrip("0")  # |q| rounds to 0.mantissa * 10^(e+1)
     if e < -4 or e >= 10:  # the exponents float formatting writes in scientific notation
         text = mantissa[0] + (f".{mantissa[1:]}" if mantissa[1:] else "") + f"e{e:+03d}"
     elif e < 0:
@@ -73,7 +85,7 @@ def _ten_digits(x) -> str:
     else:
         whole, frac = mantissa[:e + 1].ljust(e + 1, "0"), mantissa[e + 1:]
         text = f"{whole}.{frac}" if frac else whole
-    return f"-{text}" if x < 0 else text
+    return f"-{text}" if q < 0 else text
 
 
 def render_value(value: Cyclotomic, p: int | None = None) -> str:

@@ -30,9 +30,6 @@ from typing import Mapping, NamedTuple
 
 from .errors import UsageError
 
-_EMBED_GUARD_BITS = 70  # bits of the numeric embedding beyond the largest coefficient
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, ascending degree."""
@@ -80,6 +77,41 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
                 cur = [cur[i] + lead * head[i] for i in range(d)]
             rows.append(tuple(cur))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _unit_circle(m: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """(cos, sin) of 2*pi*e/m for e < deg Phi_m, in units of 2^-bits, each
+    within one unit for bits >= 8.
+
+    Proof, in units of 2^-w: each // errs by under one unit.  Machin's two
+    arctangent sums take under w/4.6 + 1 and w/15.8 + 1 terms and leave tails
+    under one unit, so pi is off by under 4w + 40, and the angle t of
+    2*pi*a/m, a <= m/2, by under 4w + 41, as are cos t and sin t.  With
+    T = t/2^w < 3.5, the k-th Taylor term is off by d_k <= T d_(k-1)/k + 1 < 4,
+    and fewer than w terms are summed, as 7^w < w! for w >= 20.  The first
+    term left out computed to 0, so it is under 4, and the tail is under 8:
+    each later term is at most half the one before, as T/k <= 1/2 for k > 6,
+    and below that a term under 4 means T < 1.  So each sum is off by under
+    8w + 49 <= 2^(g-1), and rounding off g bits adds at most 1/2.
+    """
+    g = bits.bit_length() + 8
+    w, pi = bits + g, 0
+    for x, weight in ((5, 16), (239, -4)):  # Machin: pi = 16 arctan(1/5) - 4 arctan(1/239)
+        power, j = (1 << w) // x, 0  # 2^w / x^(2j+1)
+        while power:
+            pi += weight * (-1) ** j * (power // (2 * j + 1))
+            power, j = power // (x * x), j + 1
+    table = []
+    for e in range(len(cyclotomic_polynomial(m)) - 1):
+        t, term, k, sums = 2 * min(e, m - e) * pi // m, 1 << w, 0, [0, 0]
+        while term:  # exp(i t) = sum (i t)^k / k!
+            sums[k % 2] += term if k % 4 < 2 else -term
+            k += 1
+            term = term * t // (k << w)
+        cos, sin = ((s + (1 << g - 1)) >> g for s in sums)
+        table.append((cos, sin if 2 * e <= m else -sin))
+    return tuple(table)
 
 
 def _integer(c) -> int:
@@ -212,39 +244,14 @@ class Cyclotomic(_CyclotomicFields):
             raise UsageError("not_rational", "value is not a rational number")
         return self.coeffs[0]
 
-    def embed(self):
-        """Numeric image under zeta_m -> exp(2*pi*i/m), an mpmath ``mpc``.
-
-        It is summed with 70 bits beyond the bit length of the largest
-        coefficient, so each term is off by less than about 2^-70 however
-        large the coefficients grow.  A part that comes out at about 2^-k,
-        for k > 0, has lost k of those bits to cancellation, so it is summed
-        again with k bits more: each nonzero part is off by less than about
-        2^-70 of itself.  A part that is zero, decided exactly from the
-        conjugate, is an exact 0, as it would cancel at every precision.  For
-        display and sign disambiguation only; equality decisions always use
-        the exact coefficient vectors.  mpmath is imported here, on first
-        use, so that JSON output never loads it.
-        """
-        import mpmath
-
-        conj = self.conjugate()
-        zero_real, zero_imag = self == -conj, self == conj
-        scale = max(map(abs, self.coeffs)).bit_length()
-        prec, needed = 0, scale + _EMBED_GUARD_BITS
-        while prec < needed:
-            prec = needed
-            with mpmath.workprec(prec):
-                total = mpmath.mpc(0)
-                for e, c in enumerate(self.coeffs):
-                    if c:
-                        total += c * mpmath.expjpi(mpmath.mpf(2 * e) / self.m)
-                total = mpmath.mpc(0 if zero_real else total.real, 0 if zero_imag else total.imag)
-            # the exponent of the smallest nonzero part; one that summed to 0 lost every bit
-            size = min([mpmath.mag(x) if x else scale - prec
-                        for x, zero in ((total.real, zero_real), (total.imag, zero_imag)) if not zero], default=0)
-            needed = scale + _EMBED_GUARD_BITS - size
-        return total
+    def enclose(self, bits: int) -> tuple[int, int, int]:
+        """(re, im, err): the real and imaginary parts of the image under
+        zeta_m -> exp(2*pi*i/m), in units of 2^-bits, each within err units of
+        the true part, for bits >= 8.  err = sum |coeff|, as each entry of
+        ``_unit_circle`` is within one unit."""
+        table = _unit_circle(self.m, bits)
+        return (sum(c * x for c, (x, _) in zip(self.coeffs, table)),
+                sum(c * y for c, (_, y) in zip(self.coeffs, table)), sum(map(abs, self.coeffs)))
 
     # -- serialization -----------------------------------------------------
 

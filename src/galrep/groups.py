@@ -47,12 +47,31 @@ INERTIA = "inertia"
 FULL = "full"
 
 
-class El(NamedTuple):
-    """Group element in normal form s^i t^j f^k."""
+def _checked(cls, fields: tuple, types: tuple):
+    """A record of ``cls`` from fields of exactly ``types``: dump_json writes
+    the ints through int.__repr__, so True would be written as 1."""
+    if any(type(x) is not t for x, t in zip(fields, types)):
+        raise UsageError("bad_field", f"the fields of {cls.__name__} are {[t.__name__ for t in types]}, "
+                         f"got {fields!r}")
+    return tuple.__new__(cls, fields)
 
+
+class _ElFields(NamedTuple):
     i: int
     j: int
     k: int
+
+
+class El(_ElFields):
+    """Group element in normal form s^i t^j f^k."""
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, k: int):
+        return _checked(cls, (i, j, k), (int, int, int))
+
+    # the base class's _make, which _replace calls, would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class GroupSpec(NamedTuple):
@@ -87,9 +106,20 @@ def check_p_bound(p: int, p_bound: int) -> None:
         raise InputError("p_beyond_bound", f"p = {p} exceeds the configured bound {p_bound}")
 
 
-class ConjClass(NamedTuple):
+class _ConjClassFields(NamedTuple):
     rep: El
     size: int
+
+
+class ConjClass(_ConjClassFields):
+    """A conjugacy class: its lex-least member and its size."""
+
+    __slots__ = ()
+
+    def __new__(cls, rep: El, size: int):
+        return _checked(cls, (rep, size), (El, int))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _class_list(group: GroupSpec) -> list[ConjClass]:

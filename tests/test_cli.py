@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -31,6 +32,12 @@ from galrep.cyclotomic import Cyclotomic
 # a child interpreter imports the galrep these tests import, installed or not
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(Path(galrep.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+
+
+def fraction(x):
+    """The exact value of an mpmath real."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 def run(capsys, *argv):
@@ -234,7 +241,7 @@ class TestTextApproximations:
         value = power(Cyclotomic.from_terms(5, {1: 1, 4: 1}), k)
         assert max(value.coeffs) > 10 ** (k // 5)
         with mpmath.workdps(60):
-            assert cli._approx(value) == cli._ten_digits(((mpmath.sqrt(5) - 1) / 2) ** k)
+            assert cli._approx(value) == cli._ten_digits(fraction(((mpmath.sqrt(5) - 1) / 2) ** k))
 
     def test_a_tiny_nonzero_part_is_printed(self):
         # 1 + i ((sqrt(5) - 1)/2)^60 in Z[zeta_20]: the imaginary part is about 2.9e-13
@@ -244,7 +251,21 @@ class TestTextApproximations:
 
     @given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
     def test_ten_digits_agree_with_float_formatting(self, x):
-        assert cli._ten_digits(mpmath.mpf(x)) == format(x, ".10g")
+        assert cli._ten_digits(Fraction(x)) == format(x, ".10g")
+
+    @pytest.mark.parametrize("k", [200, 400])
+    def test_a_near_tie_is_rounded_from_the_exact_value(self, k):
+        # 12345678915 -+ eps, eps = ((sqrt(5) - 1)/2)^k about 10^-42 or 10^-84, with coefficients
+        # about 10^42 or 10^84: the value sits just below or above a tie of the tenth digit
+        eps = power(Cyclotomic.from_terms(20, {4: 1, 16: 1}), k)
+        tie = Cyclotomic.rational(20, 12345678915)
+        assert cli._approx(tie - eps) == "1.234567891e+10"
+        assert cli._approx(tie + eps) == "1.234567892e+10"
+
+    def test_an_exact_tie_ends_and_rounds_half_to_even(self):
+        one, i = Cyclotomic.rational(4, 1), Cyclotomic.root_of_unity(4, 1)
+        assert cli._approx(one * 12345678905 + i) == "1.23456789e+10+1i"
+        assert cli._approx(one * 3 + i * 12345678905) == "3+1.23456789e+10i"
 
 
 class TestChartabCommand:
@@ -451,11 +472,17 @@ class TestUnexpectedErrors:
 
 class TestProcess:
     def test_import_leaves_mpmath_out(self):
-        # mpmath is needed for the numeric tags of text output only; records are
-        # NamedTuples, as dataclasses pulls in inspect, ast, dis and tokenize
-        code = "import sys, galrep.cli; print(sorted({'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))"
+        # records are NamedTuples, as dataclasses pulls in inspect, ast, dis and tokenize; and
+        # text output prints its digits from integers, so no command loads mpmath
+        argvs = ["classify --p 5 --f x^5-5 --n 1", "chartab --p 7 --group full", "count --mode curve --p 5 --m 2",
+                 "count --mode twisted --p 5 --n 1", "verify --p 3 --n 1"]
+        code = ("import contextlib, io, sys, galrep.cli as cli\n"
+                "print(sorted({'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    codes = [cli.main(argv.split() + ['--format', 'text']) for argv in {argvs!r}]\n"
+                "print(codes, 'mpmath' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True, env=CHILD_ENV)
-        assert result.stdout == "[]\n"
+        assert result.stdout == "[]\n[0, 0, 0, 0, 0] False\n"
 
     def test_closed_stdout_ends_quietly(self):
         # the table is far larger than a pipe buffer, so the writer meets the closed pipe

@@ -1,10 +1,11 @@
 """Exact cyclotomic arithmetic in Z[zeta_m]: canonical form, int coordinates,
-ring laws, conjugation, embedding."""
+ring laws, conjugation, the integer enclosure of the complex value."""
 
 import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,25 +170,42 @@ class TestRingLaws:
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
 
+def numeric(value, bits=64):
+    re, im, _ = value.enclose(bits)
+    return complex(re / 2**bits, im / 2**bits)
+
+
+# the embedding zeta_m -> exp(2*pi*i/m), through the integer enclosure of its image
 class TestEmbed:
     def test_embed_one(self):
-        assert abs(Cyclotomic.rational(7, 1).embed() - 1.0) < 1e-12
+        re, im, err = Cyclotomic.rational(7, 1).enclose(64)
+        assert err == 1 and abs(re - 2**64) <= err and abs(im) <= err
 
     def test_embed_gauss_sums(self):
-        g5 = gauss_sum(5).embed()
-        assert abs(g5 - math.sqrt(5)) < 1e-9
-        g3 = gauss_sum(3).embed()
-        assert abs(g3 - 1j * math.sqrt(3)) < 1e-9
-        g7 = gauss_sum(7).embed()
-        assert abs(g7 - 1j * math.sqrt(7)) < 1e-9
+        # the intervals hold sqrt(5), i sqrt(3) and i sqrt(7) exactly: compare squares of integers
+        for p, real in ((5, True), (3, False), (7, False)):
+            re, im, err = gauss_sum(p).enclose(64)
+            part, other = (re, im) if real else (im, re)
+            assert abs(other) <= err
+            assert 0 < part - err and (part - err) ** 2 <= p * 4**64 <= (part + err) ** 2
 
     @pytest.mark.parametrize("m", [40, 105, 120])
     def test_embed_respects_multiplication(self, m):
         a = Cyclotomic.from_terms(m, {1: 2, 7: 3, m - 2: -4})
         b = Cyclotomic.from_terms(m, {0: -1, 3: 5, 11: 2})
-        lhs = (a * b).embed()
-        rhs = a.embed() * b.embed()
-        assert abs(lhs - rhs) < 1e-9
+        assert abs(numeric(a * b) - numeric(a) * numeric(b)) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 12, 20, 40, 105, 120]), bits=st.integers(8, 400),
+           data=st.data())
+    def test_true_parts_lie_within_err(self, m, bits, data):
+        d = len(cyclotomic_polynomial(m)) - 1
+        coeffs = data.draw(st.lists(st.integers(-2**80, 2**80), min_size=d, max_size=d))
+        re, im, err = Cyclotomic(m, tuple(coeffs)).enclose(bits)
+        assert err == sum(map(abs, coeffs))
+        with mpmath.workprec(bits + 300):
+            z = sum(c * mpmath.expjpi(mpmath.mpf(2 * e) / m) for e, c in enumerate(coeffs)) * mpmath.mpf(2) ** bits
+            assert abs(z.real - re) <= err and abs(z.imag - im) <= err
 
 
 class TestSerialization:

@@ -1,10 +1,13 @@
 """The package namespace: every exported name resolves, none twice, and
 every function, method and class of the package is used by the package or
-exported by it."""
+exported by it.  The package needs the standard library alone."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import galrep
 
@@ -29,3 +32,22 @@ def test_every_definition_is_used_or_exported():
             named.update(filter(None, (node.name, node.asname)))
     defined = [node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     assert [name for name in defined if name not in named and not (name.startswith("__") and name.endswith("__"))] == []
+
+
+# galrep runs on the standard library alone; mpmath, sympy and hypothesis are the tests' tools
+def test_every_import_is_standard_library_or_galrep():
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert sorted(imported - set(sys.stdlib_module_names) - {"galrep"}) == []
+
+
+def test_no_runtime_dependency_is_declared():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == []
+    assert "mpmath>=1.3" in project["optional-dependencies"]["test"]

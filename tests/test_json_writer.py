@@ -18,6 +18,7 @@ from oracles import plain
 import galrep.cli as cli
 from galrep.classify import Eigenvalue, GroupSummary, classify, dump_json
 from galrep.cyclotomic import Cyclotomic, cyclotomic_polynomial
+from galrep.errors import UsageError
 from galrep.groups import CharacterRow, ConjClass, El
 from galrep.padic import BaseField, InputPolynomial
 
@@ -70,20 +71,27 @@ def test_edge_shapes(obj):
     assert dump_json(obj) == oracle(obj)
 
 
-# tuple subclasses, which json.dumps would write as lists, and a class that is not made of ints
-_RECORD_LIKE = [El(0, 1, 0), GroupSummary(40, 2, 10), Eigenvalue(Cyclotomic.rational(5, 5), 4),
-                CharacterRow("wild-", 4, (Cyclotomic.rational(5, 4),), True, ("induced", 1, None)),
-                ConjClass(El(0, 1, "0"), 1)]
+# tuple subclasses, which json.dumps would write as lists, are refused by the writer; classes that are
+# not made of ints, which it would write with wrong fields (True as 1), are refused when built
+_RECORD_LIKE = [(lambda: El(0, 1, 0), TypeError), (lambda: GroupSummary(40, 2, 10), TypeError),
+                (lambda: Eigenvalue(Cyclotomic.rational(5, 5), 4), TypeError),
+                (lambda: CharacterRow("wild-", 4, (Cyclotomic.rational(5, 4),), True, ("induced", 1, None)), TypeError),
+                (lambda: ConjClass(El(0, 1, "0"), 1), UsageError), (lambda: ConjClass(El(True, 0, 0), 1), UsageError),
+                (lambda: ConjClass(El(0, 0, 0), True), UsageError), (lambda: ConjClass((0, 0, 0), 1), UsageError),
+                (lambda: ConjClass(El(0, 0, 0), 1)._replace(rep=El(0, 0, 0)._replace(k=True)), UsageError)]
+_OTHER_TYPES = [(lambda x=x: x, TypeError) for x in (1.5, (1, 2), {1, 2}, Fraction(1, 2), {1: "a"})]
 
 
-@pytest.mark.parametrize("bad", [1.5, (1, 2), {1, 2}, Fraction(1, 2), {1: "a"}, *_RECORD_LIKE],
-                         ids=["float", "tuple", "set", "Fraction", "int key",
-                              "El", "GroupSummary", "Eigenvalue", "CharacterRow", "ConjClass of a str"])
+@pytest.mark.parametrize("bad", _OTHER_TYPES + _RECORD_LIKE,
+                         ids=["float", "tuple", "set", "Fraction", "int key", "El", "GroupSummary", "Eigenvalue",
+                              "CharacterRow", "ConjClass of a str", "ConjClass of a bool", "ConjClass of bool size",
+                              "ConjClass of a tuple", "ConjClass replaced by a bool"])
 @pytest.mark.parametrize("wrap", [lambda x: x, lambda x: ["a", x], lambda x: {"k": [{"j": x}]}],
                          ids=["bare", "in a leaf list", "nested"])
 def test_other_types_raise_type_error(bad, wrap):
-    with pytest.raises(TypeError):
-        dump_json(wrap(bad))
+    build, error = bad
+    with pytest.raises(error):
+        dump_json(wrap(build()))
 
 
 def test_int_beyond_the_digit_limit_raises_like_the_oracle():
