@@ -37,19 +37,19 @@ def require_odd_prime(p: int) -> None:
 
 
 def vp(x: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
+    """p-adic valuation of a nonzero rational.  A Fraction is in lowest terms,
+    so p divides its numerator or its denominator, not both."""
+    if type(x) is not int:
+        x = Fraction(x)
+        if x.denominator % p == 0:
+            return -vp(x.denominator, p)
+        x = x.numerator
+    if not x:
         raise UsageError("valuation_of_zero", "v_p(0) is undefined")
     v = 0
-    num = x.numerator
-    while num % p == 0:
-        num //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    den = x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 

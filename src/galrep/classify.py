@@ -260,7 +260,7 @@ def verify_consistency(p: int, n: int, budgets: Budgets | None = None) -> Verifi
     group = build_group(p, FULL, budgets.group_p_bound)
     # the count's budgets are decided from the exponent: they bound n before G^n is formed
     counted = _twisted_trace(p, n, budgets)
-    trace_psi = identify_psi(p, "odd", budgets.group_p_bound).values[class_index(group, SIGMA_PHI)]
+    trace_psi = identify_psi(group).values[class_index(group, SIGMA_PHI)]
     predicted_cyclo = trace_psi * _gauss_sum_power(p, n)
     if not predicted_cyclo.is_rational():
         raise InternalCheckError("predicted trace of a Frobenius-coset element is not rational")
@@ -280,28 +280,26 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
     if f.p != K.p:
         raise InputError("p_mismatch", f"polynomial p = {f.p} but base field p = {K.p}")
     budgets = budgets or Budgets()
+    p, n = f.p, K.n
     # the bound checks are cheap: refuse an out-of-bound p or n before any p-adic work
-    inertia_group = build_group(f.p, INERTIA, budgets.group_p_bound)
-    _check_printable(f.p, K.n)
+    group = build_group(p, FULL if n % 2 else INERTIA, budgets.group_p_bound)
+    _check_printable(p, n)
     assumptions = validate_assumptions(f)
     if not assumptions.maximal_inertia:
         raise ClassificationRefused(assumptions.failed_conditions(), assumptions)
-    p, n = f.p, K.n
-    parity = "even" if n % 2 == 0 else "odd"
     g = (p - 1) // 2
 
-    full_group = build_group(p, FULL, budgets.group_p_bound) if parity == "odd" else None
-    psi = identify_psi(p, parity, budgets.group_p_bound)
+    psi = identify_psi(group)
 
     chi_frob = _gauss_sum_power(p, n)
-    if parity == "even":
+    if n % 2 == 0:
         eigenvalues = (Eigenvalue(chi_frob, 2 * g),)
     else:
         eigenvalues = (Eigenvalue(chi_frob, g), Eigenvalue(-chi_frob, g))
 
     conductor = conductor_exponent(assumptions)
 
-    if parity == "odd":
+    if n % 2:
         try:
             verification = verify_consistency(p, n, budgets)
         except BudgetExceeded as exc:
@@ -315,11 +313,11 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
         n=n,
         f=f,
         assumptions=assumptions,
-        inertia_group=_summary(inertia_group),
-        full_group=_summary(full_group) if full_group else None,
+        inertia_group=_summary(group._replace(variant=INERTIA)),
+        full_group=_summary(group) if n % 2 else None,
         chi_frobenius=chi_frob,
         psi=psi,
-        psi_classes=conjugacy_classes(full_group or inertia_group),
+        psi_classes=conjugacy_classes(group),
         eigenvalues=eigenvalues,
         conductor=conductor,
         verification=verification,

@@ -16,8 +16,8 @@ needs).
 Operations never mix conductors: an operation on values of two different
 conductors is refused.
 
-Phi_m is obtained by exact division of x^m - 1 by the Phi_d for proper
-divisors d; together with a precomputed table of x^e mod Phi_m this keeps
+Phi_m is built prime by prime, one exact division per prime factor of m;
+together with a precomputed table of x^e mod Phi_m this keeps
 multiplication a sparse convolution followed by one table-driven reduction.
 
 All values are immutable and safe to share between threads.
@@ -32,13 +32,18 @@ from .errors import UsageError
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m, ascending degree."""
+    """Integer coefficients of Phi_m, ascending, from Phi_1 = x - 1 one prime
+    q of m at a time: Phi_(nq)(x) = Phi_n(x^q), over Phi_n(x) unless q | n."""
     if m < 1:
         raise UsageError("bad_conductor", f"conductor must be positive, got {m}")
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _exact_div(poly, list(cyclotomic_polynomial(d)))
+    poly, n, q = [-1, 1], 1, 1
+    while n < m:
+        q += 1
+        while (m // n) % q == 0:  # q is prime: its smaller factors have left m/n
+            spread = [0] * (len(poly) * q - q + 1)
+            spread[::q] = poly
+            poly = spread if n % q == 0 else _exact_div(spread, poly)
+            n *= q
     return tuple(poly)
 
 

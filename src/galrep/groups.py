@@ -30,8 +30,8 @@ rows are written in closed form (``_induced_row``): each value is p-1, -1,
 0 or a sign times the Gauss sum.  All values are exact cyclotomics with
 conductor dividing 2p(p-1).
 
-psi is an induced row: ``identify_psi`` builds the induced rows alone and
-caches psi per group.  Whole tables are built only on request, uncached.
+psi is an induced row: ``identify_psi(group)`` builds the induced rows alone
+and caches psi per group.  Whole tables are built only on request, uncached.
 """
 
 from __future__ import annotations
@@ -240,10 +240,12 @@ def gauss_sum(p: int) -> Cyclotomic:
 
     Its square is (-1)^((p-1)/2) * p; under the numeric embedding it is the
     positive real square root of p for p = 1 mod 4 and i*sqrt(p) for
-    p = 3 mod 4.
+    p = 3 mod 4.  Its coordinates are Legendre symbols less (-1|p), as
+    zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)).
     """
     require_odd_prime(p)
-    return Cyclotomic.from_terms(p, {a: legendre_symbol(a, p) for a in range(1, p)})
+    top = legendre_symbol(-1, p)
+    return Cyclotomic(p, tuple([-top] + [legendre_symbol(a, p) - top for a in range(1, p - 1)]))
 
 
 def _induced_row(group: GroupSpec, nu_sign: int, phi_sign: int | None) -> tuple[Cyclotomic, ...]:
@@ -362,7 +364,8 @@ def character_table(group: GroupSpec) -> CharacterTable:
     return CharacterTable(group, classes, tuple(rows))
 
 
-def identify_psi(p: int, n_parity: str, p_bound: int = 13) -> CharacterRow:
+@lru_cache(maxsize=None)
+def identify_psi(group: GroupSpec) -> CharacterRow:
     """The finite-group factor psi of the Galois representation, cached per group.
 
     Even residue degree: the unique faithful induced row of the inertia
@@ -371,13 +374,8 @@ def identify_psi(p: int, n_parity: str, p_bound: int = 13) -> CharacterRow:
     faithful.  Anything but a unique match, by exact comparison, means the
     construction itself is broken.
     """
-    if n_parity not in ("even", "odd"):
-        raise UsageError("bad_parity", f"parity must be 'even' or 'odd', got {n_parity!r}")
-    return _psi_row(build_group(p, INERTIA if n_parity == "even" else FULL, p_bound))
-
-
-@lru_cache(maxsize=None)
-def _psi_row(group: GroupSpec) -> CharacterRow:
+    if group.variant not in (INERTIA, FULL):
+        raise UsageError("bad_variant", f"unknown variant {group.variant!r}")
     candidates = [row for row in _wild_rows(group) if row.faithful]
     if group.variant == FULL:
         idx = class_index(group, SIGMA_PHI)

@@ -263,27 +263,26 @@ def _integer_model(f: InputPolynomial) -> tuple[list[int], int]:
     return [c.numerator * d ** (p - i) // c.denominator for i, c in enumerate(f.coeffs)], d
 
 
-def _certificate(f: InputPolynomial, model: list[int], d: int) -> tuple[list[int], Fraction] | None:
-    """g = M(x + dc) = d^p f(x/d + c) and the valuation k/p of its roots
-    when they certify f, else None.
+def _certificate(f: InputPolynomial, model: list[int], d: int) -> tuple[list[int], int] | None:
+    """g = M(x + dc) = d^p f(x/d + c) and k = v(g(0)), its roots being of
+    valuation k/p, when they certify f, else None.
 
     c = -f(0) mod p in [0, p) is the only shift for which every root of
     f(x + c) can have positive valuation: all of them are then congruent to
     0, so f = (x - c)^p = x^p - c mod p.  The roots of g are d times those
     of f(x + c).  M must be shifted by dc exactly: a shift that differs from
     it by a multiple of p, such as -M(0) mod p, moves roots of valuation
-    above 1 to valuation 1.
+    above 1 to valuation 1.  g's Newton polygon is one segment of slope k/p
+    in lowest terms exactly when p does not divide k and each other point
+    lies above the chord: p v(g_i) > k(p - i) for g_i != 0, 0 < i < p.
     """
     p = f.p
     c0 = f.coeffs[0]
     c = -c0.numerator * pow(c0.denominator, -1, p) % p
     g = polys.shift(model, d * c)
-    if not g[0]:
-        return None  # f(c) = 0: no certificate from this shift
-    polygon = newton_polygon_of(g, p)
-    slope = polygon.segments[0].root_valuation
-    if polygon.is_single_segment() and slope.denominator == p:
-        return g, slope
+    k = vp(g[0], p) if g[0] else 0  # f(c) = 0: no certificate from this shift
+    if k % p and all(p * vp(a, p) > k * (p - i) for i, a in enumerate(g[1:p], 1) if a):
+        return g, k
     return None
 
 
@@ -303,28 +302,28 @@ def irreducibility_certificate(f: InputPolynomial) -> str:
     return CERTIFIED if _certificate(f, *_integer_model(f)) else UNDETERMINED
 
 
-def _ramification_polygon(g: list[int], slope: Fraction, p: int) -> NewtonPolygon:
-    """Newton polygon of g(beta(x + 1)) / x, beta a root of g of valuation k/p.
+def _ramification_polygon(g: list[int], k: int, p: int) -> list[int]:
+    """Heights of the points (i, v(c_i)), i = 1..p, of the Newton polygon
+    of g(beta(x + 1)) / x = sum c_i x^(i-1), beta a root of g of valuation
+    k/p, counted in units of 1/p.
 
     Its roots are (beta' - beta) / beta over the other roots beta' of g
     (Greve and Pauli, "Ramification polygons, splitting fields, and Galois
-    groups of Eisenstein polynomials", 2012).  The coefficient of x^i,
+    groups of Eisenstein polynomials", 2012).  The coefficient c_i,
     1 <= i <= p, is the sum of g_j beta^j C(j, i) over j >= i, whose terms
     have valuations v(g_j) + jk/p + v(C(j, i)).  Their fractional parts jk/p
     are distinct, so the coefficient's valuation is their minimum, read off
     without any arithmetic in K(beta).  C(j, i) is a unit for j < p, and
-    C(p, i) has valuation 1 for 0 < i < p.  Valuations are counted in units
-    of 1/p, so the hull compares integers and the polygon's root valuations
-    are p times the true ones.
+    C(p, i) has valuation 1 for 0 < i < p.  In units of 1/p every height is
+    an integer.
     """
-    k = slope.numerator
     heights = [k * p]  # i = p: beta^p
     low = heights[0] + p  # the j = p term for i < p
     for i in range(p - 1, 0, -1):
         if g[i]:
             low = min(low, vp(g[i], p) * p + i * k)
         heights.append(low)
-    return _lower_hull(list(enumerate(reversed(heights))))
+    return heights[::-1]
 
 
 def _difference_power_sums(s: Sequence[int]) -> list[int]:
@@ -420,14 +419,14 @@ def _single_cluster(diff: Sequence[Fraction | int], p: int) -> SingleClusterResu
 class AssumptionReport(NamedTuple):
     """Outcome of all hypothesis checks for a maximal inertia image."""
 
-    disc_valuation: Fraction | None  # None when disc = 0
+    disc_valuation: int | None  # None when disc = 0
     squarefree: bool
     irreducibility: str
     gcd_condition: bool  # gcd(v(disc), p-1) = 1
     disc_valuation_odd: bool
     single_cluster: SingleClusterResult
     maximal_inertia: bool
-    slope: Fraction | None  # root valuation k/p of the certifying shift; not in the JSON
+    slope_numerator: int | None  # the k of the certifying shift's root valuation k/p; not in the JSON
 
     def failed_conditions(self) -> list[str]:
         failures = []
@@ -476,26 +475,28 @@ def validate_assumptions(f: InputPolynomial) -> AssumptionReport:
     model, d = _integer_model(f)
     certified = _certificate(f, model, d)
     if certified:
-        g, slope = certified
-        polygon = _ramification_polygon(g, slope, p)
-        if not polygon.is_single_segment():
+        g, k = certified
+        heights = _ramification_polygon(g, k, p)
+        first, last = heights[0], heights[-1]
+        # one segment: every point on or above the chord from (1, first) to (p, last)
+        if any((h - last) * (p - 1) < (first - last) * (p - 1 - i) for i, h in enumerate(heights)):
             raise InternalCheckError("ramification polygon of a certified input has several segments")
-        w = polygon.segments[0].root_valuation / p + slope
-        disc_valuation: Fraction | None = p * (p - 1) * w
-        if disc_valuation.denominator != 1:
-            raise InternalCheckError(f"p(p-1)w = {disc_valuation} is not an integer")
-        single_cluster = SingleClusterResult("yes", w)
+        # w = (first - last) / (p(p-1)) + k/p; a wild root field of degree p has different exponent >= p
+        disc_valuation: int | None = first - last + (p - 1) * k
+        if disc_valuation < p:
+            raise InternalCheckError(f"v(disc f) = {disc_valuation} is below p = {p}, the least for a wild root field")
+        single_cluster = SingleClusterResult("yes", Fraction(disc_valuation, p * (p - 1)))
     else:
-        slope = None
+        k = None
         diff = _difference_model(model)
         if diff[0]:
-            disc_valuation = Fraction(vp(diff[0], p))
+            disc_valuation = vp(diff[0], p)
             single_cluster = _single_cluster(diff, p)
         else:
             disc_valuation = None
             single_cluster = SingleClusterResult("not_computed")
     squarefree = disc_valuation is not None
-    v = int(disc_valuation) if squarefree else 0
+    v = disc_valuation if squarefree else 0
     gcd_condition = squarefree and math.gcd(v, p - 1) == 1
     return AssumptionReport(
         disc_valuation=disc_valuation,
@@ -506,7 +507,7 @@ def validate_assumptions(f: InputPolynomial) -> AssumptionReport:
         single_cluster=single_cluster,
         # a certified f is squarefree and one cluster
         maximal_inertia=bool(certified) and gcd_condition,
-        slope=slope,
+        slope_numerator=k,
     )
 
 
@@ -518,14 +519,14 @@ def conductor_exponent(report: AssumptionReport) -> int | None:
     ring of integers of the (totally ramified, degree p) extension, and the
     extension discriminant equals disc f up to a unit.  Only the shift
     c = -f(0) mod p can make f Eisenstein, and it is the certificate's: the
-    shifted f has one Newton segment of root valuation k/p, the report's
-    slope, from (0, k) to (p, 0), so it is Eisenstein exactly when k = 1.
-    Otherwise returns None: the formula would need the extension
-    discriminant itself, which is not computed here.
+    shifted f has one Newton segment of root valuation k/p, k the report's
+    slope_numerator, from (0, k) to (p, 0), so it is Eisenstein exactly
+    when k = 1.  Otherwise returns None: the formula would need the
+    extension discriminant itself, which is not computed here.
     """
     if not report.maximal_inertia:
         raise UsageError(
             "assumptions_not_validated",
             "conductor_exponent requires a validated maximal-inertia report",
         )
-    return int(report.disc_valuation) if report.slope.numerator == 1 else None
+    return report.disc_valuation if report.slope_numerator == 1 else None

@@ -1,4 +1,5 @@
-"""Test-side arithmetic that galrep itself does not need: integer powers of
+"""Test-side arithmetic that galrep itself does not need: cyclotomic
+polynomials by dividing x^m - 1 by every Phi_d, integer powers of
 cyclotomic values, the character inner product, psi found by searching a
 whole character table, powers and the element list of a finite field,
 Euler's criterion, Rabin's irreducibility test over F_p, the irreducibility
@@ -8,9 +9,10 @@ by direct scan of F_{p^(n*p)}, and the plain data of a report tree, which
 
 import math
 from collections import Counter
+from functools import lru_cache
 
 from galrep.counting import TwistedCountResult
-from galrep.cyclotomic import Cyclotomic
+from galrep.cyclotomic import Cyclotomic, _exact_div
 from galrep.gf import FieldSpec, _ben_or, _has_root, build_field
 from galrep.groups import (FULL, INERTIA, SIGMA_PHI, ConjClass, build_group, character_table, class_index,
                            faithful_kernel, gauss_sum)
@@ -31,6 +33,16 @@ def plain(tree):
     if kind is ConjClass:
         return {"rep": list(tree.rep), "size": tree.size}
     return tree
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial_by_divisors(m):
+    """Phi_m as x^m - 1 divided by Phi_d for every proper divisor d of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _exact_div(poly, list(cyclotomic_polynomial_by_divisors(d)))
+    return tuple(poly)
 
 
 def power(value, k):

@@ -196,7 +196,7 @@ class TestClassifyBuildsNoTable:
 
         for module in (groups, cli, galrep):
             monkeypatch.setattr(module, "character_table", refuse)
-        groups._psi_row.cache_clear()  # so psi is built anew, with the table refused
+        groups.identify_psi.cache_clear()  # so psi is built anew, with the table refused
         assert [run(capsys, *argv) for argv in self.ARGVS] == expected
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import plain
+from oracles import cyclotomic_polynomial_by_divisors, plain
 
 from galrep.classify import dump_json
 from galrep.cyclotomic import Cyclotomic, _power_table, cyclotomic_polynomial
@@ -124,6 +124,11 @@ class TestCanonicalForm:
             deg = len(cyclotomic_polynomial(m)) - 1
             phi = sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
             assert deg == phi
+
+    def test_same_as_dividing_by_every_divisor(self):
+        # 7320 = 2^3 * 3 * 5 * 61 has four prime factors and a square part
+        for m in [*range(1, 501), 7320]:
+            assert cyclotomic_polynomial(m) == cyclotomic_polynomial_by_divisors(m), m
 
     def test_power_table_matches_definition(self):
         for m in (6, 8, 12):

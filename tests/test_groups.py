@@ -22,6 +22,7 @@ from galrep.groups import (
     INERTIA,
     SIGMA_PHI,
     El,
+    GroupSpec,
     _induced_row,
     build_group,
     character_table,
@@ -368,26 +369,28 @@ class TestRestrictionToInertia:
 class TestIdentifyPsi:
     @pytest.mark.parametrize("p", ALL_P)
     def test_even_case(self, p):
-        row = identify_psi(p, "even")
+        row = identify_psi(build_group(p, INERTIA))
         assert row.label == "wild-"
         assert row.dimension == p - 1 and row.faithful
 
     @pytest.mark.parametrize("p", ALL_P)
     def test_odd_case(self, p):
-        row = identify_psi(p, "odd")
+        row = identify_psi(build_group(p, FULL))
         assert row.label == "wild--"
         assert row.construction_json() == {"kind": "induced", "nu": -1, "phi": -1}
         assert row.values[class_index(build_group(p, FULL), SIGMA_PHI)] == -gauss_sum(p)
 
-    def test_bad_parity(self):
-        with pytest.raises(UsageError):
-            identify_psi(5, "both")
+    def test_bad_variant(self):
+        with pytest.raises(UsageError) as err:
+            identify_psi(GroupSpec(5, 2, "both"))
+        assert err.value.code == "bad_variant"
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_against_table_search(self, p, parity):
         # label, dimension, values, faithful flag and construction
-        assert identify_psi(p, parity, p_bound=p) == psi_by_table_search(p, parity)
+        group = build_group(p, INERTIA if parity == "even" else FULL, p_bound=p)
+        assert identify_psi(group) == psi_by_table_search(p, parity)
 
     def test_sigma_phi_is_its_class_representative(self):
         for p in ORACLE_P:

@@ -17,7 +17,9 @@ from galrep.classify import classify
 from galrep.errors import InputError, InternalCheckError, UsageError
 from galrep.padic import (
     CERTIFIED,
+    _certificate,
     _difference_power_sums,
+    _integer_model,
     _lower_hull,
     UNDETERMINED,
     AssumptionReport,
@@ -111,6 +113,12 @@ def searched_slope(f):
     return None
 
 
+def certified_slope(report, p):
+    """The root valuation k/p of the report's certifying shift, or None."""
+    k = report.slope_numerator
+    return None if k is None else Fraction(k, p)
+
+
 def oracle_report(f):
     """The assumption report by the discriminant route: sympy's
     discriminant, the difference polynomial's Newton polygon and the
@@ -122,14 +130,14 @@ def oracle_report(f):
     irreducibility = UNDETERMINED if slope is None else CERTIFIED
     gcd_condition = math.gcd(v, p - 1) == 1
     return AssumptionReport(
-        disc_valuation=Fraction(v),
+        disc_valuation=v,
         squarefree=True,
         irreducibility=irreducibility,
         gcd_condition=gcd_condition,
         disc_valuation_odd=v % 2 == 1,
         single_cluster=single_cluster,
         maximal_inertia=irreducibility == CERTIFIED and gcd_condition and single_cluster.status != "no",
-        slope=slope,
+        slope_numerator=None if slope is None else slope.numerator,
     )
 
 
@@ -308,7 +316,7 @@ class TestIrreducibilityCertificate:
         # the certificate tries one shift; searching all p of them must agree
         slope = searched_slope(f)
         assert irreducibility_certificate(f) == (UNDETERMINED if slope is None else CERTIFIED)
-        assert validate_assumptions(f).slope == slope
+        assert certified_slope(validate_assumptions(f), f.p) == slope
 
     def test_roots_of_valuation_above_one(self):
         # f = (x - c)^p - p^(p+1) + (p^(p+2)/den) x: the roots of f(x + c)
@@ -322,7 +330,7 @@ class TestIrreducibilityCertificate:
                     coeffs[0] -= p ** (p + 1)
                     coeffs[1] += Fraction(p ** (p + 2), den)
                     f = InputPolynomial(p, tuple(coeffs))
-                    if irreducibility_certificate(f) != CERTIFIED or validate_assumptions(f).slope != Fraction(p + 1, p):
+                    if irreducibility_certificate(f) != CERTIFIED or validate_assumptions(f).slope_numerator != p + 1:
                         missed.append((p, c, den))
         assert missed == []
 
@@ -518,17 +526,45 @@ class TestCertifiedFromValuations:
         assert report.to_json_dict() == oracle.to_json_dict()
 
     def test_polygon_of_two_segments_raises(self, monkeypatch):
-        two = NewtonPolygon((Segment(Fraction(1), 2), Segment(Fraction(0), 2)))
-        monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, slope, p: two)
-        with pytest.raises(InternalCheckError):
+        # heights at x^1..x^5 in units of 1/5: (2, 2) lies below the chord from (1, 10) to (5, 0)
+        monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, k, p: [10, 2, 2, 2, 0])
+        with pytest.raises(InternalCheckError, match="several segments"):
             validate_assumptions(poly(5, "x^5-5"))
 
-    def test_fractional_disc_valuation_raises(self, monkeypatch):
-        # in units of 1/p: w = 1/5 + 1/7 gives p(p-1)w = 48/7
-        one = NewtonPolygon((Segment(Fraction(5, 7), 4),))
-        monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, slope, p: one)
-        with pytest.raises(InternalCheckError):
+    def test_disc_valuation_below_the_wild_bound_raises(self, monkeypatch):
+        # a flat polygon gives w = k/p, so v(disc f) = (p-1)k = 4 < p: no wild extension has it
+        monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, k, p: [5] * 5)
+        with pytest.raises(InternalCheckError, match="below p"):
             validate_assumptions(poly(5, "x^5-5"))
+
+
+class TestDirectCertificate:
+    """The certificate decided from integer valuations agrees with the
+    Newton polygon of the shifted model, one segment of slope denominator p."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_same_as_newton_polygon(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7, 11, 13]), label="p")
+        k = data.draw(st.integers(1, 2 * p), label="k")
+        # each valuation near the chord from (0, k) to (p, 0), or a zero
+        # coefficient; below it only when ``low``, so that many g certify
+        low = data.draw(st.booleans(), label="low")
+        g = [p**k * data.draw(st.sampled_from([-2, -1, 1, 2, 3]))]
+        for i in range(1, p):
+            e = data.draw(st.integers(max(0, k * (p - i) // p - low), k * (p - i) // p + 2))
+            g.append(data.draw(st.sampled_from([0, p**e, -(p**e), 2 * p**e, p ** (e + 10)])))
+        g[0] += data.draw(st.sampled_from([0, 0, 0, 1, p]))  # sometimes a unit, or one more p
+        f = InputPolynomial.from_coefficients(p, g + [1])
+        model, d = _integer_model(f)
+        shifted = polys.shift(model, d * (-g[0] % p))
+        polygon = newton_polygon_of(shifted, p) if shifted[0] else None
+        oracle = (polygon is not None and polygon.is_single_segment()
+                  and polygon.segments[0].root_valuation.denominator == p)
+        certified = _certificate(f, model, d)
+        assert bool(certified) == oracle
+        if certified:
+            assert certified == (shifted, polygon.segments[0].root_valuation.numerator)
 
 
 class TestConductorExponent:
