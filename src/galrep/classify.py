@@ -49,8 +49,10 @@ def dump_json(obj) -> str:
     keys, lists, str, int, bool and None, and two records written in place
     of the dicts they stand for, so that no dict is built per value:
     a ``Cyclotomic`` as ``{"coeffs": [int strings], "m": m}`` and a
-    ``ConjClass`` as ``{"rep": [i, j, k], "size": size}``.  Any other type,
-    other tuples included, raises TypeError.  (With an indent, the json
+    ``ConjClass`` as ``{"rep": [i, j, k], "size": size}``.  A ``_Shared``,
+    which ``ClassificationReport.to_json`` puts in place of psi's classes and
+    values, is written as the list of its items.  Any other type, other
+    tuples included, raises TypeError.  (With an indent, the json
     module encodes in pure Python, twice as slow, and leaves cyclic garbage
     behind.)
     """
@@ -67,13 +69,44 @@ def _encode_cyclotomic(value: Cyclotomic, newline: str) -> str:
 
 def _encode_class(cls: ConjClass, newline: str) -> str:
     inner = newline + "  "
-    write = int.__repr__  # neither ConjClass nor El checks its fields: a str raises TypeError here
+    write = int.__repr__  # ConjClass and El are built of ints only: groups._checked refuses other fields
     (i, j, k), size = cls
     return (f'{{{inner}"rep": [{inner}  {write(i)},{inner}  {write(j)},{inner}  {write(k)}{inner}],'
             f'{inner}"size": {write(size)}{newline}}}')
 
 
-_RECORDS = {Cyclotomic: _encode_cyclotomic, ConjClass: _encode_class}
+class _Shared(NamedTuple):
+    """A list that many reports hold, such as psi's values: ``dump_json``
+    writes it as the list of ``items`` and, if it is short, keeps the text
+    for the next report whose list equals it."""
+
+    items: tuple
+
+
+# (_Shared, newline) -> text, oldest first: psi's classes and values for the 10
+# (p, parity of n) of the default group bound, of at most 34 items and a few
+# kilobytes each.  A longer list, such as the 2,524 psi values at p = 1009
+# (28 MB of text), is written anew each time: holding its text while the report
+# is joined and printed would add its size to the peak memory, and hashing the
+# list to look it up would take 11 ms on a 2-core Xeon VM.
+_shared_texts: dict = {}
+_SHARED_COUNT = 20
+_SHARED_ITEMS = 64
+
+
+def _encode_shared(shared: _Shared, newline: str) -> str:
+    if len(shared.items) > _SHARED_ITEMS:
+        return _encode(list(shared.items), newline)
+    key = shared, newline
+    text = _shared_texts.get(key)
+    if text is None:
+        text = _shared_texts[key] = _encode(list(shared.items), newline)
+        if len(_shared_texts) > _SHARED_COUNT:
+            del _shared_texts[next(iter(_shared_texts))]
+    return text
+
+
+_RECORDS = {Cyclotomic: _encode_cyclotomic, ConjClass: _encode_class, _Shared: _encode_shared}
 
 
 def _encode(obj, newline: str) -> str:
@@ -209,7 +242,11 @@ class ClassificationReport(NamedTuple):
         }
 
     def to_json(self) -> str:
-        return dump_json(self.to_json_dict())
+        # psi and its classes depend on (p, parity of n) alone, so their text is written once per psi row
+        tree = self.to_json_dict()
+        tree["psi"]["classes"] = _Shared(tuple(self.psi_classes))
+        tree["psi"]["values"] = _Shared(tuple(self.psi.values))
+        return dump_json(tree)
 
 
 def _gauss_sum_power(p: int, n: int) -> Cyclotomic:

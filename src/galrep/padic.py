@@ -260,6 +260,8 @@ def _integer_model(f: InputPolynomial) -> tuple[list[int], int]:
     # a list, not a generator: unpacking a generator resizes the argument
     # tuple, and the resized tuples pile up in CPython's per-size free lists
     d = math.lcm(*[c.denominator for c in f.coeffs])
+    if d == 1:  # integer coefficients, as most inputs have: M is f
+        return [c.numerator for c in f.coeffs], 1
     return [c.numerator * d ** (p - i) // c.denominator for i, c in enumerate(f.coeffs)], d
 
 

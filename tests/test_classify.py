@@ -1,13 +1,16 @@
 """End-to-end classification: golden reports for the model curve, refusal
 behaviour, eigenvalue invariants, the trace consistency gate, determinism."""
 
+import json
 import sys
 
 import pytest
 
 from oracles import plain, power
 
-from galrep.classify import ClassificationRefused, _gauss_sum_power, classify, verify_consistency
+from galrep.classify import (_SHARED_COUNT, _SHARED_ITEMS, ClassificationRefused, _gauss_sum_power, _Shared,
+                             classify, dump_json, verify_consistency)
+from galrep.config import Budgets
 from galrep.cyclotomic import Cyclotomic
 from galrep.errors import InputError
 from galrep.groups import FULL, SIGMA_PHI, build_group, class_index, gauss_sum
@@ -312,6 +315,45 @@ class TestDiscriminantRoute:
             classify(f, BaseField(5, 1))
         assert "squarefree" in refused.value.failures
         assert calls == [(list(f.coeffs),)]  # integer coefficients: M is f
+
+
+class TestSharedText:
+    """to_json writes psi's classes and values once per psi row and keeps the
+    text, keyed on the lists themselves, in a bounded cache."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+    def test_same_bytes_as_the_tree(self, p, n):
+        report = classify(model_input(p), BaseField(p, n), Budgets(group_p_bound=17))
+        expected = json.dumps(plain(report.to_json_dict()), indent=2, sort_keys=True)
+        kept = sys.modules["galrep.classify"]._shared_texts
+        for _ in range(2):  # the second call reads the kept text
+            assert report.to_json() == dump_json(report.to_json_dict()) == expected
+            assert (_Shared(report.psi.values), "\n    ") in kept
+            assert (_Shared(report.psi_classes), "\n    ") in kept
+
+    def test_replaced_psi_writes_its_own_values(self, odd_report, even_report):
+        odd_report.to_json()
+        replaced = odd_report._replace(psi=even_report.psi, psi_classes=even_report.psi_classes)
+        data = json.loads(replaced.to_json())
+        assert data["psi"]["values"] == plain(list(even_report.psi.values))
+        assert data["psi"]["classes"] == plain(list(even_report.psi_classes))
+        assert data == json.loads(json.dumps(plain(replaced.to_json_dict())))
+
+    def test_stays_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["galrep.classify"], "_shared_texts", {})
+        kept = sys.modules["galrep.classify"]._shared_texts
+        for i in range(_SHARED_COUNT + 5):
+            assert dump_json([_Shared((i,))]) == json.dumps([[i]], indent=2)
+        assert len(kept) == _SHARED_COUNT
+        assert (_Shared((_SHARED_COUNT + 4,)), "\n  ") in kept and (_Shared((0,)), "\n  ") not in kept
+
+    def test_long_list_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["galrep.classify"], "_shared_texts", {})
+        kept = sys.modules["galrep.classify"]._shared_texts
+        for count in (_SHARED_ITEMS, _SHARED_ITEMS + 1):
+            assert dump_json(_Shared(tuple(range(count)))) == json.dumps(list(range(count)), indent=2)
+        assert list(kept) == [(_Shared(tuple(range(_SHARED_ITEMS))), "\n")]
 
 
 class TestDeterminism:

@@ -3,7 +3,6 @@ over the plain data of ``oracles.plain``."""
 
 import contextlib
 import gc
-import importlib
 import io
 import json
 import sys
@@ -16,14 +15,11 @@ from hypothesis import strategies as st
 from oracles import plain
 
 import galrep.cli as cli
-from galrep.classify import Eigenvalue, GroupSummary, classify, dump_json
+from galrep.classify import ClassificationReport, Eigenvalue, GroupSummary, classify, dump_json
 from galrep.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from galrep.errors import UsageError
 from galrep.groups import CharacterRow, ConjClass, El
 from galrep.padic import BaseField, InputPolynomial
-
-# galrep.classify is the function, so the module is looked up by name
-classify_module = importlib.import_module("galrep.classify")
 
 
 def oracle(obj):
@@ -139,14 +135,23 @@ def _whole_outputs():
 
 @pytest.mark.parametrize("argv", tuple(_whole_outputs()), ids=" ".join)
 def test_whole_output_equals_the_oracle(argv, monkeypatch):
-    """What the CLI prints is the oracle's bytes for the tree it wrote."""
+    """What the CLI prints is the oracle's bytes for the tree it wrote.  A
+    report's tree is its to_json_dict(): to_json writes psi's classes and
+    values from text kept for their psi row, which a tree handed to
+    dump_json would not show."""
     trees = []
 
     def recording_dump_json(tree):
         trees.append(tree)
         return dump_json(tree)
 
-    monkeypatch.setattr(classify_module, "dump_json", recording_dump_json)  # ClassificationReport.to_json
+    to_json = ClassificationReport.to_json
+
+    def recording_to_json(report):
+        trees.append(report.to_json_dict())
+        return to_json(report)
+
+    monkeypatch.setattr(ClassificationReport, "to_json", recording_to_json)
     monkeypatch.setattr(cli, "dump_json", recording_dump_json)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
