@@ -49,12 +49,12 @@ def dump_json(obj) -> str:
     keys, lists, str, int, bool and None, and two records written in place
     of the dicts they stand for, so that no dict is built per value:
     a ``Cyclotomic`` as ``{"coeffs": [int strings], "m": m}`` and a
-    ``ConjClass`` as ``{"rep": [i, j, k], "size": size}``.  A ``_Shared``,
-    which ``ClassificationReport.to_json`` puts in place of psi's classes and
-    values, is written as the list of its items.  Any other type, other
-    tuples included, raises TypeError.  (With an indent, the json
+    ``ConjClass`` as ``{"rep": [i, j, k], "size": size}``.  Any other type,
+    other tuples included, raises TypeError.  (With an indent, the json
     module encodes in pure Python, twice as slow, and leaves cyclic garbage
-    behind.)
+    behind.)  ``ClassificationReport.to_json`` writes a report's entries with
+    the same encoder, keeping the text of those that depend on the model
+    curve alone for the next report of that model.
     """
     return _encode(obj, "\n")
 
@@ -68,6 +68,8 @@ def _encode_cyclotomic(value: Cyclotomic, newline: str) -> str:
 
 
 def _encode_class(cls: ConjClass, newline: str) -> str:
+    # chartab writes every class of a table here; classify writes psi's only
+    # once per model, as to_json keeps the text of the model's entries
     inner = newline + "  "
     write = int.__repr__  # ConjClass and El are built of ints only: groups._checked refuses other fields
     (i, j, k), size = cls
@@ -75,38 +77,7 @@ def _encode_class(cls: ConjClass, newline: str) -> str:
             f'{inner}"size": {write(size)}{newline}}}')
 
 
-class _Shared(NamedTuple):
-    """A list that many reports hold, such as psi's values: ``dump_json``
-    writes it as the list of ``items`` and, if it is short, keeps the text
-    for the next report whose list equals it."""
-
-    items: tuple
-
-
-# (_Shared, newline) -> text, oldest first: psi's classes and values for the 10
-# (p, parity of n) of the default group bound, of at most 34 items and a few
-# kilobytes each.  A longer list, such as the 2,524 psi values at p = 1009
-# (28 MB of text), is written anew each time: holding its text while the report
-# is joined and printed would add its size to the peak memory, and hashing the
-# list to look it up would take 11 ms on a 2-core Xeon VM.
-_shared_texts: dict = {}
-_SHARED_COUNT = 20
-_SHARED_ITEMS = 64
-
-
-def _encode_shared(shared: _Shared, newline: str) -> str:
-    if len(shared.items) > _SHARED_ITEMS:
-        return _encode(list(shared.items), newline)
-    key = shared, newline
-    text = _shared_texts.get(key)
-    if text is None:
-        text = _shared_texts[key] = _encode(list(shared.items), newline)
-        if len(_shared_texts) > _SHARED_COUNT:
-            del _shared_texts[next(iter(_shared_texts))]
-    return text
-
-
-_RECORDS = {Cyclotomic: _encode_cyclotomic, ConjClass: _encode_class, _Shared: _encode_shared}
+_RECORDS = {Cyclotomic: _encode_cyclotomic, ConjClass: _encode_class}
 
 
 def _encode(obj, newline: str) -> str:
@@ -210,14 +181,26 @@ class ClassificationReport(NamedTuple):
     verification: Verification
 
     def to_json_dict(self) -> dict:
+        return {**self._input_json_dict(), **self._model_json_dict()}
+
+    def _input_json_dict(self) -> dict:
+        """The entries that depend on the input f."""
         return {
-            "schema": SCHEMA_VERSION,
             "input": {
                 "p": self.p,
                 "n": self.n,
                 "f": [str(c) for c in self.f.coeffs],
             },
             "assumptions": self.assumptions.to_json_dict(),
+            "conductor": {"status": "computed", "exponent": self.conductor}
+            if self.conductor is not None
+            else {"status": "not_computed"},
+        }
+
+    def _model_json_dict(self) -> dict:
+        """The entries that depend on the model curve, so on (p, n), alone."""
+        return {
+            "schema": SCHEMA_VERSION,
             "groups": {
                 "inertia": self.inertia_group.to_json_dict(),
                 "full": self.full_group.to_json_dict() if self.full_group else None,
@@ -235,18 +218,43 @@ class ClassificationReport(NamedTuple):
                 "values": list(self.psi.values),
             },
             "eigenvalues": [e.to_json_dict() for e in self.eigenvalues],
-            "conductor": {"status": "computed", "exponent": self.conductor}
-            if self.conductor is not None
-            else {"status": "not_computed"},
             "verification": self.verification.to_json_dict(),
         }
 
     def to_json(self) -> str:
-        # psi and its classes depend on (p, parity of n) alone, so their text is written once per psi row
-        tree = self.to_json_dict()
-        tree["psi"]["classes"] = _Shared(tuple(self.psi_classes))
-        tree["psi"]["values"] = _Shared(tuple(self.psi.values))
-        return dump_json(tree)
+        """``dump_json(self.to_json_dict())``, with the text of the model's
+        entries kept for the next report whose records equal these."""
+        if len(self.psi.values) > _SHARED_ITEMS:
+            return dump_json(self.to_json_dict())
+        key = (self.p, self.n, self.inertia_group, self.full_group, self.chi_frobenius, self.psi,
+               self.psi_classes, self.eigenvalues, self.verification)
+        model = _model_texts.get(key)
+        if model is None:
+            model = _model_texts[key] = _entries(self._model_json_dict())
+            if len(_model_texts) > _SHARED_COUNT:
+                del _model_texts[next(iter(_model_texts))]
+        # the keys are distinct, so the sort never compares two texts
+        body = ",\n  ".join([text for _, text in sorted(model + _entries(self._input_json_dict()))])
+        return f"{{\n  {body}\n}}"
+
+
+# the text of each model's entries, keyed on the records they are written
+# from, oldest first: a few kilobytes per (p, n), of which p <= 13 and n <= 2
+# make 10.  Keys compare by value, so a hand-built or _replace'd report writes
+# its own text.  A psi of more values, such as the 2,524 at p = 1009 (28 MB of
+# text), is written anew each time: holding its text while the report is
+# joined and printed would add its size to the peak memory, and hashing it to
+# look it up would take 11 ms on a 2-core Xeon VM.
+_model_texts: dict = {}
+_SHARED_COUNT = 20
+_SHARED_ITEMS = 64
+_TOP_LEVEL = "\n  "
+
+
+def _entries(tree: dict) -> list:
+    """(key, text of the entry) for each entry of a report's top-level dict,
+    as ``dump_json`` writes them."""
+    return [(key, f"{_encode_str(key)}: {_encode(value, _TOP_LEVEL)}") for key, value in tree.items()]
 
 
 def _gauss_sum_power(p: int, n: int) -> Cyclotomic:

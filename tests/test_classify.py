@@ -8,8 +8,8 @@ import pytest
 
 from oracles import plain, power
 
-from galrep.classify import (_SHARED_COUNT, _SHARED_ITEMS, ClassificationRefused, _gauss_sum_power, _Shared,
-                             classify, dump_json, verify_consistency)
+from galrep.classify import (_SHARED_COUNT, _SHARED_ITEMS, ClassificationRefused, _gauss_sum_power, classify,
+                             dump_json, verify_consistency)
 from galrep.config import Budgets
 from galrep.cyclotomic import Cyclotomic
 from galrep.errors import InputError
@@ -317,43 +317,72 @@ class TestDiscriminantRoute:
         assert calls == [(list(f.coeffs),)]  # integer coefficients: M is f
 
 
-class TestSharedText:
-    """to_json writes psi's classes and values once per psi row and keeps the
-    text, keyed on the lists themselves, in a bounded cache."""
+def oracle(report):
+    return json.dumps(plain(report.to_json_dict()), indent=2, sort_keys=True)
 
-    @pytest.mark.parametrize("n", [1, 2])
+
+def model_key(report):
+    """The records the entries of the model curve are written from."""
+    return (report.p, report.n, report.inertia_group, report.full_group, report.chi_frobenius, report.psi,
+            report.psi_classes, report.eigenvalues, report.verification)
+
+
+class TestSharedText:
+    """to_json writes the entries that depend on the model curve (groups,
+    chi, eigenvalues, psi, schema, verification) once per model, and keeps
+    their text, keyed on the records they are written from, in a bounded
+    cache."""
+
+    @pytest.fixture()
+    def kept(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["galrep.classify"], "_model_texts", {})
+        return sys.modules["galrep.classify"]._model_texts
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
-    def test_same_bytes_as_the_tree(self, p, n):
+    def test_same_bytes_as_the_tree(self, p, n, kept):
         report = classify(model_input(p), BaseField(p, n), Budgets(group_p_bound=17))
-        expected = json.dumps(plain(report.to_json_dict()), indent=2, sort_keys=True)
-        kept = sys.modules["galrep.classify"]._shared_texts
         for _ in range(2):  # the second call reads the kept text
-            assert report.to_json() == dump_json(report.to_json_dict()) == expected
-            assert (_Shared(report.psi.values), "\n    ") in kept
-            assert (_Shared(report.psi_classes), "\n    ") in kept
+            assert report.to_json() == dump_json(report.to_json_dict()) == oracle(report)
+            assert list(kept) == [model_key(report)]
+
+    def _writes_its_own(self, report, replaced):
+        report.to_json()
+        text = replaced.to_json()
+        assert text == oracle(replaced) != oracle(report)
+        return json.loads(text)
+
+    def test_replaced_verification_writes_its_own(self, odd_report):
+        mismatch = odd_report.verification._replace(status="mismatch", match=False)
+        data = self._writes_its_own(odd_report, odd_report._replace(verification=mismatch))
+        assert data["verification"]["status"] == "mismatch"
+
+    def test_replaced_chi_writes_its_own(self, odd_report):
+        # n = 3 has psi and the groups of n = 1, but chi and the eigenvalues scaled by -5
+        other = classify(model_input(5), BaseField(5, 3))
+        data = self._writes_its_own(odd_report, odd_report._replace(chi_frobenius=other.chi_frobenius,
+                                                                    eigenvalues=other.eigenvalues))
+        assert data["chi"]["frobenius_value"] == plain(other.chi_frobenius)
 
     def test_replaced_psi_writes_its_own_values(self, odd_report, even_report):
-        odd_report.to_json()
         replaced = odd_report._replace(psi=even_report.psi, psi_classes=even_report.psi_classes)
-        data = json.loads(replaced.to_json())
+        data = self._writes_its_own(odd_report, replaced)
         assert data["psi"]["values"] == plain(list(even_report.psi.values))
         assert data["psi"]["classes"] == plain(list(even_report.psi_classes))
-        assert data == json.loads(json.dumps(plain(replaced.to_json_dict())))
 
-    def test_stays_at_its_bound(self, monkeypatch):
-        monkeypatch.setattr(sys.modules["galrep.classify"], "_shared_texts", {})
-        kept = sys.modules["galrep.classify"]._shared_texts
-        for i in range(_SHARED_COUNT + 5):
-            assert dump_json([_Shared((i,))]) == json.dumps([[i]], indent=2)
-        assert len(kept) == _SHARED_COUNT
-        assert (_Shared((_SHARED_COUNT + 4,)), "\n  ") in kept and (_Shared((0,)), "\n  ") not in kept
+    def test_stays_at_its_bound(self, kept):
+        # even n leave the count out, so each model is cheap to classify
+        reports = [classify(model_input(3), BaseField(3, 2 * i)) for i in range(1, _SHARED_COUNT + 6)]
+        for report in reports:
+            assert report.to_json() == oracle(report)
+        assert list(kept) == [model_key(report) for report in reports[-_SHARED_COUNT:]]
 
-    def test_long_list_is_not_kept(self, monkeypatch):
-        monkeypatch.setattr(sys.modules["galrep.classify"], "_shared_texts", {})
-        kept = sys.modules["galrep.classify"]._shared_texts
+    def test_long_list_is_not_kept(self, kept, odd_report):
         for count in (_SHARED_ITEMS, _SHARED_ITEMS + 1):
-            assert dump_json(_Shared(tuple(range(count)))) == json.dumps(list(range(count)), indent=2)
-        assert list(kept) == [(_Shared(tuple(range(_SHARED_ITEMS))), "\n")]
+            psi = odd_report.psi._replace(values=(odd_report.psi.values * count)[:count])
+            report = odd_report._replace(psi=psi, psi_classes=(odd_report.psi_classes * count)[:count])
+            assert report.to_json() == oracle(report)
+            assert [len(key[5].values) for key in kept] == [_SHARED_ITEMS]
 
 
 class TestDeterminism:

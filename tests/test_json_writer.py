@@ -136,9 +136,8 @@ def _whole_outputs():
 @pytest.mark.parametrize("argv", tuple(_whole_outputs()), ids=" ".join)
 def test_whole_output_equals_the_oracle(argv, monkeypatch):
     """What the CLI prints is the oracle's bytes for the tree it wrote.  A
-    report's tree is its to_json_dict(): to_json writes psi's classes and
-    values from text kept for their psi row, which a tree handed to
-    dump_json would not show."""
+    report's tree is its to_json_dict(): to_json writes the entries of the
+    model curve from text kept per model, not through dump_json."""
     trees = []
 
     def recording_dump_json(tree):
