@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import power_exceeds, signed_p
-from .config import Budgets
+from .config import CACHE_SIZE, Budgets
 from .counting import count_twisted_fixed
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError
@@ -181,7 +181,7 @@ class ClassificationReport(NamedTuple):
     verification: Verification
 
     def to_json_dict(self) -> dict:
-        return {**self._input_json_dict(), **self._model_json_dict()}
+        return {**self._input_json_dict(), **_model_json_dict(*self._model())}
 
     def _input_json_dict(self) -> dict:
         """The entries that depend on the input f."""
@@ -197,56 +197,62 @@ class ClassificationReport(NamedTuple):
             else {"status": "not_computed"},
         }
 
-    def _model_json_dict(self) -> dict:
-        """The entries that depend on the model curve, so on (p, n), alone."""
-        return {
-            "schema": SCHEMA_VERSION,
-            "groups": {
-                "inertia": self.inertia_group.to_json_dict(),
-                "full": self.full_group.to_json_dict() if self.full_group else None,
-            },
-            "chi": {
-                "description": "unramified character, trivial on inertia",
-                "frobenius_value": self.chi_frobenius,
-            },
-            "psi": {
-                "label": self.psi.label,
-                "dimension": self.psi.dimension,
-                "faithful": self.psi.faithful,
-                "construction": self.psi.construction_json(),
-                "classes": list(self.psi_classes),
-                "values": list(self.psi.values),
-            },
-            "eigenvalues": [e.to_json_dict() for e in self.eigenvalues],
-            "verification": self.verification.to_json_dict(),
-        }
+    def _model(self) -> tuple:
+        """The records that depend on the model curve, so on (p, n), alone."""
+        return (self.inertia_group, self.full_group, self.chi_frobenius, self.psi, self.psi_classes,
+                self.eigenvalues, self.verification)
 
     def to_json(self) -> str:
         """``dump_json(self.to_json_dict())``, with the text of the model's
         entries kept for the next report whose records equal these."""
         if len(self.psi.values) > _SHARED_ITEMS:
             return dump_json(self.to_json_dict())
-        key = (self.p, self.n, self.inertia_group, self.full_group, self.chi_frobenius, self.psi,
-               self.psi_classes, self.eigenvalues, self.verification)
-        model = _model_texts.get(key)
-        if model is None:
-            model = _model_texts[key] = _entries(self._model_json_dict())
-            if len(_model_texts) > _SHARED_COUNT:
-                del _model_texts[next(iter(_model_texts))]
+        entries = [*_model_texts(*self._model()), *_entries(self._input_json_dict())]
         # the keys are distinct, so the sort never compares two texts
-        body = ",\n  ".join([text for _, text in sorted(model + _entries(self._input_json_dict()))])
+        body = ",\n  ".join([text for _, text in sorted(entries)])
         return f"{{\n  {body}\n}}"
 
 
+def _model_json_dict(inertia_group: GroupSummary, full_group: GroupSummary | None, chi_frobenius: Cyclotomic,
+                     psi: CharacterRow, psi_classes: tuple, eigenvalues: tuple[Eigenvalue, ...],
+                     verification: Verification) -> dict:
+    """A report's entries that depend on the model curve."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "groups": {
+            "inertia": inertia_group.to_json_dict(),
+            "full": full_group.to_json_dict() if full_group else None,
+        },
+        "chi": {
+            "description": "unramified character, trivial on inertia",
+            "frobenius_value": chi_frobenius,
+        },
+        "psi": {
+            "label": psi.label,
+            "dimension": psi.dimension,
+            "faithful": psi.faithful,
+            "construction": psi.construction_json(),
+            "classes": list(psi_classes),
+            "values": list(psi.values),
+        },
+        "eigenvalues": [e.to_json_dict() for e in eigenvalues],
+        "verification": verification.to_json_dict(),
+    }
+
+
 # the text of each model's entries, keyed on the records they are written
-# from, oldest first: a few kilobytes per (p, n), of which p <= 13 and n <= 2
-# make 10.  Keys compare by value, so a hand-built or _replace'd report writes
-# its own text.  A psi of more values, such as the 2,524 at p = 1009 (28 MB of
-# text), is written anew each time: holding its text while the report is
-# joined and printed would add its size to the peak memory, and hashing it to
-# look it up would take 11 ms on a 2-core Xeon VM.
-_model_texts: dict = {}
-_SHARED_COUNT = 20
+# from, the least recently used dropped first: a few kilobytes per (p, n), of
+# which p <= 13 and n <= 2 make 10.  Keys compare by value, so a hand-built or
+# _replace'd report writes its own text.  A psi of more values, such as the
+# 2,524 at p = 1009 (28 MB of text), is written anew each time, without a
+# lookup: holding its text while the report is joined and printed would add
+# its size to the peak memory, and hashing it to look it up would take 11 ms
+# on a 2-core Xeon VM.
+@lru_cache(maxsize=CACHE_SIZE)
+def _model_texts(*model) -> tuple:
+    return tuple(_entries(_model_json_dict(*model)))
+
+
 _SHARED_ITEMS = 64
 _TOP_LEVEL = "\n  "
 
@@ -264,7 +270,7 @@ def _gauss_sum_power(p: int, n: int) -> Cyclotomic:
     return gauss_sum(p) * scale if n % 2 else Cyclotomic.rational(p, scale)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _largest_printable(limit: int) -> int:
     """The largest integer of at most ``limit`` digits."""
     return 10**limit - 1
@@ -281,7 +287,7 @@ def _check_printable(p: int, n: int) -> None:
                          f"the Frobenius eigenvalues have size {p}^{n // 2}, more than {limit} digits")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _twisted_trace(p: int, n: int, budgets: Budgets) -> int:
     """The counted trace, once per (p, n, budgets): like psi, it depends on
     the model curve alone, not on the input."""

@@ -11,6 +11,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+# entries kept by each of the package's caches (per conductor, per group, per
+# model): the classify inputs under the default group bound, p <= 13 and
+# n <= 2, need 10 of each
+CACHE_SIZE = 20
+
 
 class Budgets(NamedTuple):
     # largest field size scanned exhaustively by the curve counter

@@ -16,9 +16,10 @@ needs).
 Operations never mix conductors: an operation on values of two different
 conductors is refused.
 
-Phi_m is built prime by prime, one exact division per prime factor of m;
-together with a precomputed table of x^e mod Phi_m this keeps
-multiplication a sparse convolution followed by one table-driven reduction.
+Phi_m is built prime by prime, one exact division per prime factor of m.
+A product is a dense convolution; it, like any sum of powers of zeta_m, is
+reduced by folding its exponents mod m and one division by the monic Phi_m,
+whose remainder is the reduced vector.
 
 All values are immutable and safe to share between threads.
 """
@@ -28,9 +29,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
+from .config import CACHE_SIZE
 from .errors import UsageError
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, ascending, from Phi_1 = x - 1 one prime
     q of m at a time: Phi_(nq)(x) = Phi_n(x^q), over Phi_n(x) unless q | n."""
@@ -42,49 +44,33 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         while (m // n) % q == 0:  # q is prime: its smaller factors have left m/n
             spread = [0] * (len(poly) * q - q + 1)
             spread[::q] = poly
-            poly = spread if n % q == 0 else _exact_div(spread, poly)
+            if n % q:
+                quotient = _divide(spread, poly)
+                if any(spread):
+                    raise UsageError("inexact_division", "polynomial division left a remainder")
+                spread = quotient
+            poly = spread
             n *= q
     return tuple(poly)
 
 
-def _exact_div(num: list[int], den: list[int]) -> list[int]:
-    # den is monic; division of integer polynomials known to be exact
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    out = [0] * (dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
-        c = num[k + dd]
-        out[k] = c
+def _divide(num: list[int], den) -> list[int]:
+    """The quotient of num by the monic den; num is left holding the
+    remainder, in its first deg den entries, and zeros above them."""
+    d = len(den) - 1
+    lower = [(i, c) for i, c in enumerate(den[:d]) if c]  # Phi_m is sparse for most m
+    quotient = [0] * (len(num) - d)
+    for k in reversed(range(len(quotient))):
+        c = num[k + d]
         if c:
-            for i in range(dd + 1):
-                num[k + i] -= c * den[i]
-    if any(num):
-        raise UsageError("inexact_division", "polynomial division left a remainder")
-    return out
+            quotient[k] = c
+            num[k + d] = 0
+            for i, a in lower:
+                num[k + i] -= c * a
+    return quotient
 
 
-@lru_cache(maxsize=None)
-def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
-    """x^e mod Phi_m for e = 0..m-1, each as an integer vector of length deg Phi_m."""
-    phi = cyclotomic_polynomial(m)
-    d = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    for e in range(d):
-        rows.append(tuple(1 if i == e else 0 for i in range(d)))
-    if d < m:
-        cur = [-c for c in phi[:d]]  # x^d mod Phi_m
-        rows.append(tuple(cur))
-        for _ in range(d + 1, m):
-            lead = cur[d - 1]
-            cur = [0] + cur[: d - 1]
-            if lead:
-                head = rows[d]
-                cur = [cur[i] + lead * head[i] for i in range(d)]
-            rows.append(tuple(cur))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _unit_circle(m: int, bits: int) -> tuple[tuple[int, int], ...]:
     """(cos, sin) of 2*pi*e/m for e < deg Phi_m, in units of 2^-bits, each
     within one unit for bits >= 8.
@@ -125,21 +111,25 @@ def _integer(c) -> int:
     return c
 
 
+def _reduce(m: int, phi: tuple[int, ...], acc: list[int]) -> tuple[int, ...]:
+    """The coordinates of sum acc[e] zeta_m^e: exponents folded mod m, as
+    zeta_m^m = 1, then the remainder of one division by Phi_m = phi, skipped
+    when no coordinate reaches deg Phi_m."""
+    d = len(phi) - 1
+    for e in range(m, len(acc)):
+        acc[e % m] += acc[e]
+    del acc[m:]
+    if any(acc[d:]):
+        _divide(acc, phi)
+    return tuple(acc[:d])
+
+
 def _reduce_terms(m: int, terms: Mapping[int, int]) -> tuple[int, ...]:
-    table = _power_table(m)
-    d = len(table[0])
-    acc = [0] * d
+    phi = cyclotomic_polynomial(m)  # first: it refuses a conductor below 1
+    acc = [0] * m
     for e, c in terms.items():
-        if not c:
-            continue
-        e %= m
-        if e < d:
-            acc[e] += c
-        else:
-            for i, r in enumerate(table[e]):
-                if r:
-                    acc[i] += c * r
-    return tuple(acc)
+        acc[e % m] += c
+    return _reduce(m, phi, acc)
 
 
 class _CyclotomicFields(NamedTuple):
@@ -214,19 +204,13 @@ class Cyclotomic(_CyclotomicFields):
             c = _integer(other)
             return Cyclotomic(self.m, tuple([a * c for a in self.coeffs]))
         self._check_conductor(other)
-        terms: dict[int, int] = {}
+        acc = [0] * (2 * len(self.coeffs) - 1)
         nz_other = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in nz_other:
-                e = i + j
-                prod = a * b
-                if e in terms:
-                    terms[e] += prod
-                else:
-                    terms[e] = prod
-        return Cyclotomic(self.m, _reduce_terms(self.m, terms))
+            if a:
+                for j, b in nz_other:
+                    acc[i + j] += a * b
+        return Cyclotomic(self.m, _reduce(self.m, cyclotomic_polynomial(self.m), acc))
 
     __rmul__ = __mul__  # else the tuple's, and 3 * z would repeat its fields
 

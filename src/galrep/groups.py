@@ -40,6 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import legendre_symbol, require_odd_prime, smallest_primitive_root
+from .config import CACHE_SIZE
 from .cyclotomic import Cyclotomic
 from .errors import InputError, InternalCheckError, UsageError
 
@@ -168,7 +169,7 @@ def _class_rep(group: GroupSpec, x: El) -> El:
     return El(1, 0 if (legendre_symbol(i, p) == 1) == (j == 0) else p - 1, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _classes_and_index(group: GroupSpec) -> tuple[tuple[ConjClass, ...], dict[El, int]]:
     """The classes, and the position of each representative among them."""
     classes = tuple(_class_list(group))
@@ -364,7 +365,7 @@ def character_table(group: GroupSpec) -> CharacterTable:
     return CharacterTable(group, classes, tuple(rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def identify_psi(group: GroupSpec) -> CharacterRow:
     """The finite-group factor psi of the Galois representation, cached per group.
 

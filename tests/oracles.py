@@ -12,7 +12,7 @@ from collections import Counter
 from functools import lru_cache
 
 from galrep.counting import TwistedCountResult
-from galrep.cyclotomic import Cyclotomic, _exact_div
+from galrep.cyclotomic import Cyclotomic
 from galrep.gf import FieldSpec, _ben_or, _has_root, build_field
 from galrep.groups import (FULL, INERTIA, SIGMA_PHI, ConjClass, build_group, character_table, class_index,
                            faithful_kernel, gauss_sum)
@@ -41,8 +41,21 @@ def cyclotomic_polynomial_by_divisors(m):
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = _exact_div(poly, list(cyclotomic_polynomial_by_divisors(d)))
+            poly = _exact_quotient(poly, cyclotomic_polynomial_by_divisors(d))
     return tuple(poly)
+
+
+def _exact_quotient(num, den):
+    """num / den, ascending coefficients, for a monic den that divides num."""
+    num, d = list(num), len(den) - 1
+    quotient = [0] * (len(num) - d)
+    for k in reversed(range(len(quotient))):
+        quotient[k] = c = num[k + d]
+        if c:
+            for i, a in enumerate(den):
+                num[k + i] -= c * a
+    assert not any(num), "the division left a remainder"
+    return quotient
 
 
 def power(value, k):

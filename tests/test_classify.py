@@ -8,9 +8,9 @@ import pytest
 
 from oracles import plain, power
 
-from galrep.classify import (_SHARED_COUNT, _SHARED_ITEMS, ClassificationRefused, _gauss_sum_power, classify,
+from galrep.classify import (_SHARED_ITEMS, ClassificationRefused, _gauss_sum_power, _model_texts, classify,
                              dump_json, verify_consistency)
-from galrep.config import Budgets
+from galrep.config import CACHE_SIZE, Budgets
 from galrep.cyclotomic import Cyclotomic
 from galrep.errors import InputError
 from galrep.groups import FULL, SIGMA_PHI, build_group, class_index, gauss_sum
@@ -321,12 +321,6 @@ def oracle(report):
     return json.dumps(plain(report.to_json_dict()), indent=2, sort_keys=True)
 
 
-def model_key(report):
-    """The records the entries of the model curve are written from."""
-    return (report.p, report.n, report.inertia_group, report.full_group, report.chi_frobenius, report.psi,
-            report.psi_classes, report.eigenvalues, report.verification)
-
-
 class TestSharedText:
     """to_json writes the entries that depend on the model curve (groups,
     chi, eigenvalues, psi, schema, verification) once per model, and keeps
@@ -334,17 +328,18 @@ class TestSharedText:
     cache."""
 
     @pytest.fixture()
-    def kept(self, monkeypatch):
-        monkeypatch.setattr(sys.modules["galrep.classify"], "_model_texts", {})
-        return sys.modules["galrep.classify"]._model_texts
+    def kept(self):
+        _model_texts.cache_clear()
+        yield _model_texts.cache_info
+        _model_texts.cache_clear()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
     def test_same_bytes_as_the_tree(self, p, n, kept):
         report = classify(model_input(p), BaseField(p, n), Budgets(group_p_bound=17))
-        for _ in range(2):  # the second call reads the kept text
+        for hits in range(2):  # the second call reads the kept text
             assert report.to_json() == dump_json(report.to_json_dict()) == oracle(report)
-            assert list(kept) == [model_key(report)]
+            assert kept() == (hits, 1, CACHE_SIZE, 1)
 
     def _writes_its_own(self, report, replaced):
         report.to_json()
@@ -372,17 +367,23 @@ class TestSharedText:
 
     def test_stays_at_its_bound(self, kept):
         # even n leave the count out, so each model is cheap to classify
-        reports = [classify(model_input(3), BaseField(3, 2 * i)) for i in range(1, _SHARED_COUNT + 6)]
+        reports = [classify(model_input(3), BaseField(3, 2 * i)) for i in range(1, CACHE_SIZE + 6)]
         for report in reports:
             assert report.to_json() == oracle(report)
-        assert list(kept) == [model_key(report) for report in reports[-_SHARED_COUNT:]]
+        assert kept() == (0, CACHE_SIZE + 5, CACHE_SIZE, CACHE_SIZE)
+        for report in reports[-CACHE_SIZE:]:
+            report.to_json()
+        assert kept().hits == CACHE_SIZE  # the newest are kept
+        for report in reports[:5]:
+            report.to_json()
+        assert kept().misses == CACHE_SIZE + 10  # the oldest were dropped
 
     def test_long_list_is_not_kept(self, kept, odd_report):
         for count in (_SHARED_ITEMS, _SHARED_ITEMS + 1):
             psi = odd_report.psi._replace(values=(odd_report.psi.values * count)[:count])
             report = odd_report._replace(psi=psi, psi_classes=(odd_report.psi_classes * count)[:count])
             assert report.to_json() == oracle(report)
-            assert [len(key[5].values) for key in kept] == [_SHARED_ITEMS]
+        assert kept() == (0, 1, CACHE_SIZE, 1)  # the longer psi was not even looked up
 
 
 class TestDeterminism:

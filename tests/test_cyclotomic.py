@@ -3,17 +3,20 @@ ring laws, conjugation, the integer enclosure of the complex value."""
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, cyclotomic_poly
+from sympy.polys.densearith import dup_mul, dup_rem
 
 from oracles import cyclotomic_polynomial_by_divisors, plain
 
 from galrep.classify import dump_json
-from galrep.cyclotomic import Cyclotomic, _power_table, cyclotomic_polynomial
+from galrep.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from galrep.errors import UsageError
 from galrep.groups import gauss_sum
 
@@ -130,11 +133,25 @@ class TestCanonicalForm:
         for m in [*range(1, 501), 7320]:
             assert cyclotomic_polynomial(m) == cyclotomic_polynomial_by_divisors(m), m
 
-    def test_power_table_matches_definition(self):
-        for m in (6, 8, 12):
-            table = _power_table(m)
-            for e in range(m):
-                assert Cyclotomic(m, table[e]) == zeta(m, e)
+    def test_reduction_matches_sympy(self):
+        # sympy's dense remainder mod Phi_m, on descending coefficients; m up
+        # to 60 holds every conductor p and 2(p - 1) of the primes p <= 13
+        rng = random.Random(2611)
+        for m in range(1, 61):
+            phi = cyclotomic_poly(m, polys=True).rep.to_list()
+            d = len(phi) - 1
+
+            def reduced(descending):
+                remainder = [int(c) for c in reversed(dup_rem(descending, phi, ZZ))]
+                return Cyclotomic(m, tuple(remainder + [0] * (d - len(remainder))))
+
+            for e in range(3 * m):
+                c = rng.choice([-3, -1, 1, 2])
+                assert Cyclotomic.from_terms(m, {e: c}) == reduced([ZZ(c)] + [ZZ(0)] * e), (m, e)
+            for _ in range(5):
+                a, b = ([rng.randint(-9, 9) for _ in range(d)] for _ in range(2))
+                product = reduced(dup_mul([ZZ(c) for c in reversed(a)], [ZZ(c) for c in reversed(b)], ZZ))
+                assert Cyclotomic(m, tuple(a)) * Cyclotomic(m, tuple(b)) == product, (m, a, b)
 
 
 small_coeff = st.integers(min_value=-9, max_value=9)
