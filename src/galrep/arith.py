@@ -8,7 +8,9 @@ p-adic valuation and the handful of mod-p utilities everything else needs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
+from .config import CACHE_SIZE
 from .errors import InputError, UsageError
 
 
@@ -64,6 +66,9 @@ def multiplicative_order(a: int, p: int) -> int:
     return k
 
 
+# once per p, as build_group runs on every classify.  Typed, so that a float
+# or a bool is never taken for the int it equals and raises as it did uncached
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def smallest_primitive_root(p: int) -> int:
     for b in range(2, p):
         if multiplicative_order(b, p) == p - 1:

@@ -54,7 +54,8 @@ def dump_json(obj) -> str:
     module encodes in pure Python, twice as slow, and leaves cyclic garbage
     behind.)  ``ClassificationReport.to_json`` writes a report's entries with
     the same encoder, keeping the text of those that depend on the model
-    curve alone for the next report of that model.
+    curve alone, or on the assumption report alone, for the next report that
+    shares them.
     """
     return _encode(obj, "\n")
 
@@ -181,21 +182,12 @@ class ClassificationReport(NamedTuple):
     verification: Verification
 
     def to_json_dict(self) -> dict:
-        return {**self._input_json_dict(), **_model_json_dict(*self._model())}
+        return {"input": self._input_json_dict(), **_assumption_json_dict(self.assumptions, self.conductor),
+                **_model_json_dict(*self._model())}
 
     def _input_json_dict(self) -> dict:
-        """The entries that depend on the input f."""
-        return {
-            "input": {
-                "p": self.p,
-                "n": self.n,
-                "f": [str(c) for c in self.f.coeffs],
-            },
-            "assumptions": self.assumptions.to_json_dict(),
-            "conductor": {"status": "computed", "exponent": self.conductor}
-            if self.conductor is not None
-            else {"status": "not_computed"},
-        }
+        """The input entry, the one entry written anew for every report."""
+        return {"p": self.p, "n": self.n, "f": [str(c) for c in self.f.coeffs]}
 
     def _model(self) -> tuple:
         """The records that depend on the model curve, so on (p, n), alone."""
@@ -203,14 +195,34 @@ class ClassificationReport(NamedTuple):
                 self.eigenvalues, self.verification)
 
     def to_json(self) -> str:
-        """``dump_json(self.to_json_dict())``, with the text of the model's
-        entries kept for the next report whose records equal these."""
+        """``dump_json(self.to_json_dict())``, joined from kept text.  The
+        text of the six model entries is kept per model, and that of the
+        ``assumptions`` and ``conductor`` entries per assumption report and
+        conductor: a certified f's depend on p, v(disc f) and the slope k/p
+        alone, so the Eisenstein-after-shift inputs (k = 1) at p <= 13 make 18
+        of them.  The model's text is keyed by value, and the assumption text
+        by value and by the type of each field, so a hand-built or
+        ``_replace``d report with other records writes its own text.  Only
+        ``input`` is written anew."""
         if len(self.psi.values) > _SHARED_ITEMS:
             return dump_json(self.to_json_dict())
-        entries = [*_model_texts(*self._model()), *_entries(self._input_json_dict())]
+        assumptions = self.assumptions
+        field_types = (*map(type, assumptions), *map(type, assumptions.single_cluster))
+        entries = [*_model_texts(*self._model()), *_assumption_texts(assumptions, self.conductor, field_types),
+                   *_entries({"input": self._input_json_dict()})]
         # the keys are distinct, so the sort never compares two texts
         body = ",\n  ".join([text for _, text in sorted(entries)])
         return f"{{\n  {body}\n}}"
+
+
+def _assumption_json_dict(assumptions: AssumptionReport, conductor: int | None) -> dict:
+    """A report's entries that depend on f through its assumption report."""
+    return {
+        "assumptions": assumptions.to_json_dict(),
+        "conductor": {"status": "computed", "exponent": conductor}
+        if conductor is not None
+        else {"status": "not_computed"},
+    }
 
 
 def _model_json_dict(inertia_group: GroupSummary, full_group: GroupSummary | None, chi_frobenius: Cyclotomic,
@@ -251,6 +263,14 @@ def _model_json_dict(inertia_group: GroupSummary, full_group: GroupSummary | Non
 @lru_cache(maxsize=CACHE_SIZE)
 def _model_texts(*model) -> tuple:
     return tuple(_entries(_model_json_dict(*model)))
+
+
+# the text of the assumptions and conductor entries: a few hundred bytes per
+# record.  Keyed on the value and on the type of each field, as True == 1 and
+# 0.5 == Fraction(1, 2) but each is written its own way
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _assumption_texts(assumptions: AssumptionReport, conductor: int | None, field_types: tuple) -> tuple:
+    return tuple(_entries(_assumption_json_dict(assumptions, conductor)))
 
 
 _SHARED_ITEMS = 64

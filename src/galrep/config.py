@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-# entries kept by each of the package's caches (per conductor, per group, per
-# model): the classify inputs under the default group bound, p <= 13 and
-# n <= 2, need 10 of each
+# entries kept by each of the package's caches (per conductor, per prime, per
+# group, per model, per assumption record): the classify inputs under the
+# default group bound, p <= 13 and n <= 2, need 5 primes (the Gauss sum and
+# the primitive root), 10 models and 18 certified Eisenstein records (the
+# assumption text)
 CACHE_SIZE = 20
 
 

@@ -91,7 +91,8 @@ class GroupSpec(NamedTuple):
 
 
 def build_group(p: int, variant: str = INERTIA, p_bound: int = 13) -> GroupSpec:
-    """Group of the given variant with the smallest primitive root as b."""
+    """Group of the given variant with the smallest primitive root as b,
+    searched once per p."""
     if variant not in (INERTIA, FULL):
         raise UsageError("bad_variant", f"unknown variant {variant!r}")
     check_p_bound(p, p_bound)
@@ -236,6 +237,7 @@ class CharacterTable:
         }
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def gauss_sum(p: int) -> Cyclotomic:
     """Quadratic Gauss sum: sum over a of (a|p) zeta_p^a, exact in Q(zeta_p).
 
@@ -243,6 +245,10 @@ def gauss_sum(p: int) -> Cyclotomic:
     positive real square root of p for p = 1 mod 4 and i*sqrt(p) for
     p = 3 mod 4.  Its coordinates are Legendre symbols less (-1|p), as
     zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)).
+
+    Formed once per p, as every odd-n classify reads it twice.  The cache is
+    typed, so a float or a bool is never taken for the int it equals, and a
+    bad p raises on every call, as exceptions are never kept.
     """
     require_odd_prime(p)
     top = legendre_symbol(-1, p)

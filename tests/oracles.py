@@ -1,11 +1,12 @@
 """Test-side arithmetic that galrep itself does not need: cyclotomic
 polynomials by dividing x^m - 1 by every Phi_d, integer powers of
-cyclotomic values, the character inner product, psi found by searching a
-whole character table, powers and the element list of a finite field,
-Euler's criterion, Rabin's irreducibility test over F_p, the irreducibility
-test of galrep's moduli as a yes/no answer, the twisted fixed-point count
-by direct scan of F_{p^(n*p)}, and the plain data of a report tree, which
-``json.dumps`` writes as the oracle of galrep's JSON writer."""
+cyclotomic values, the quadratic Gauss sum from its definition, the
+character inner product, psi found by searching a whole character table,
+powers and the element list of a finite field, Euler's criterion,
+Rabin's irreducibility test over F_p, the irreducibility test of galrep's
+moduli as a yes/no answer, the twisted fixed-point count by direct scan of
+F_{p^(n*p)}, and the plain data of a report tree, which ``json.dumps``
+writes as the oracle of galrep's JSON writer."""
 
 import math
 from collections import Counter
@@ -64,6 +65,12 @@ def power(value, k):
     for _ in range(k):
         result = result * value
     return result
+
+
+def gauss_sum_by_definition(p):
+    """The sum over a = 1..p-1 of (a|p) zeta_p^a, each Legendre symbol by
+    Euler's criterion, a^((p-1)/2) = +-1 mod p."""
+    return Cyclotomic.from_terms(p, {a: 1 if pow(a, (p - 1) // 2, p) == 1 else -1 for a in range(1, p)})
 
 
 def assert_orthogonal(table):

@@ -31,7 +31,7 @@ def _caches():
 
 def test_every_cache_has_the_one_bound():
     caches = _caches()
-    assert len(caches) >= 7
+    assert len(caches) >= 10
     assert [name for name, cache in caches if cache.cache_parameters()["maxsize"] != CACHE_SIZE] == []
 
 

@@ -2,19 +2,21 @@
 behaviour, eigenvalue invariants, the trace consistency gate, determinism."""
 
 import json
+import math
 import sys
+from fractions import Fraction
 
 import pytest
 
 from oracles import plain, power
 
-from galrep.classify import (_SHARED_ITEMS, ClassificationRefused, _gauss_sum_power, _model_texts, classify,
-                             dump_json, verify_consistency)
+from galrep.classify import (_SHARED_ITEMS, ClassificationRefused, _assumption_texts, _gauss_sum_power, _model_texts,
+                             classify, dump_json, verify_consistency)
 from galrep.config import CACHE_SIZE, Budgets
 from galrep.cyclotomic import Cyclotomic
 from galrep.errors import InputError
 from galrep.groups import FULL, SIGMA_PHI, build_group, class_index, gauss_sum
-from galrep.padic import BaseField, InputPolynomial
+from galrep.padic import BaseField, InputPolynomial, SingleClusterResult
 
 
 def model_input(p):
@@ -321,11 +323,26 @@ def oracle(report):
     return json.dumps(plain(report.to_json_dict()), indent=2, sort_keys=True)
 
 
+def eisenstein(p, i, unit=1):
+    """x^p + unit p x^i + unit p for i < p, and x^p + unit p for i = p: its
+    v(disc) is p + i - 1."""
+    coeffs = [unit * p] + [0] * (p - 1) + [1]
+    if i < p:
+        coeffs[i] = unit * p
+    return InputPolynomial.from_coefficients(p, coeffs)
+
+
+# the certified Eisenstein records under the default group bound: each p <= 13
+# and each v(disc) = p + i - 1 coprime to p - 1
+EISENSTEIN = [(p, i) for p in (3, 5, 7, 11, 13) for i in range(1, p + 1) if math.gcd(p + i - 1, p - 1) == 1]
+
+
 class TestSharedText:
     """to_json writes the entries that depend on the model curve (groups,
-    chi, eigenvalues, psi, schema, verification) once per model, and keeps
-    their text, keyed on the records they are written from, in a bounded
-    cache."""
+    chi, eigenvalues, psi, schema, verification) once per model, and those
+    that depend on the assumption report (assumptions, conductor) once per
+    record, and keeps their text, keyed on the records they are written
+    from, in bounded caches.  Only the input entry is written per report."""
 
     @pytest.fixture()
     def kept(self):
@@ -377,6 +394,70 @@ class TestSharedText:
         for report in reports[:5]:
             report.to_json()
         assert kept().misses == CACHE_SIZE + 10  # the oldest were dropped
+
+    @pytest.fixture()
+    def kept_assumptions(self):
+        _assumption_texts.cache_clear()
+        yield _assumption_texts.cache_info
+        _assumption_texts.cache_clear()
+
+    @pytest.mark.parametrize("p, i", EISENSTEIN)
+    def test_same_bytes_for_each_eisenstein_record(self, p, i, kept_assumptions):
+        report = classify(eisenstein(p, i), BaseField(p, 2))
+        assert (report.assumptions.disc_valuation, report.conductor) == (p + i - 1, p + i - 1)
+        for hits in range(2):  # the second call reads the kept text
+            assert report.to_json() == dump_json(report.to_json_dict()) == oracle(report)
+            assert kept_assumptions() == (hits, 1, CACHE_SIZE, 1)
+        # another f of the same record reads the same text, and writes its own input
+        other = classify(eisenstein(p, i, unit=-2), BaseField(p, 2))
+        assert other.to_json() == oracle(other) != oracle(report)
+        assert kept_assumptions() == (2, 1, CACHE_SIZE, 1)
+
+    def test_all_eisenstein_records_are_kept(self, kept_assumptions):
+        assert len(EISENSTEIN) == 18 <= CACHE_SIZE
+        reports = [classify(eisenstein(p, i), BaseField(p, 2)) for p, i in EISENSTEIN]
+        for hits in range(2):
+            for report in reports:
+                assert report.to_json() == oracle(report)
+            assert kept_assumptions() == (18 * hits, 18, CACHE_SIZE, 18)
+
+    def test_slope_above_one_is_kept_without_a_conductor(self, kept_assumptions):
+        report = classify(InputPolynomial.from_string(5, "x^5-25"), BaseField(5, 1))
+        assert (report.assumptions.slope_numerator, report.conductor) == (2, None)
+        for hits in range(2):
+            assert report.to_json() == dump_json(report.to_json_dict()) == oracle(report)
+            assert kept_assumptions() == (hits, 1, CACHE_SIZE, 1)
+        assert json.loads(report.to_json())["conductor"] == {"status": "not_computed"}
+
+    def test_replaced_assumptions_write_their_own(self, odd_report):
+        other = classify(eisenstein(5, 3), BaseField(5, 1))
+        data = self._writes_its_own(odd_report, odd_report._replace(assumptions=other.assumptions,
+                                                                    conductor=other.conductor))
+        assert (data["assumptions"]["disc_valuation"], data["conductor"]["exponent"]) == ("7", 7)
+        data = self._writes_its_own(odd_report, odd_report._replace(conductor=None))
+        assert data["conductor"] == {"status": "not_computed"}
+
+    @pytest.mark.parametrize("field, value, equal", [
+        ("maximal_inertia", True, 1), ("squarefree", True, 1), ("gcd_condition", False, 0),
+        ("disc_valuation_odd", True, 1), ("disc_valuation", 7, 7.0),
+        ("single_cluster", SingleClusterResult("yes", Fraction(1, 2)), SingleClusterResult("yes", 0.5))])
+    def test_equal_field_of_another_type_writes_its_own(self, odd_report, kept_assumptions, field, value, equal):
+        # True == 1 and 0.5 == Fraction(1, 2), but each is written its own way
+        first, second = (odd_report._replace(assumptions=odd_report.assumptions._replace(**{field: x}))
+                         for x in (value, equal))
+        assert first.to_json() == oracle(first)
+        assert second.to_json() == dump_json(second.to_json_dict()) == oracle(second) != oracle(first)
+        assert kept_assumptions().misses == 2
+
+    def test_input_coefficients_are_written_as_str_writes_them(self, odd_report):
+        f = InputPolynomial.from_coefficients(5, [5, Fraction(-15, 2), 0, Fraction(5, 3), 0, 1])
+        report = classify(f, BaseField(5, 1))
+        assert json.loads(report.to_json())["input"]["f"] == ["5", "-15/2", "0", "5/3", "0", "1"]
+        # a hand-built polynomial of ints, and one with a Fraction among them
+        for coeffs in ((-5, 0, 0, 0, 0, 1), (-5, Fraction(0), 0, 0, 0, 1)):
+            replaced = odd_report._replace(f=InputPolynomial(5, coeffs))
+            assert replaced.to_json() == dump_json(replaced.to_json_dict()) == oracle(replaced)
+            assert json.loads(replaced.to_json())["input"]["f"] == ["-5", "0", "0", "0", "0", "1"]
 
     def test_long_list_is_not_kept(self, kept, odd_report):
         for count in (_SHARED_ITEMS, _SHARED_ITEMS + 1):

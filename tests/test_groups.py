@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_orthogonal, psi_by_table_search
+from oracles import assert_orthogonal, gauss_sum_by_definition, psi_by_table_search
 
 from galrep.arith import is_odd_prime
 from galrep.cyclotomic import Cyclotomic
@@ -350,6 +350,30 @@ class TestGaussSum:
             assert re - err > 0 and abs(im) <= err
         else:
             assert im - err > 0 and abs(re) <= err
+
+    @pytest.mark.parametrize("p", [p for p in range(3, 100) if is_odd_prime(p)])
+    def test_against_the_definition(self, p):
+        expected = gauss_sum_by_definition(p)
+        gauss_sum.cache_clear()
+        for hits in range(2):  # formed, then read from the cache
+            g = gauss_sum(p)
+            assert g == expected
+            assert g * g.conjugate() == Cyclotomic.rational(p, p)
+            assert gauss_sum.cache_info().hits == hits
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: gauss_sum(3.0), (TypeError, "pow() 3rd argument not allowed unless all arguments are integers")),
+        (lambda: gauss_sum(True), (InputError, "p must be an odd prime, got True")),
+        (lambda: gauss_sum(9), (InputError, "p must be an odd prime, got 9")),
+        (lambda: build_group(3.0), (TypeError, "'float' object cannot be interpreted as an integer")),
+    ], ids=["gauss_sum(3.0)", "gauss_sum(True)", "gauss_sum(9)", "build_group(3.0)"])
+    def test_a_bad_p_raises_after_p_3_is_cached(self, call, error):
+        # 3.0 equals 3 and hashes alike, so a cache keyed on the value alone would answer for it
+        gauss_sum(3), build_group(3)
+        for _ in range(2):  # exceptions are not kept
+            with pytest.raises(error[0]) as err:
+                call()
+            assert str(err.value) == error[1]
 
 
 class TestRestrictionToInertia:
