@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .config import CACHE_SIZE
 from .errors import InputError, UsageError
@@ -55,13 +56,15 @@ def vp(x: Fraction | int, p: int) -> int:
     return v
 
 
-def multiplicative_order(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        raise UsageError("order_of_zero", "0 has no multiplicative order")
+def multiplicative_order(a: int, m: int) -> int:
+    """The least k >= 1 with a^k = 1 mod m, for a unit a mod m.  A non-unit
+    has none, and the powers of a would never reach 1."""
+    a %= m
+    if gcd(a, m) != 1:
+        raise UsageError("not_a_unit", f"{a} is not a unit mod {m}, so it has no multiplicative order")
     k, x = 1, a
-    while x != 1:
-        x = x * a % p
+    while x != 1 % m:
+        x = x * a % m
         k += 1
     return k
 
@@ -70,10 +73,12 @@ def multiplicative_order(a: int, p: int) -> int:
 # or a bool is never taken for the int it equals and raises as it did uncached
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
 def smallest_primitive_root(p: int) -> int:
-    for b in range(2, p):
-        if multiplicative_order(b, p) == p - 1:
+    """The least b whose powers give every nonzero residue mod the prime p.
+    A composite p has no unit of order p - 1, and raises after one scan."""
+    for b in range(1, p):
+        if gcd(b, p) == 1 and multiplicative_order(b, p) == p - 1:
             return b
-    raise UsageError("no_primitive_root", f"{p} has no primitive root")
+    raise UsageError("no_primitive_root", f"no unit mod {p} has order {p - 1}")
 
 
 def legendre_symbol(a: int, p: int) -> int:

@@ -14,100 +14,22 @@ produce byte-identical JSON.
 
 from __future__ import annotations
 
-import json
 import sys
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
+from . import padic
 from .arith import power_exceeds, signed_p
 from .config import CACHE_SIZE, Budgets
-from .counting import count_twisted_fixed
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError
-from .groups import (FULL, INERTIA, SIGMA_PHI, CharacterRow, ConjClass, GroupSpec, build_group, class_index,
-                     conjugacy_classes, gauss_sum, identify_psi)
-from .padic import AssumptionReport, BaseField, InputPolynomial, conductor_exponent, validate_assumptions
+from .groups import (FULL, INERTIA, SIGMA_PHI, CharacterRow, GroupSpec, build_group, class_index, conjugacy_classes,
+                     gauss_sum, identify_psi)
+from .json_writer import _encode, _encode_str, dump_json
+from .padic import AssumptionReport, BaseField, InputPolynomial, conductor_exponent
 
 SCHEMA_VERSION = 1
-
-
-_encode_str = json.encoder.encode_basestring_ascii  # the C escaper of the json module
-_LEAVES = {
-    str: _encode_str,
-    int: int.__repr__,  # keeps the digit-limit ValueError
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def dump_json(obj) -> str:
-    """The one JSON format of every report and error: two-space indents and
-    sorted keys.  Byte-identical output rests on it.
-
-    The bytes are those the json module's ``dumps(obj, indent=2,
-    sort_keys=True)`` gives for the types reports are made of: dicts with str
-    keys, lists, str, int, bool and None, and two records written in place
-    of the dicts they stand for, so that no dict is built per value:
-    a ``Cyclotomic`` as ``{"coeffs": [int strings], "m": m}`` and a
-    ``ConjClass`` as ``{"rep": [i, j, k], "size": size}``.  Any other type,
-    other tuples included, raises TypeError.  (With an indent, the json
-    module encodes in pure Python, twice as slow, and leaves cyclic garbage
-    behind.)  ``ClassificationReport.to_json`` writes a report's entries with
-    the same encoder, keeping the text of those that depend on the model
-    curve alone, or on the assumption report alone, for the next report that
-    shares them.
-    """
-    return _encode(obj, "\n")
-
-
-def _encode_cyclotomic(value: Cyclotomic, newline: str) -> str:
-    inner = newline + "  "
-    # never empty (deg Phi_m >= 1); repr keeps the digit-limit ValueError, and
-    # the zeros, most of a large table, share one string
-    coeffs = ('",' + inner + '  "').join([repr(c) if c else "0" for c in value.coeffs])
-    return f'{{{inner}"coeffs": [{inner}  "{coeffs}"{inner}],{inner}"m": {value.m!r}{newline}}}'
-
-
-def _encode_class(cls: ConjClass, newline: str) -> str:
-    # chartab writes every class of a table here; classify writes psi's only
-    # once per model, as to_json keeps the text of the model's entries
-    inner = newline + "  "
-    write = int.__repr__  # ConjClass and El are built of ints only: groups._checked refuses other fields
-    (i, j, k), size = cls
-    return (f'{{{inner}"rep": [{inner}  {write(i)},{inner}  {write(j)},{inner}  {write(k)}{inner}],'
-            f'{inner}"size": {write(size)}{newline}}}')
-
-
-_RECORDS = {Cyclotomic: _encode_cyclotomic, ConjClass: _encode_class}
-
-
-def _encode(obj, newline: str) -> str:
-    """``obj`` as JSON; ``newline`` starts each of its lines after the first."""
-    kind = type(obj)
-    leaf = _LEAVES.get(kind)
-    if leaf is not None:
-        return leaf(obj)
-    record = _RECORDS.get(kind)
-    if record is not None:
-        return record(obj, newline)
-    inner = newline + "  "
-    # each body is joined from a temporary list and framed in one f-string,
-    # so a large table is held at most twice while it is written
-    if kind is list:
-        if not obj:
-            return "[]"
-        try:  # a list of leaves (coefficients, failures) takes one pass
-            body = ("," + inner).join([_LEAVES[type(x)](x) for x in obj])
-        except KeyError:
-            body = ("," + inner).join([_encode(x, inner) for x in obj])
-        return f"[{inner}{body}{newline}]"
-    if kind is dict:
-        if not obj:
-            return "{}"
-        # a non-str key fails in sorted() or in _encode_str with TypeError
-        body = ("," + inner).join([f"{_encode_str(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())])
-        return f"{{{inner}{body}{newline}}}"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 class ClassificationRefused(GalrepError):
@@ -200,15 +122,18 @@ class ClassificationReport(NamedTuple):
         ``assumptions`` and ``conductor`` entries per assumption report and
         conductor: a certified f's depend on p, v(disc f) and the slope k/p
         alone, so the Eisenstein-after-shift inputs (k = 1) at p <= 13 make 18
-        of them.  The model's text is keyed by value, and the assumption text
-        by value and by the type of each field, so a hand-built or
-        ``_replace``d report with other records writes its own text.  Only
-        ``input`` is written anew."""
-        if len(self.psi.values) > _SHARED_ITEMS:
+        of them.  Both texts are keyed by value and by the type of each field
+        of their records, so a hand-built or ``_replace``d report with other
+        records writes its own text.  Only ``input`` is written anew."""
+        psi = self.psi
+        if len(psi.values) > _SHARED_ITEMS:
             return dump_json(self.to_json_dict())
+        model_types = tuple(map(type, chain(self.inertia_group, self.full_group or (), psi, psi.construction,
+                                            *self.eigenvalues, self.verification)))
         assumptions = self.assumptions
         field_types = (*map(type, assumptions), *map(type, assumptions.single_cluster))
-        entries = [*_model_texts(*self._model()), *_assumption_texts(assumptions, self.conductor, field_types),
+        entries = [*_model_texts(model_types, *self._model()),
+                   *_assumption_texts(assumptions, self.conductor, field_types),
                    *_entries({"input": self._input_json_dict()})]
         # the keys are distinct, so the sort never compares two texts
         body = ",\n  ".join([text for _, text in sorted(entries)])
@@ -253,15 +178,16 @@ def _model_json_dict(inertia_group: GroupSummary, full_group: GroupSummary | Non
 
 
 # the text of each model's entries, keyed on the records they are written
-# from, the least recently used dropped first: a few kilobytes per (p, n), of
-# which p <= 13 and n <= 2 make 10.  Keys compare by value, so a hand-built or
-# _replace'd report writes its own text.  A psi of more values, such as the
-# 2,524 at p = 1009 (28 MB of text), is written anew each time, without a
-# lookup: holding its text while the report is joined and printed would add
-# its size to the peak memory, and hashing it to look it up would take 11 ms
-# on a 2-core Xeon VM.
+# from and on the type of each of their fields, the least recently used
+# dropped first: a few kilobytes per (p, n), of which p <= 13 and n <= 2 make
+# 10.  Keys compare by value, and True == 1, so without the types a hand-built
+# or _replace'd report with a 1 for a bool would be written with the kept
+# true.  A psi of more values, such as the 2,524 at p = 1009 (28 MB of text),
+# is written anew each time, without a lookup: holding its text while the
+# report is joined and printed would add its size to the peak memory, and
+# hashing it to look it up would take 11 ms on a 2-core Xeon VM.
 @lru_cache(maxsize=CACHE_SIZE)
-def _model_texts(*model) -> tuple:
+def _model_texts(field_types: tuple, *model) -> tuple:
     return tuple(_entries(_model_json_dict(*model)))
 
 
@@ -310,7 +236,10 @@ def _check_printable(p: int, n: int) -> None:
 @lru_cache(maxsize=CACHE_SIZE)
 def _twisted_trace(p: int, n: int, budgets: Budgets) -> int:
     """The counted trace, once per (p, n, budgets): like psi, it depends on
-    the model curve alone, not on the input."""
+    the model curve alone, not on the input.  Only odd n are counted, so the
+    finite-field counters load here, on the first count."""
+    from .counting import count_twisted_fixed
+
     return count_twisted_fixed(p, n, budgets).trace_sigma_frob
 
 
@@ -355,7 +284,7 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
     # the bound checks are cheap: refuse an out-of-bound p or n before any p-adic work
     group = build_group(p, FULL if n % 2 else INERTIA, budgets.group_p_bound)
     _check_printable(p, n)
-    assumptions = validate_assumptions(f)
+    assumptions = padic.validate_assumptions(f)
     if not assumptions.maximal_inertia:
         raise ClassificationRefused(assumptions.failed_conditions(), assumptions)
     g = (p - 1) // 2

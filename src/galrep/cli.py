@@ -9,6 +9,10 @@ is written and the exit code is 4.
 
 JSON output is exact and byte-deterministic; text output adds numeric
 approximations for readability.
+
+Start-up loads only argparse, the budgets, the errors and the JSON writer;
+each command imports the modules it runs when it runs, so ``chartab`` never
+loads the p-adic or counting code, and ``count`` never loads classify.
 """
 
 from __future__ import annotations
@@ -18,15 +22,16 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .arith import signed_p
-from .classify import ClassificationRefused, ClassificationReport, Verification, classify, dump_json, verify_consistency
 from .config import Budgets
-from .counting import count_curve, count_twisted_fixed
-from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
-from .groups import SIGMA_PHI, build_group, character_table, check_p_bound, gauss_sum
-from .padic import AssumptionReport, BaseField, InputPolynomial
+from .json_writer import dump_json
+
+if TYPE_CHECKING:
+    from .classify import ClassificationRefused, ClassificationReport, Verification
+    from .cyclotomic import Cyclotomic
+    from .padic import AssumptionReport, InputPolynomial
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,7 +52,7 @@ def _approx(value: Cyclotomic) -> str:
     m, conj = value.m, value.conjugate()
     twice_imag = value - conj
     if m % 4 == 0:
-        twice_imag *= Cyclotomic.root_of_unity(m, 3 * m // 4)
+        twice_imag *= value.root_of_unity(m, 3 * m // 4)
     exact = [Fraction(t.as_rational(), 2) if t.is_rational() else None for t in (value + conj, twice_imag)]
     texts = [None if q is None else _ten_digits(q) if q else "" for q in exact]
     bits = 64
@@ -93,6 +98,9 @@ def render_value(value: Cyclotomic, p: int | None = None) -> str:
     if value.is_rational():
         return str(value.as_rational())
     if p is not None and value.m == p:
+        from .arith import signed_p
+        from .groups import gauss_sum
+
         # r * (Gauss sum) for rational r renders as r*sqrt(+-p)
         r = _rational_multiple(value, gauss_sum(p))
         if r is not None:
@@ -154,6 +162,8 @@ def _budgets_from(args) -> Budgets:
 
 
 def _parse_poly(p: int, text: str) -> InputPolynomial:
+    from .padic import InputPolynomial
+
     stripped = text.strip()
     if stripped.startswith("["):
         try:
@@ -165,6 +175,8 @@ def _parse_poly(p: int, text: str) -> InputPolynomial:
 
 
 def _render_classification_text(report: ClassificationReport) -> str:
+    from .groups import SIGMA_PHI
+
     p, n = report.p, report.n
     lines = [_input_line(report.f, n), f"assumptions: maximal inertia image of order {2 * p * (p - 1)}",
              *_assumption_lines(report.assumptions)]
@@ -234,6 +246,10 @@ def _render_chartab_text(table) -> str:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import ClassificationRefused, classify
+    from .groups import check_p_bound
+    from .padic import BaseField
+
     budgets = _budgets_from(args)
     check_p_bound(args.p, budgets.group_p_bound)  # before --f, which holds p + 1 coefficients
     f = _parse_poly(args.p, args.f)
@@ -254,6 +270,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_chartab(args) -> int:
+    from .groups import build_group, character_table
+
     budgets = _budgets_from(args)
     group = build_group(args.p, args.group, budgets.group_p_bound)
     table = character_table(group)
@@ -265,6 +283,8 @@ def _cmd_chartab(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .counting import count_curve, count_twisted_fixed
+
     degree_flag, budget_flag = _COUNT_FLAGS[args.mode]
     for flag in ("--m", "--n", "--enum-budget", "--coset-budget"):
         if flag not in (degree_flag, budget_flag) and _flag_value(args, flag) is not None:
@@ -283,6 +303,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .classify import verify_consistency
+
     budgets = _budgets_from(args)
     if (args.p is None) != (args.n is None):
         raise InputError("missing_flag", "verify needs both --p and --n, or neither")

@@ -1,5 +1,5 @@
-"""Test-side arithmetic that galrep itself does not need: cyclotomic
-polynomials by dividing x^m - 1 by every Phi_d, integer powers of
+"""Test-side arithmetic that galrep itself does not need: multiplicative
+orders by taking each power, cyclotomic polynomials by dividing x^m - 1 by every Phi_d, integer powers of
 cyclotomic values, the quadratic Gauss sum from its definition, the
 character inner product, psi found by searching a whole character table,
 powers and the element list of a finite field, Euler's criterion,
@@ -65,6 +65,12 @@ def power(value, k):
     for _ in range(k):
         result = result * value
     return result
+
+
+def order_by_powers(a, m):
+    """The multiplicative order of the unit a mod m: the least k >= 1 with
+    pow(a, k, m) == 1, each power taken anew."""
+    return next(k for k in range(1, m + 1) if pow(a, k, m) == 1 % m)
 
 
 def gauss_sum_by_definition(p):

@@ -1,13 +1,19 @@
 """The shared odd-prime guard: every entry point that takes p refuses an
-even or composite p with the same error."""
+even or composite p with the same error.  The order and primitive-root
+helpers end on every modulus and agree with taking each power."""
 
+import contextlib
+import math
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galrep.arith import vp
+from oracles import order_by_powers
+
+from galrep.arith import is_prime, multiplicative_order, smallest_primitive_root, vp
 from galrep.counting import count_curve, count_twisted_fixed
 from galrep.errors import InputError, UsageError
 from galrep.gf import build_field
@@ -52,3 +58,44 @@ def test_valuation_of_zero_raises(zero):
     with pytest.raises(UsageError) as err:
         vp(zero, 5)
     assert err.value.code == "valuation_of_zero"
+
+
+PRIMES_BELOW_200 = [m for m in range(2, 200) if is_prime(m)]
+
+
+@pytest.mark.parametrize("m", PRIMES_BELOW_200)
+def test_order_agrees_with_taking_each_power(m):
+    orders = [multiplicative_order(a, m) for a in range(1, m)]
+    assert orders == [order_by_powers(a, m) for a in range(1, m)]
+    root = smallest_primitive_root(m)
+    assert orders[root - 1] == m - 1 and all(k < m - 1 for k in orders[:root - 1])
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the test once ``seconds`` have passed."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# each of these once looped forever: the powers of a non-unit never reach 1
+@pytest.mark.parametrize("m", [4, 9, 15, 25])
+def test_composite_modulus_ends(m):
+    with deadline(5):
+        orders = {a: multiplicative_order(a, m) for a in range(1, m) if math.gcd(a, m) == 1}
+        for a in (0, *(a for a in range(1, m) if a not in orders)):
+            with pytest.raises(UsageError) as err:
+                multiplicative_order(a, m)
+            assert err.value.code == "not_a_unit"
+        with pytest.raises(UsageError) as err:
+            smallest_primitive_root(m)
+    assert err.value.code == "no_primitive_root"
+    assert orders == {a: order_by_powers(a, m) for a in orders}

@@ -128,8 +128,8 @@ class TestRefusalAndErrors:
         def fail(*args):
             raise AssertionError("validate_assumptions ran before the bound check")
 
-        # the package attribute galrep.classify is the function, so patch the module itself
-        monkeypatch.setattr(sys.modules["galrep.classify"], "validate_assumptions", fail)
+        # classify calls it through galrep.padic
+        monkeypatch.setattr(sys.modules["galrep.padic"], "validate_assumptions", fail)
         with pytest.raises(InputError) as err:
             classify(model_input(17), BaseField(17, 1))
         assert err.value.code == "p_beyond_bound"
@@ -205,7 +205,7 @@ class TestInvariants:
         def fail(*args):
             raise AssertionError("validate_assumptions ran before the residue-degree check")
 
-        monkeypatch.setattr(sys.modules["galrep.classify"], "validate_assumptions", fail)
+        monkeypatch.setattr(sys.modules["galrep.padic"], "validate_assumptions", fail)
         with pytest.raises(InputError) as err:
             classify(model_input(5), BaseField(5, 20001))
         assert err.value.code == "residue_degree_too_large"
@@ -244,13 +244,14 @@ class TestCountedTraceCache:
     def test_counted_once_per_p_and_n(self, monkeypatch):
         module = sys.modules["galrep.classify"]
         calls = []
-        count = module.count_twisted_fixed
+        counting_module = sys.modules["galrep.counting"]  # _twisted_trace imports from it when it counts
+        count = counting_module.count_twisted_fixed
 
         def counting(p, n, budgets=None):
             calls.append((p, n))
             return count(p, n, budgets)
 
-        monkeypatch.setattr(module, "count_twisted_fixed", counting)
+        monkeypatch.setattr(counting_module, "count_twisted_fixed", counting)
         module._twisted_trace.cache_clear()
         try:
             reports = [classify(model_input(5), BaseField(5, 1)).to_json() for _ in range(3)]
@@ -448,6 +449,30 @@ class TestSharedText:
         assert first.to_json() == oracle(first)
         assert second.to_json() == dump_json(second.to_json_dict()) == oracle(second) != oracle(first)
         assert kept_assumptions().misses == 2
+
+    # a record of the model, a field of it, and a value equal to the field's that is written another way
+    MODEL_FIELDS = [("verification", "match", 1), ("psi", "faithful", 1), ("verification", "trace_counted", -5.0),
+                    ("inertia_group", "order", 40.0), ("full_group", "b", 2.0)]
+
+    @pytest.mark.parametrize("record, field, equal", MODEL_FIELDS)
+    def test_equal_model_field_of_another_type_writes_its_own(self, odd_report, kept, record, field, equal):
+        assert getattr(getattr(odd_report, record), field) == equal
+        replaced = odd_report._replace(**{record: getattr(odd_report, record)._replace(**{field: equal})})
+        odd_report.to_json()  # keeps the model's text
+        if type(equal) is float:  # the writer knows no floats
+            for write in (replaced.to_json, lambda: dump_json(replaced.to_json_dict())):
+                with pytest.raises(TypeError):
+                    write()
+        else:
+            assert replaced.to_json() == dump_json(replaced.to_json_dict()) == oracle(replaced) != oracle(odd_report)
+        assert kept().misses == 2
+
+    def test_equal_multiplicity_of_another_type_writes_its_own(self, odd_report, kept):
+        first, *rest = odd_report.eigenvalues
+        replaced = odd_report._replace(eigenvalues=(first._replace(multiplicity=float(first.multiplicity)), *rest))
+        odd_report.to_json()
+        with pytest.raises(TypeError):
+            replaced.to_json()
 
     def test_input_coefficients_are_written_as_str_writes_them(self, odd_report):
         f = InputPolynomial.from_coefficients(5, [5, Fraction(-15, 2), 0, Fraction(5, 3), 0, 1])

@@ -194,7 +194,7 @@ class TestClassifyBuildsNoTable:
         def refuse(*_):
             raise AssertionError("character_table on the classify path")
 
-        for module in (groups, cli, galrep):
+        for module in (groups, galrep):
             monkeypatch.setattr(module, "character_table", refuse)
         groups.identify_psi.cache_clear()  # so psi is built anew, with the table refused
         assert [run(capsys, *argv) for argv in self.ARGVS] == expected
@@ -354,7 +354,8 @@ class TestVerifyCommand:
 
     def test_mismatch_exit_four(self, capsys, monkeypatch):
         broken = Verification(status="mismatch", trace_counted=1, trace_predicted=2, match=False)
-        monkeypatch.setattr(cli, "verify_consistency", lambda *a, **k: broken)
+        # the verify command looks verify_consistency up in its defining module when it runs
+        monkeypatch.setattr(sys.modules["galrep.classify"], "verify_consistency", lambda *a, **k: broken)
         code, out = run(capsys, "verify", "--p", "3", "--n", "1")
         assert code == 4
         assert json.loads(out)["all_match"] is False
@@ -464,7 +465,7 @@ class TestUnexpectedErrors:
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "count_curve", broken)
+        monkeypatch.setattr(counting, "count_curve", broken)
         code, out = run(capsys, "count", "--mode", "curve", "--p", "5", "--m", "2")
         assert code == 4
         assert json.loads(out)["error"] == {"code": "unexpected_error", "message": "RuntimeError: boom"}

@@ -480,7 +480,7 @@ class TestValidateAssumptions:
         def fail(*args):
             raise AssertionError("validate_assumptions ran before the p check")
 
-        monkeypatch.setattr(sys.modules["galrep.classify"], "validate_assumptions", fail)
+        monkeypatch.setattr(sys.modules["galrep.padic"], "validate_assumptions", fail)
         with pytest.raises(InputError) as err:
             classify(poly(5, "x^5-5"), BaseField(3, 1))
         assert err.value.code == "p_mismatch"
