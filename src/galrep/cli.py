@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .config import Budgets
-from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
+from .errors import CodedError, InputError, InternalCheckError
 from .json_writer import dump_json
 
 if TYPE_CHECKING:
@@ -385,7 +385,7 @@ def _run(argv: list[str] | None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (InputError, UsageError, BudgetExceeded) as exc:
+    except CodedError as exc:
         print(dump_json({"error": {"code": exc.code, "message": str(exc)}}))
         return EXIT_INPUT
     except InternalCheckError as exc:

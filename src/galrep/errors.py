@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all galrep modules.
 
-``InputError`` carries a machine-readable ``code`` so the CLI can emit a
-stable error JSON; everything else distinguishes misuse of the API
-(``UsageError``), configured limits (``BudgetExceeded``) and violated
-internal guarantees (``InternalCheckError``, always a bug).
+``InputError``, ``UsageError`` and ``BudgetExceeded`` are ``CodedError``s:
+each carries a machine-readable ``code`` so the CLI can emit a stable error
+JSON.  They distinguish invalid input, misuse of the API and configured
+limits; ``InternalCheckError`` marks a violated internal guarantee, always a
+bug.
 """
 
 from __future__ import annotations
@@ -13,31 +14,28 @@ class GalrepError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InputError(GalrepError):
+class CodedError(GalrepError):
+    """An error with a machine-readable ``code`` and its ``message``."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+        self.message = message
+
+
+class InputError(CodedError):
     """Invalid user input (bad polynomial, bad prime, parse failure)."""
 
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
 
-
-class UsageError(GalrepError):
+class UsageError(CodedError):
     """API called outside its contract (e.g. mixed conductors)."""
 
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
 
-
-class BudgetExceeded(GalrepError):
+class BudgetExceeded(CodedError):
     """A configured enumeration or degree budget would be exceeded."""
 
     def __init__(self, message: str):
-        super().__init__(message)
-        self.code = "budget_exceeded"
-        self.message = message
+        super().__init__("budget_exceeded", message)
 
 
 class InternalCheckError(GalrepError):

@@ -26,7 +26,8 @@ differences share one valuation w, which the ramification polygon gives
 groups of Eisenstein polynomials", 2012), and v(disc f) = p(p-1)w.  Only an
 uncertified f pays for the degree-p(p-1) difference polynomial, whose
 constant term is (-1)^(p(p-1)/2) disc f and whose Newton polygon decides
-the single-cluster check.
+the single-cluster check.  Each of these three polygons is asked only
+whether it is one segment, which one chord test answers with no hull built.
 """
 
 from __future__ import annotations
@@ -208,49 +209,15 @@ class BaseField(_BaseFieldFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class Segment(NamedTuple):
-    root_valuation: Fraction
-    multiplicity: int
-
-
-class NewtonPolygon(NamedTuple):
-    """Lower convex hull of (i, v_p(a_i)), as (root valuation, multiplicity) segments.
-
-    Segments are listed in hull order, i.e. with strictly decreasing root
-    valuations; the multiplicities sum to the degree of the polynomial.
-    """
-
-    segments: tuple[Segment, ...]
-
-    def is_single_segment(self) -> bool:
-        return len(self.segments) == 1
-
-
-def _lower_hull(points: Sequence[tuple[int, Fraction | int]]) -> NewtonPolygon:
-    """Lower convex hull of points (x, height), sorted by x, as segments;
-    heights may be integers or Fractions."""
-    hull: list[tuple[int, Fraction | int]] = []
-    for pt in points:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop the middle point when it is on or above the new chord
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    segments = [Segment(Fraction(y1 - y2, x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
-    return NewtonPolygon(tuple(segments))
-
-
-def newton_polygon_of(coeffs: Sequence[Fraction | int], p: int) -> NewtonPolygon:
-    """Newton polygon of an arbitrary polynomial (constant term nonzero)."""
-    coeffs = polys.trim(coeffs)
-    if not coeffs or len(coeffs) == 1:
-        raise UsageError("constant_polynomial", "Newton polygon needs degree >= 1")
-    if coeffs[0] == 0:
-        raise InputError("reducible_x_divides", "x divides the polynomial, so it is reducible")
-    return _lower_hull([(i, vp(c, p)) for i, c in enumerate(coeffs) if c])
+def _one_segment(heights: Sequence[int | None]) -> bool:
+    """Whether the points (x, heights[x]), x = 0..n, None standing for no
+    point, all lie on or above the chord from the first point to the last:
+    exactly when their lower hull, a Newton polygon, is one segment."""
+    first, last, n = heights[0], heights[-1], len(heights) - 1
+    for x, h in enumerate(heights):  # a loop, as all() over a generator costs about 0.7 us more per input
+        if h is not None and (h - first) * n < (last - first) * x:
+            return False
+    return True
 
 
 def _integer_model(f: InputPolynomial) -> tuple[list[int], int]:
@@ -275,15 +242,16 @@ def _certificate(f: InputPolynomial, model: list[int], d: int) -> tuple[list[int
     of f(x + c).  M must be shifted by dc exactly: a shift that differs from
     it by a multiple of p, such as -M(0) mod p, moves roots of valuation
     above 1 to valuation 1.  g's Newton polygon is one segment of slope k/p
-    in lowest terms exactly when p does not divide k and each other point
-    lies above the chord: p v(g_i) > k(p - i) for g_i != 0, 0 < i < p.
+    in lowest terms exactly when p does not divide k and every point
+    (i, v(g_i)) lies on or above the chord from (0, k) to (p, 0).
     """
     p = f.p
     c0 = f.coeffs[0]
     c = -c0.numerator * pow(c0.denominator, -1, p) % p
     g = polys.shift(model, d * c)
-    k = vp(g[0], p) if g[0] else 0  # f(c) = 0: no certificate from this shift
-    if k % p and all(p * vp(a, p) > k * (p - i) for i, a in enumerate(g[1:p], 1) if a):
+    heights = [vp(a, p) if a else None for a in g]
+    k = heights[0]  # None when f(c) = 0: no certificate from this shift
+    if k is not None and k % p and _one_segment(heights):
         return g, k
     return None
 
@@ -409,15 +377,6 @@ class SingleClusterResult(NamedTuple):
         return out
 
 
-def _single_cluster(diff: Sequence[Fraction | int], p: int) -> SingleClusterResult:
-    """The single-cluster check from the Newton polygon of a difference
-    polynomial with nonzero constant term."""
-    polygon = newton_polygon_of(diff, p)
-    if polygon.is_single_segment():
-        return SingleClusterResult("yes", polygon.segments[0].root_valuation)
-    return SingleClusterResult("no")
-
-
 class AssumptionReport(NamedTuple):
     """Outcome of all hypothesis checks for a maximal inertia image."""
 
@@ -479,24 +438,24 @@ def validate_assumptions(f: InputPolynomial) -> AssumptionReport:
     if certified:
         g, k = certified
         heights = _ramification_polygon(g, k, p)
-        first, last = heights[0], heights[-1]
-        # one segment: every point on or above the chord from (1, first) to (p, last)
-        if any((h - last) * (p - 1) < (first - last) * (p - 1 - i) for i, h in enumerate(heights)):
+        if not _one_segment(heights):
             raise InternalCheckError("ramification polygon of a certified input has several segments")
-        # w = (first - last) / (p(p-1)) + k/p; a wild root field of degree p has different exponent >= p
-        disc_valuation: int | None = first - last + (p - 1) * k
+        # w = (heights[0] - heights[-1]) / (p(p-1)) + k/p; a wild root field of degree p has different exponent >= p
+        disc_valuation: int | None = heights[0] - heights[-1] + (p - 1) * k
         if disc_valuation < p:
             raise InternalCheckError(f"v(disc f) = {disc_valuation} is below p = {p}, the least for a wild root field")
         single_cluster = SingleClusterResult("yes", Fraction(disc_valuation, p * (p - 1)))
     else:
         k = None
-        diff = _difference_model(model)
-        if diff[0]:
-            disc_valuation = vp(diff[0], p)
-            single_cluster = _single_cluster(diff, p)
-        else:
-            disc_valuation = None
+        heights = [vp(c, p) if c else None for c in _difference_model(model)]
+        disc_valuation = heights[0]  # None for a repeated root
+        if disc_valuation is None:
             single_cluster = SingleClusterResult("not_computed")
+        elif _one_segment(heights):
+            # one segment, from (0, v(c_0)) to (p(p-1), 0): every difference has valuation w
+            single_cluster = SingleClusterResult("yes", Fraction(disc_valuation, p * (p - 1)))
+        else:
+            single_cluster = SingleClusterResult("no")
     squarefree = disc_valuation is not None
     v = disc_valuation if squarefree else 0
     gcd_condition = squarefree and math.gcd(v, p - 1) == 1

@@ -5,18 +5,25 @@ character inner product, psi found by searching a whole character table,
 powers and the element list of a finite field, Euler's criterion,
 Rabin's irreducibility test over F_p, the irreducibility test of galrep's
 moduli as a yes/no answer, the twisted fixed-point count by direct scan of
-F_{p^(n*p)}, and the plain data of a report tree, which ``json.dumps``
-writes as the oracle of galrep's JSON writer."""
+F_{p^(n*p)}, the plain data of a report tree, which ``json.dumps``
+writes as the oracle of galrep's JSON writer, and the general lower hull of
+a Newton polygon with every segment, where galrep asks only whether the
+polygon is one segment."""
 
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
+from galrep.arith import vp
 from galrep.counting import TwistedCountResult
 from galrep.cyclotomic import Cyclotomic
 from galrep.gf import FieldSpec, _ben_or, _has_root, build_field
 from galrep.groups import (FULL, INERTIA, SIGMA_PHI, ConjClass, build_group, character_table, class_index,
                            faithful_kernel, gauss_sum)
+from galrep.padic import SingleClusterResult
+from galrep.polys import trim
 
 
 def plain(tree):
@@ -211,3 +218,45 @@ def naive_twisted_oracle(p, n):
     fixed = affine + 1
     return TwistedCountResult(p=p, n=n, affine_solutions=affine, fixed_points=fixed,
                               trace_sigma_frob=q + 1 - fixed)
+
+
+class Segment(NamedTuple):
+    root_valuation: Fraction
+    multiplicity: int
+
+
+def lower_hull(points):
+    """The lower convex hull of points (x, height), sorted by x, as its
+    segments in hull order, so with strictly decreasing root valuations
+    (minus the slopes); heights may be ints or Fractions."""
+    hull = []
+    for pt in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            # drop the middle point when it is on or above the new chord
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return [Segment(Fraction(y1 - y2, x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+
+
+def newton_polygon(coeffs, p):
+    """The segments of the Newton polygon of a polynomial of degree >= 1
+    with nonzero constant term, from the points (i, v_p(c_i)); their
+    multiplicities sum to the degree."""
+    coeffs = trim(coeffs)
+    if len(coeffs) < 2:
+        raise ValueError("a Newton polygon needs degree >= 1")
+    if coeffs[0] == 0:
+        raise ValueError("x divides the polynomial")
+    return lower_hull([(i, vp(c, p)) for i, c in enumerate(coeffs) if c])
+
+
+def single_cluster_by_hull(diff, p):
+    """The single-cluster check from the whole Newton polygon of a
+    difference polynomial with nonzero constant term: one segment, whose
+    root valuation is the w all the differences share."""
+    segments = newton_polygon(diff, p)
+    return SingleClusterResult("yes", segments[0].root_valuation) if len(segments) == 1 else SingleClusterResult("no")

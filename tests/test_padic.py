@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from oracles import lower_hull, newton_polygon, single_cluster_by_hull
 
 from galrep import polys
 from galrep.arith import vp
@@ -20,18 +22,15 @@ from galrep.padic import (
     _certificate,
     _difference_power_sums,
     _integer_model,
-    _lower_hull,
+    _one_segment,
     UNDETERMINED,
     AssumptionReport,
     BaseField,
     InputPolynomial,
-    NewtonPolygon,
-    Segment,
+    SingleClusterResult,
     conductor_exponent,
-    _single_cluster,
     difference_polynomial,
     irreducibility_certificate,
-    newton_polygon_of,
     parse_polynomial_string,
     validate_assumptions,
 )
@@ -107,7 +106,7 @@ def searched_slope(f):
         shifted = polys.shift(list(f.coeffs), Fraction(c))
         if shifted[0] == 0:
             continue
-        segments = newton_polygon_of(shifted, p).segments
+        segments = newton_polygon(shifted, p)
         if len(segments) == 1 and segments[0].root_valuation.denominator == p:
             return segments[0].root_valuation
     return None
@@ -125,7 +124,7 @@ def oracle_report(f):
     certificate by a search over every shift, each computed on its own."""
     p = f.p
     v = vp(sympy_disc(f.coeffs), p)
-    single_cluster = _single_cluster(difference_polynomial(f), p)
+    single_cluster = single_cluster_by_hull(difference_polynomial(f), p)
     slope = searched_slope(f)
     irreducibility = UNDETERMINED if slope is None else CERTIFIED
     gcd_condition = math.gcd(v, p - 1) == 1
@@ -264,22 +263,25 @@ class TestDiscriminant:
 
 
 class TestNewtonPolygon:
+    """The oracle's general hull, which the tests compare galrep's chord
+    test against."""
+
     def test_eisenstein(self):
-        segs = newton_polygon_of(list(poly(5, "x^5-5").coeffs), 5).segments
+        segs = newton_polygon(list(poly(5, "x^5-5").coeffs), 5)
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [(Fraction(1, 5), 5)]
 
     def test_shallower_slope(self):
-        segs = newton_polygon_of(list(poly(5, "x^5-25").coeffs), 5).segments
+        segs = newton_polygon(list(poly(5, "x^5-25").coeffs), 5)
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [(Fraction(2, 5), 5)]
 
     def test_unit_slope_zero(self):
-        segs = newton_polygon_of(list(poly(5, "x^5+x+1").coeffs), 5).segments
+        segs = newton_polygon(list(poly(5, "x^5+x+1").coeffs), 5)
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [(Fraction(0), 5)]
 
     def test_two_segments_from_factored_input(self):
         # (x^2 - 5)(x^3 - 25): valuations 1/2 (twice) and 2/3 (three times)
         f = poly(5, "x^5-5*x^3-25*x^2+125")
-        segs = newton_polygon_of(list(f.coeffs), 5).segments
+        segs = newton_polygon(list(f.coeffs), 5)
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [
             (Fraction(2, 3), 3),
             (Fraction(1, 2), 2),
@@ -287,12 +289,48 @@ class TestNewtonPolygon:
 
     @pytest.mark.parametrize("text", ["x^5-5", "x^5-25", "x^5+x+1", "x^5-5*x^3-25*x^2+125"])
     def test_multiplicities_sum_to_degree(self, text):
-        assert sum(s.multiplicity for s in newton_polygon_of(list(poly(5, text).coeffs), 5).segments) == 5
+        assert sum(s.multiplicity for s in newton_polygon(list(poly(5, text).coeffs), 5)) == 5
 
     def test_x_divides_is_an_error(self):
-        with pytest.raises(InputError) as err:
-            newton_polygon_of(list(poly(5, "x^5-5*x").coeffs), 5)
-        assert err.value.code == "reducible_x_divides"
+        with pytest.raises(ValueError, match="x divides"):
+            newton_polygon(list(poly(5, "x^5-5*x").coeffs), 5)
+
+
+@st.composite
+def chord_heights(draw):
+    """Integer heights at x = 0..n, with None for a zero coefficient between
+    the two ends.  Each inner point is drawn against the chord from the
+    first point to the last: on it (when it passes through a lattice point
+    there), the least integer above it, higher, or the greatest integer
+    below it, the one point that spoils a single segment."""
+    n = draw(st.integers(1, 12), label="n")
+    first = draw(st.integers(0, 40), label="first")
+    # an integer slope half the time, so that the chord meets a lattice point at every x
+    last = draw(st.one_of(st.integers(0, 40), st.integers(-first // n, 4).map(lambda s: first + s * n)), label="last")
+    heights = [first]
+    for x in range(1, n):
+        least = -(-(first * n + (last - first) * x) // n)  # the least integer on or above the chord
+        heights.append(draw(st.sampled_from([None, least, least, least + 1, least + 4, least - 1])))
+    return heights + [last]
+
+
+class TestOneSegment:
+    """The chord test galrep asks of every Newton polygon, against the
+    oracle's whole lower hull."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(heights=chord_heights())
+    @example(heights=[4, None, 2, None, 0])  # on the chord
+    @example(heights=[4, None, 1, None, 0])  # just below it
+    @example(heights=[10, 8, 5, 3, 0])  # on it at x = 2, above elsewhere
+    @example(heights=[3, 0])
+    def test_same_as_the_hull(self, heights):
+        hull = lower_hull([(x, h) for x, h in enumerate(heights) if h is not None])
+        n = len(heights) - 1
+        assert _one_segment(heights) == (len(hull) == 1)
+        if len(hull) == 1:
+            # the slope galrep reads off the ends: the root valuation w of every root
+            assert hull[0] == (Fraction(heights[0] - heights[-1], n), n)
 
 
 class TestIrreducibilityCertificate:
@@ -348,9 +386,10 @@ class TestDifferenceRootValuations:
     )
     def test_single_cluster_values(self, p, text, w):
         f = poly(p, text)
-        result = _single_cluster(difference_polynomial(f), p)
+        result = single_cluster_by_hull(difference_polynomial(f), p)
         assert result.status == "yes"
         assert result.w == w
+        assert validate_assumptions(f).single_cluster == result
         # v(disc) is the sum of the p(p-1) difference valuations
         disc = sympy_disc(f.coeffs)
         assert p * (p - 1) * w == Fraction(_vp(disc, p))
@@ -414,13 +453,12 @@ class TestDifferenceRootValuations:
 
     def test_not_squarefree_raises(self):
         # a repeated root makes a zero difference: x divides the difference
-        # polynomial, whose Newton polygon is then refused
+        # polynomial, whose Newton polygon the oracle then refuses
         f = InputPolynomial.from_coefficients(5, [1, 1, -2, -2, 1, 1])
         diff = difference_polynomial(f)
         assert diff[0] == 0
-        with pytest.raises(InputError) as err:
-            newton_polygon_of(diff, 5)
-        assert err.value.code == "reducible_x_divides"
+        with pytest.raises(ValueError, match="x divides"):
+            newton_polygon(diff, 5)
         report = validate_assumptions(f)
         assert not report.squarefree and report.single_cluster.status == "not_computed"
 
@@ -501,6 +539,18 @@ class TestValidateAssumptions:
         if report.gcd_condition:
             assert report.disc_valuation_odd
 
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7]), data=st.data())
+    def test_single_cluster_same_as_the_hull(self, p, data):
+        # mostly uncertified f, decided by the chord test on the difference
+        # polynomial; the oracle builds that polynomial's whole hull
+        units = data.draw(st.lists(st.integers(-9, 9), min_size=p, max_size=p))
+        powers = data.draw(st.lists(st.sampled_from([1, 1, p, p * p]), min_size=p, max_size=p))
+        f = InputPolynomial.from_coefficients(p, [u * e for u, e in zip(units, powers)] + [1])
+        diff = difference_polynomial(f)
+        expected = single_cluster_by_hull(diff, p) if diff[0] else SingleClusterResult("not_computed")
+        assert validate_assumptions(f).single_cluster == expected
+
     @settings(max_examples=30, deadline=None)
     @given(coeffs=st.lists(st.integers(min_value=-20, max_value=20), min_size=3, max_size=3))
     def test_single_cluster_valuation_identity(self, coeffs):
@@ -531,6 +581,13 @@ class TestCertifiedFromValuations:
         with pytest.raises(InternalCheckError, match="several segments"):
             validate_assumptions(poly(5, "x^5-5"))
 
+    def test_polygon_with_a_point_on_the_chord_is_one_segment(self, monkeypatch):
+        # heights at x^1..x^5 in units of 1/5: (3, 5) lies on the chord from (1, 10) to (5, 0)
+        monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, k, p: [10, 8, 5, 3, 0])
+        report = validate_assumptions(poly(5, "x^5-5"))
+        assert report.disc_valuation == 10 + 4 * 1
+        assert report.single_cluster == SingleClusterResult("yes", Fraction(14, 20))
+
     def test_disc_valuation_below_the_wild_bound_raises(self, monkeypatch):
         # a flat polygon gives w = k/p, so v(disc f) = (p-1)k = 4 < p: no wild extension has it
         monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, k, p: [5] * 5)
@@ -558,13 +615,12 @@ class TestDirectCertificate:
         f = InputPolynomial.from_coefficients(p, g + [1])
         model, d = _integer_model(f)
         shifted = polys.shift(model, d * (-g[0] % p))
-        polygon = newton_polygon_of(shifted, p) if shifted[0] else None
-        oracle = (polygon is not None and polygon.is_single_segment()
-                  and polygon.segments[0].root_valuation.denominator == p)
+        polygon = newton_polygon(shifted, p) if shifted[0] else None
+        oracle = polygon is not None and len(polygon) == 1 and polygon[0].root_valuation.denominator == p
         certified = _certificate(f, model, d)
         assert bool(certified) == oracle
         if certified:
-            assert certified == (shifted, polygon.segments[0].root_valuation.numerator)
+            assert certified == (shifted, polygon[0].root_valuation.numerator)
 
 
 class TestConductorExponent:
@@ -605,15 +661,15 @@ class TestConductorExponent:
 class TestPolygonOfGeneralPolynomials:
     def test_polygon_of_raw_coefficients(self):
         # 9 + 3x + x^2 over p = 3: vertices (0,2), (2,0), one slope
-        segs = newton_polygon_of([Fraction(9), Fraction(3), Fraction(1)], 3).segments
+        segs = newton_polygon([Fraction(9), Fraction(3), Fraction(1)], 3)
         assert [(s.root_valuation, s.multiplicity) for s in segs] == [(Fraction(1), 2)]
 
     @settings(max_examples=50, deadline=None)
     @given(heights=st.lists(st.integers(min_value=0, max_value=30), min_size=2, max_size=12),
            denominator=st.integers(min_value=1, max_value=13))
     def test_hull_of_fraction_heights_is_the_scaled_integer_hull(self, heights, denominator):
-        whole = _lower_hull(list(enumerate(heights))).segments
-        scaled = _lower_hull([(i, Fraction(h, denominator)) for i, h in enumerate(heights)]).segments
+        whole = lower_hull(list(enumerate(heights)))
+        scaled = lower_hull([(i, Fraction(h, denominator)) for i, h in enumerate(heights)])
         assert [(s.root_valuation, s.multiplicity) for s in scaled] == [
             (s.root_valuation / denominator, s.multiplicity) for s in whole
         ]
