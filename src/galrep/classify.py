@@ -26,7 +26,7 @@ from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError
 from .groups import (FULL, INERTIA, SIGMA_PHI, CharacterRow, GroupSpec, build_group, class_index, conjugacy_classes,
                      gauss_sum, identify_psi)
-from .json_writer import _encode, _encode_str, dump_json
+from .json_writer import document, dump_json, entries
 from .padic import AssumptionReport, BaseField, InputPolynomial, conductor_exponent
 
 SCHEMA_VERSION = 1
@@ -117,27 +117,26 @@ class ClassificationReport(NamedTuple):
                 self.eigenvalues, self.verification)
 
     def to_json(self) -> str:
-        """``dump_json(self.to_json_dict())``, joined from kept text.  The
+        """``dump_json(self.to_json_dict())``, framed from kept text.  The
         text of the six model entries is kept per model, and that of the
         ``assumptions`` and ``conductor`` entries per assumption report and
         conductor: a certified f's depend on p, v(disc f) and the slope k/p
         alone, so the Eisenstein-after-shift inputs (k = 1) at p <= 13 make 18
         of them.  Both texts are keyed by value and by the type of each field
         of their records, so a hand-built or ``_replace``d report with other
-        records writes its own text.  Only ``input`` is written anew."""
+        records writes its own text.  Only ``input``, and the model of a
+        psi of more than ``_SHARED_ITEMS`` values, are written anew."""
         psi = self.psi
         if len(psi.values) > _SHARED_ITEMS:
-            return dump_json(self.to_json_dict())
-        model_types = tuple(map(type, chain(self.inertia_group, self.full_group or (), psi, psi.construction,
-                                            *self.eigenvalues, self.verification)))
+            model = entries(_model_json_dict(*self._model()))
+        else:
+            model_types = tuple(map(type, chain(self.inertia_group, self.full_group or (), psi, psi.construction,
+                                                *self.eigenvalues, self.verification)))
+            model = _model_texts(model_types, *self._model())
         assumptions = self.assumptions
         field_types = (*map(type, assumptions), *map(type, assumptions.single_cluster))
-        entries = [*_model_texts(model_types, *self._model()),
-                   *_assumption_texts(assumptions, self.conductor, field_types),
-                   *_entries({"input": self._input_json_dict()})]
-        # the keys are distinct, so the sort never compares two texts
-        body = ",\n  ".join([text for _, text in sorted(entries)])
-        return f"{{\n  {body}\n}}"
+        return document([*model, *_assumption_texts(assumptions, self.conductor, field_types),
+                         *entries({"input": self._input_json_dict()})])
 
 
 def _assumption_json_dict(assumptions: AssumptionReport, conductor: int | None) -> dict:
@@ -188,7 +187,7 @@ def _model_json_dict(inertia_group: GroupSummary, full_group: GroupSummary | Non
 # hashing it to look it up would take 11 ms on a 2-core Xeon VM.
 @lru_cache(maxsize=CACHE_SIZE)
 def _model_texts(field_types: tuple, *model) -> tuple:
-    return tuple(_entries(_model_json_dict(*model)))
+    return tuple(entries(_model_json_dict(*model)))
 
 
 # the text of the assumptions and conductor entries: a few hundred bytes per
@@ -196,17 +195,10 @@ def _model_texts(field_types: tuple, *model) -> tuple:
 # 0.5 == Fraction(1, 2) but each is written its own way
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _assumption_texts(assumptions: AssumptionReport, conductor: int | None, field_types: tuple) -> tuple:
-    return tuple(_entries(_assumption_json_dict(assumptions, conductor)))
+    return tuple(entries(_assumption_json_dict(assumptions, conductor)))
 
 
 _SHARED_ITEMS = 64
-_TOP_LEVEL = "\n  "
-
-
-def _entries(tree: dict) -> list:
-    """(key, text of the entry) for each entry of a report's top-level dict,
-    as ``dump_json`` writes them."""
-    return [(key, f"{_encode_str(key)}: {_encode(value, _TOP_LEVEL)}") for key, value in tree.items()]
 
 
 def _gauss_sum_power(p: int, n: int) -> Cyclotomic:

@@ -72,17 +72,14 @@ def _approx(value: Cyclotomic) -> str:
 
 def _ten_digits(q: Fraction) -> str:
     """``format(q, ".10g")`` for a nonzero rational, rounded half to even
-    from its exact value, so no size overflows to ``inf``."""
-    a, ten = abs(q), Fraction(10)
-    e = (a.numerator.bit_length() - a.denominator.bit_length()) * 30103 // 10**5  # near log10(a)
-    while a >= ten ** (e + 1):
-        e += 1
-    while a < ten ** e:
-        e -= 1
-    digits = round(a / ten ** (e - 9))
-    if digits == 10**10:
-        digits, e = 10**9, e + 1
-    mantissa = str(digits).rstrip("0")  # |q| rounds to 0.mantissa * 10^(e+1)
+    from its exact value by decimal's division, so no size overflows to
+    ``inf``.  decimal loads here, on the text path only."""
+    from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
+
+    context = Context(prec=10, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    _, digits, exponent = context.divide(Decimal(abs(q.numerator)), Decimal(q.denominator)).as_tuple()
+    e = exponent + len(digits) - 1  # |q| rounds to 0.mantissa * 10^(e+1)
+    mantissa = "".join(map(str, digits)).rstrip("0")
     if e < -4 or e >= 10:  # the exponents float formatting writes in scientific notation
         text = mantissa[0] + (f".{mantissa[1:]}" if mantissa[1:] else "") + f"e{e:+03d}"
     elif e < 0:

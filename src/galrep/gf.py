@@ -12,10 +12,11 @@ F_q itself (see ``galrep.counting``).
 Elements are immutable coefficient tuples, and ``FieldSpec`` does their
 arithmetic.  a -> a^p is F_p-linear, so each field carries one Frobenius
 matrix, whose columns x^(ip) mod f are built by (m-1)p multiplications by
-x, each a shift plus one multiple of x^m mod f (``FieldSpec.frob_t``): it
-gives the conjugates behind the irreducibility test, the trace and the
-norm N(a) = a a^p ... a^(p^(m-1)).  For monic f the norm is also the
-resultant Res(f, a), which Euclid's algorithm over F_p gives in
+x, each a shift plus one multiple of x^m mod f, kept per field
+(``FieldSpec.frob_t``); ``FieldSpec.mul_t`` is Horner's rule by the same
+step.  The matrix gives the conjugates behind the irreducibility test,
+the trace and the norm N(a) = a a^p ... a^(p^(m-1)).  For monic f the norm
+is also the resultant Res(f, a), which Euclid's algorithm over F_p gives in
 O(m deg a) operations on ints; it is 0 exactly when gcd(f, a) != 1, which
 is the gcd test of Ben-Or.  The counters read the quadratic character
 from a table over element indices (``FieldSpec.chi_table``), built once per
@@ -61,29 +62,14 @@ class FieldSpec(_FieldSpecFields):
         return self.p**self.m
 
     @cached_property
-    def _reduction_rows(self) -> tuple[Coeffs, ...]:
-        # x^(m+k) mod modulus for k = 0..m-2
-        p, m, mod = self.p, self.m, self.modulus
-        rows: list[Coeffs] = []
-        cur = tuple((-c) % p for c in mod[:m])  # x^m mod modulus
-        for _ in range(m - 1):
-            rows.append(cur)
-            lead = cur[-1]
-            nxt = [0] + list(cur[:-1])
-            if lead:
-                base = rows[0]
-                nxt = [(nxt[i] + lead * base[i]) % p for i in range(m)]
-            cur = tuple(nxt)
-        return tuple(rows)
+    def _x_m(self) -> Coeffs:
+        # x^m mod modulus: multiplying by x is a shift plus one multiple of it
+        return tuple(-c % self.p for c in self.modulus[:-1])
 
     @cached_property
     def _frobenius_columns(self) -> tuple[Coeffs, ...]:
-        # x^(ip) mod modulus for i = 0..m-1, stepping x^k to x^(k+1) by a
-        # shift plus one multiple of x^m mod modulus
-        p, m = self.p, self.m
-        if m == 1:
-            return ((1,),)
-        x_m = self._reduction_rows[0]
+        # x^(ip) mod modulus for i = 0..m-1, stepping x^k to x^(k+1)
+        p, m, x_m = self.p, self.m, self._x_m
         power = [1] + [0] * (m - 1)
         columns = [tuple(power)]
         for _ in range(m - 1):
@@ -104,22 +90,15 @@ class FieldSpec(_FieldSpecFields):
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def mul_t(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        p, m = self.p, self.m
-        full = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        full[i + j] += ai * bj
-        rows = self._reduction_rows
-        out = [c % p for c in full[:m]]
-        for k in range(m, 2 * m - 1):
-            c = full[k] % p
-            if c:
-                row = rows[k - m]
-                for i in range(m):
-                    if row[i]:
-                        out[i] = (out[i] + c * row[i]) % p
+        """a b by Horner's rule in a: from a's top coefficient down, x times
+        the running product, then plus a_i b."""
+        p, x_m = self.p, self._x_m
+        out = [0] * self.m
+        for ai in reversed(a):
+            top = out.pop()
+            out.insert(0, 0)
+            if top or ai:
+                out = [(c + top * r + ai * bj) % p for c, r, bj in zip(out, x_m, b)]
         return tuple(out)
 
     def frob_t(self, a: Coeffs) -> Coeffs:
@@ -193,7 +172,7 @@ def _times_x_successors(field: FieldSpec) -> array:
         nxt = array("I", range(0, p, 2))  # 2i for i < p/2, then 2i - p
         nxt.extend(range(1, p, 2))
         return nxt
-    x_m = field._reduction_rows[0]
+    x_m = field._x_m
     nxt = array("I")
     for top in range(p):
         fold = [top * r % p for r in x_m]

@@ -1,4 +1,6 @@
-"""The one JSON writer of every report, table and error.
+"""The one JSON writer of every report, table and error, and the only
+module that knows the byte format.  A dict is written as its ``entries``
+framed by ``document``, so a caller may keep the text of some entries.
 
 It sits apart from the pipeline so that a command loads only what it runs:
 the CLI imports it at start-up, ahead of any command's modules.
@@ -32,12 +34,29 @@ def dump_json(obj) -> str:
     ``ConjClass`` as ``{"rep": [i, j, k], "size": size}``.  Any other type,
     other tuples included, raises TypeError.  (With an indent, the json
     module encodes in pure Python, twice as slow, and leaves cyclic garbage
-    behind.)  ``ClassificationReport.to_json`` writes a report's entries with
-    the same encoder, keeping the text of those that depend on the model
-    curve alone, or on the assumption report alone, for the next report that
-    shares them.
+    behind.)  ``document(entries(tree))`` is ``dump_json(tree)`` for a dict.
     """
     return _encode(obj, "\n")
+
+
+def entries(tree: dict, newline: str = "\n") -> list[tuple[str, str]]:
+    """(key, text) of each entry of the dict ``tree``, to frame with ``document``
+    where lines start with ``newline``; a non-str key raises TypeError."""
+    inner = newline + "  "
+    return [(key, f"{_encode_str(key)}: {_encode(value, inner)}") for key, value in tree.items()]
+
+
+def document(items: list[tuple[str, str]], newline: str = "\n") -> str:
+    """The dict of the (key, text) ``items`` of ``entries``, keys distinct, in key order."""
+    if not items:
+        return "{}"
+    inner = newline + "  "
+    separator = "," + inner
+    parts = ["{" + inner]  # framed in one join, so a large table is held at most twice
+    for _, text in sorted(items):  # distinct keys: no two texts are compared
+        parts += (text, separator)
+    parts[-1] = newline + "}"
+    return "".join(parts)
 
 
 def _encode_cyclotomic(value: Cyclotomic, newline: str) -> str:
@@ -82,9 +101,5 @@ def _encode(obj, newline: str) -> str:
             body = ("," + inner).join([_encode(x, inner) for x in obj])
         return f"[{inner}{body}{newline}]"
     if kind is dict:
-        if not obj:
-            return "{}"
-        # a non-str key fails in sorted() or in _encode_str with TypeError
-        body = ("," + inner).join([f"{_encode_str(k)}: {_encode(v, inner)}" for k, v in sorted(obj.items())])
-        return f"{{{inner}{body}{newline}}}"
+        return document(entries(obj, newline), newline)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

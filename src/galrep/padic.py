@@ -11,7 +11,9 @@ This module decides them, and the conductor exponent in the monogenic case.
 All the work runs on one integer model of f: M(x) = d^p f(x/d), with d the
 lcm of the coefficient denominators, which is prime to p.  M is monic in
 Z[x], has the valuations of f's coefficients, roots and root differences,
-and M(x + dc) = d^p f(x/d + c) for every c.
+and M(x + dc) = d^p f(x/d + c) for every c.  Even the certificate's shift
+c = -f(0) mod p is read off M: f(0) = M(0)/d^p and d^p = d mod p, so
+c = -M(0)/d mod p.
 
 Irreducibility is certificate-based: a one-segment Newton polygon with
 slope denominator exactly p (for f itself or an integer shift of it) proves
@@ -232,27 +234,26 @@ def _integer_model(f: InputPolynomial) -> tuple[list[int], int]:
     return [c.numerator * d ** (p - i) // c.denominator for i, c in enumerate(f.coeffs)], d
 
 
-def _certificate(f: InputPolynomial, model: list[int], d: int) -> tuple[list[int], int] | None:
-    """g = M(x + dc) = d^p f(x/d + c) and k = v(g(0)), its roots being of
-    valuation k/p, when they certify f, else None.
+def _certificate(model: list[int], d: int, p: int) -> tuple[list[int | None], int] | None:
+    """The valuations of g = M(x + dc) = d^p f(x/d + c) (None for a zero
+    coefficient) and k = v(g(0)), g's roots being of valuation k/p, when
+    they certify f, else None.
 
     c = -f(0) mod p in [0, p) is the only shift for which every root of
     f(x + c) can have positive valuation: all of them are then congruent to
-    0, so f = (x - c)^p = x^p - c mod p.  The roots of g are d times those
-    of f(x + c).  M must be shifted by dc exactly: a shift that differs from
-    it by a multiple of p, such as -M(0) mod p, moves roots of valuation
-    above 1 to valuation 1.  g's Newton polygon is one segment of slope k/p
-    in lowest terms exactly when p does not divide k and every point
-    (i, v(g_i)) lies on or above the chord from (0, k) to (p, 0).
+    0, so f = (x - c)^p = x^p - c mod p.  As f(0) = M(0)/d^p and d^p = d
+    mod p, c = -M(0)/d mod p.  The roots of g are d times those of f(x + c),
+    and M must be shifted by dc exactly: a shift that differs from it by a
+    multiple of p, such as -M(0) mod p, moves roots of valuation above 1 to
+    valuation 1.  g's Newton polygon is one segment of slope k/p in lowest
+    terms exactly when p does not divide k and every point (i, v(g_i)) lies
+    on or above the chord from (0, k) to (p, 0).
     """
-    p = f.p
-    c0 = f.coeffs[0]
-    c = -c0.numerator * pow(c0.denominator, -1, p) % p
-    g = polys.shift(model, d * c)
-    heights = [vp(a, p) if a else None for a in g]
+    c = -model[0] * pow(d, -1, p) % p
+    heights = [vp(a, p) if a else None for a in polys.shift(model, d * c)]
     k = heights[0]  # None when f(c) = 0: no certificate from this shift
     if k is not None and k % p and _one_segment(heights):
-        return g, k
+        return heights, k
     return None
 
 
@@ -269,13 +270,13 @@ def irreducibility_certificate(f: InputPolynomial) -> str:
     tried, on the integer model.  Returns "undetermined" otherwise;
     reducibility is never claimed.
     """
-    return CERTIFIED if _certificate(f, *_integer_model(f)) else UNDETERMINED
+    return CERTIFIED if _certificate(*_integer_model(f), f.p) else UNDETERMINED
 
 
-def _ramification_polygon(g: list[int], k: int, p: int) -> list[int]:
+def _ramification_polygon(valuations: list[int | None], k: int, p: int) -> list[int]:
     """Heights of the points (i, v(c_i)), i = 1..p, of the Newton polygon
     of g(beta(x + 1)) / x = sum c_i x^(i-1), beta a root of g of valuation
-    k/p, counted in units of 1/p.
+    k/p, in units of 1/p, from the valuations ``_certificate`` gives.
 
     Its roots are (beta' - beta) / beta over the other roots beta' of g
     (Greve and Pauli, "Ramification polygons, splitting fields, and Galois
@@ -290,8 +291,8 @@ def _ramification_polygon(g: list[int], k: int, p: int) -> list[int]:
     heights = [k * p]  # i = p: beta^p
     low = heights[0] + p  # the j = p term for i < p
     for i in range(p - 1, 0, -1):
-        if g[i]:
-            low = min(low, vp(g[i], p) * p + i * k)
+        if valuations[i] is not None:
+            low = min(low, valuations[i] * p + i * k)
         heights.append(low)
     return heights[::-1]
 
@@ -434,10 +435,10 @@ def validate_assumptions(f: InputPolynomial) -> AssumptionReport:
     """
     p = f.p
     model, d = _integer_model(f)
-    certified = _certificate(f, model, d)
+    certified = _certificate(model, d, p)
     if certified:
-        g, k = certified
-        heights = _ramification_polygon(g, k, p)
+        valuations, k = certified
+        heights = _ramification_polygon(valuations, k, p)
         if not _one_segment(heights):
             raise InternalCheckError("ramification polygon of a certified input has several segments")
         # w = (heights[0] - heights[-1]) / (p(p-1)) + k/p; a wild root field of degree p has different exponent >= p

@@ -6,9 +6,11 @@ powers and the element list of a finite field, Euler's criterion,
 Rabin's irreducibility test over F_p, the irreducibility test of galrep's
 moduli as a yes/no answer, the twisted fixed-point count by direct scan of
 F_{p^(n*p)}, the plain data of a report tree, which ``json.dumps``
-writes as the oracle of galrep's JSON writer, and the general lower hull of
+writes as the oracle of galrep's JSON writer, the general lower hull of
 a Newton polygon with every segment, where galrep asks only whether the
-polygon is one segment."""
+polygon is one segment, the number of y in F_q with Tr(y^2) = c from the
+trace form's determinant, and ten significant digits of a rational by an
+exponent search and a rounded Fraction, where galrep asks decimal."""
 
 import math
 from collections import Counter
@@ -16,14 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from galrep.arith import vp
+from galrep.arith import legendre_symbol, vp
 from galrep.counting import TwistedCountResult
 from galrep.cyclotomic import Cyclotomic
 from galrep.gf import FieldSpec, _ben_or, _has_root, build_field
 from galrep.groups import (FULL, INERTIA, SIGMA_PHI, ConjClass, build_group, character_table, class_index,
                            faithful_kernel, gauss_sum)
 from galrep.padic import SingleClusterResult
-from galrep.polys import trim
+from galrep.polys import power_sums, trim
 
 
 def plain(tree):
@@ -260,3 +262,71 @@ def single_cluster_by_hull(diff, p):
     root valuation is the w all the differences share."""
     segments = newton_polygon(diff, p)
     return SingleClusterResult("yes", segments[0].root_valuation) if len(segments) == 1 else SingleClusterResult("no")
+
+
+def _det_mod_p(rows, p):
+    """The determinant of a square integer matrix mod p, by Gaussian
+    elimination over F_p."""
+    rows = [[a % p for a in row] for row in rows]
+    det = 1
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det = det * rows[k][k] % p
+        inverse = pow(rows[k][k], -1, p)
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] * inverse % p
+            if factor:
+                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[k])]
+    return det % p
+
+
+def count_by_trace_form(field, c):
+    """#{y in F_q : Tr(y^2) = c}, q = p^m, from the quadratic form
+    Q(y) = Tr(y^2) over F_p alone, with no element of F_q formed.
+
+    In the basis 1, x, ..., x^(m-1), Q has Gram matrix (Tr x^(i+j)) =
+    (s_(i+j)), the power sums of the modulus's roots.  Its determinant D is
+    taken mod p; it is nonzero, as the trace form of a separable extension
+    is nondegenerate.  With eta the quadratic character of F_p, Lidl and
+    Niederreiter, *Finite Fields*, Theorems 6.26 (m even) and 6.27 (m odd),
+    give p^(m-1) + v(c) p^((m-2)/2) eta((-1)^(m/2) D), v(0) = p - 1 and
+    v(c) = -1 otherwise, and p^(m-1) + p^((m-1)/2) eta((-1)^((m-1)/2) c D).
+    """
+    p, m = field.p, field.m
+    s = power_sums(field.modulus, 2 * m - 1)
+    det = _det_mod_p([[s[i + j] for j in range(m)] for i in range(m)], p)
+    assert det, "the trace form is degenerate"
+    if m % 2 == 0:
+        v = p - 1 if c % p == 0 else -1
+        return p ** (m - 1) + v * p ** ((m - 2) // 2) * legendre_symbol((-1) ** (m // 2) * det, p)
+    return p ** (m - 1) + p ** ((m - 1) // 2) * legendre_symbol((-1) ** ((m - 1) // 2) * c * det, p)
+
+
+def ten_digits_by_search(q):
+    """``format(q, ".10g")`` for a nonzero rational, rounded half to even
+    from its exact value: the decimal exponent found by a search over powers
+    of ten, the ten digits by rounding a Fraction, and a carry to 10^10
+    moved into the exponent."""
+    a, ten = abs(q), Fraction(10)
+    e = (a.numerator.bit_length() - a.denominator.bit_length()) * 30103 // 10**5  # near log10(a)
+    while a >= ten ** (e + 1):
+        e += 1
+    while a < ten ** e:
+        e -= 1
+    digits = round(a / ten ** (e - 9))
+    if digits == 10**10:
+        digits, e = 10**9, e + 1
+    mantissa = str(digits).rstrip("0")  # |q| rounds to 0.mantissa * 10^(e+1)
+    if e < -4 or e >= 10:  # the exponents float formatting writes in scientific notation
+        text = mantissa[0] + (f".{mantissa[1:]}" if mantissa[1:] else "") + f"e{e:+03d}"
+    elif e < 0:
+        text = "0." + "0" * (-e - 1) + mantissa
+    else:
+        whole, frac = mantissa[:e + 1].ljust(e + 1, "0"), mantissa[e + 1:]
+        text = f"{whole}.{frac}" if frac else whole
+    return f"-{text}" if q < 0 else text

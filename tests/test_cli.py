@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import power
+from oracles import power, ten_digits_by_search
 
 
 import galrep
@@ -252,6 +252,17 @@ class TestTextApproximations:
     @given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
     def test_ten_digits_agree_with_float_formatting(self, x):
         assert cli._ten_digits(Fraction(x)) == format(x, ".10g")
+
+    # random rationals, exact ties of the tenth digit (ten digits and a half,
+    # or the last of 10^10 - 1 and a half, which carries), and exponents past +-400
+    @given(st.one_of(
+        st.builds(Fraction, st.integers(-10**30, 10**30).filter(bool), st.integers(1, 10**30)),
+        st.builds(lambda d, e: Fraction(2 * d + 1, 2) * Fraction(10) ** e,
+                  st.one_of(st.integers(10**9, 10**10 - 1), st.just(10**10 - 1)), st.integers(-460, 460)),
+        st.builds(lambda n, d, e: Fraction(n, d) * Fraction(10) ** e, st.integers(-10**12, 10**12).filter(bool),
+                  st.integers(1, 10**12), st.sampled_from([-1000, -401, -400, -5, -4, 9, 10, 400, 401, 1000]))))
+    def test_ten_digits_agree_with_the_exponent_search(self, q):
+        assert cli._ten_digits(q) == ten_digits_by_search(q)
 
     @pytest.mark.parametrize("k", [200, 400])
     def test_a_near_tie_is_rounded_from_the_exact_value(self, k):

@@ -19,6 +19,7 @@ from galrep.classify import ClassificationReport, Eigenvalue, GroupSummary, clas
 from galrep.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from galrep.errors import UsageError
 from galrep.groups import CharacterRow, ConjClass, El
+from galrep.json_writer import document, entries
 from galrep.padic import BaseField, InputPolynomial
 
 
@@ -60,6 +61,12 @@ def test_bytes_equal_the_oracle(obj):
 @given(_trees(st.one_of(_leaves, _records)))
 def test_records_equal_the_oracle(obj):
     assert dump_json(obj) == oracle(obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_text, _trees(st.one_of(_leaves, _records)), max_size=4))
+def test_document_of_entries_is_dump_json(tree):
+    assert document(entries(tree)) == dump_json(tree) == oracle(tree)
 
 
 @pytest.mark.parametrize("obj", [[], {}, [[]], {"": {}}, [2**64, -2**64 - 1], {"b": [True, None], "a": False}])

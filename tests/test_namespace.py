@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: ``import galrep`` loads no submodule, each
-CLI command loads only the modules it runs, and the package namespace is
+CLI command loads only the modules it runs (decimal only for text output,
+which rounds through it), and the package namespace is
 bound in one piece on the first use of an exported name, with
 ``galrep.classify`` the function however the submodule of that name was
 loaded."""
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import galrep
+import galrep.cli as cli
 
 # a child interpreter imports the galrep these tests import, installed or not
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -113,3 +115,19 @@ def test_first_use_binds_every_name():
 def test_a_name_set_before_the_first_use_stays():
     assert fresh("import galrep\ngalrep.count_curve = 'patched'\ngalrep.Budgets\n"
                  "print(json.dumps(galrep.count_curve))") == "patched"
+
+
+# fractions imports decimal on Python 3.11 and 3.12, so the child drops it
+# from sys.modules first: what a command then loads anew, it imported itself.
+# The CLI module binds no name of decimal, so it is not imported at start-up
+DECIMAL_LOADED_BY = ("import contextlib, io\nimport galrep.cli as cli\ndel sys.modules['decimal']\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n    code = cli.main({argv!r})\n"
+                     "print(json.dumps([code, 'decimal' in sys.modules]))")
+
+
+@pytest.mark.parametrize("text", [False, True], ids=["json", "text"])
+def test_only_text_output_loads_decimal(text):
+    argv = ["classify", "--p", "5", "--f", "x^5-5", "--n", "1"] + ["--format", "text"] * text
+    assert fresh(DECIMAL_LOADED_BY.format(argv=argv)) == [0, text]
+    assert [name for name, value in vars(cli).items()
+            if value is sys.modules["decimal"] or getattr(value, "__module__", None) == "decimal"] == []

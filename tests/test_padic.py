@@ -617,10 +617,27 @@ class TestDirectCertificate:
         shifted = polys.shift(model, d * (-g[0] % p))
         polygon = newton_polygon(shifted, p) if shifted[0] else None
         oracle = polygon is not None and len(polygon) == 1 and polygon[0].root_valuation.denominator == p
-        certified = _certificate(f, model, d)
+        certified = _certificate(model, d, p)
         assert bool(certified) == oracle
         if certified:
-            assert certified == (shifted, polygon[0].root_valuation.numerator)
+            valuations = [vp(a, p) if a else None for a in shifted]
+            assert certified == (valuations, polygon[0].root_valuation.numerator)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=st.sampled_from([3, 5, 7, 11, 13]), data=st.data())
+    def test_shift_from_the_integer_model_is_minus_f0(self, p, data):
+        # any rational f with denominators prime to p: c = -M(0)/d mod p is -f(0) mod p
+        units = st.integers(-40, 40).filter(lambda u: u % p)
+        coeffs = [Fraction(data.draw(st.integers(-10**6, 10**6)), data.draw(units)) for _ in range(p)]
+        f = InputPolynomial.from_coefficients(p, coeffs + [1])
+        model, d = _integer_model(f)
+        shifts = []
+        original = polys.shift
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polys, "shift", lambda poly, c: shifts.append(c) or original(poly, c))
+            _certificate(model, d, p)
+        f0 = f.coeffs[0]
+        assert shifts == [d * (-f0.numerator * pow(f0.denominator, -1, p) % p)]
 
 
 class TestConductorExponent:
