@@ -168,7 +168,7 @@ def _model_json_dict(inertia_group: GroupSummary, full_group: GroupSummary | Non
             "dimension": psi.dimension,
             "faithful": psi.faithful,
             "construction": psi.construction_json(),
-            "classes": list(psi_classes),
+            "classes": [cls.to_json_dict() for cls in psi_classes],
             "values": list(psi.values),
         },
         "eigenvalues": [e.to_json_dict() for e in eigenvalues],

@@ -14,9 +14,9 @@ helper (``_artin_schreier_tally``):
 * chi is read from a table over element indices, built once per field by
   walking multiplication by g = x (g = 2 over F_p) through the cosets of
   <g> in F_q*, each step one read of a successor table of element indices,
-  with chi of g and of each coset seed the Legendre symbol of its norm
-  (``FieldSpec.chi_table``).  ``itertools.compress`` picks the table's
-  values on the fiber, and ``bytes.count`` tallies them.
+  with chi of g and of each coset seed the Legendre symbol of its norm, a
+  resultant by Euclid (``FieldSpec.chi_table``).  ``itertools.compress``
+  picks the table's values on the fiber, and ``bytes.count`` tallies them.
 
 * ``count_curve`` counts the affine points over F_{p^m}: the fiber Tr t = 0.
 * ``count_twisted_fixed`` counts solutions of the twisted fixed-point system
@@ -120,16 +120,20 @@ def _artin_schreier_tally(field: FieldSpec, c: int) -> list[int]:
     zero, a non-square and a nonzero square, in that order, for any a of
     trace c: t runs over the fiber {Tr t = c}, each t hit p times.
 
-    The fiber must hold q/p elements, and its first element must have
-    trace c, summed from its conjugates.
+    The fiber must hold q/p elements, and its last element must have
+    trace c, summed from its conjugates by the Frobenius matrix: the power
+    sums that built the fiber and the matrix are checked against each other.
+    The last, not the first: the first element of the fiber of trace 0 is 0
+    itself, of trace 0 under any matrix, so the curve count would check
+    nothing.
     """
     p, q = field.p, field.size
     table = field.chi_table()
     fiber = _trace_fiber(p, power_sums(field.modulus, field.m), c)
     if fiber.count(1) != q // p:
         raise InternalCheckError(f"the fiber of trace {c} does not hold q/p elements")
-    if _trace(field, field.element_from_index(fiber.index(1))) != field.scalar_t(c):
-        raise InternalCheckError(f"the fiber of trace {c} starts at an element of another trace")
+    if _trace(field, field.element_from_index(fiber.rindex(1))) != field.scalar_t(c):
+        raise InternalCheckError(f"the fiber of trace {c} ends at an element of another trace")
     values = bytes(compress(table, fiber))
     return [p * values.count(v) for v in range(3)]
 

@@ -13,17 +13,17 @@ Elements are immutable coefficient tuples, and ``FieldSpec`` does their
 arithmetic.  a -> a^p is F_p-linear, so each field carries one Frobenius
 matrix, whose columns x^(ip) mod f are built by (m-1)p multiplications by
 x, each a shift plus one multiple of x^m mod f, kept per field
-(``FieldSpec.frob_t``); ``FieldSpec.mul_t`` is Horner's rule by the same
-step.  The matrix gives the conjugates behind the irreducibility test,
-the trace and the norm N(a) = a a^p ... a^(p^(m-1)).  For monic f the norm
-is also the resultant Res(f, a), which Euclid's algorithm over F_p gives in
-O(m deg a) operations on ints; it is 0 exactly when gcd(f, a) != 1, which
-is the gcd test of Ben-Or.  The counters read the quadratic character
-from a table over element indices (``FieldSpec.chi_table``), built once per
-field by walking multiplication by g = x (g = 2 when m = 1) through the
-cosets of <g> in F_q*, with chi(a) = (N(a) | p) for g and each coset seed.
-Each step is one read of a successor table over element indices,
-nxt[i] = index of g times element i, which is built by array slicing.
+(``FieldSpec.frob_t``).  The matrix serves Ben-Or's test and the trace
+check of the counters' fibers.  For monic f the norm
+N(a) = a a^p ... a^(p^(m-1)) is the resultant Res(f, a), which Euclid's
+algorithm over F_p gives in O(m deg a) operations on ints; it is 0 exactly
+when gcd(f, a) != 1, which is the gcd test of Ben-Or.  The counters read
+the quadratic character from a table over element indices
+(``FieldSpec.chi_table``), built once per field by walking multiplication
+by g = x (g = 2 when m = 1) through the cosets of <g> in F_q*, with
+chi(a) = (N(a) | p) for g and each coset seed, both by Euclid.  Each step
+is one read of a successor table over element indices, nxt[i] = index of g
+times element i, which is built by array slicing.
 """
 
 from __future__ import annotations
@@ -89,18 +89,6 @@ class FieldSpec(_FieldSpecFields):
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
-    def mul_t(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        """a b by Horner's rule in a: from a's top coefficient down, x times
-        the running product, then plus a_i b."""
-        p, x_m = self.p, self._x_m
-        out = [0] * self.m
-        for ai in reversed(a):
-            top = out.pop()
-            out.insert(0, 0)
-            if top or ai:
-                out = [(c + top * r + ai * bj) % p for c, r, bj in zip(out, x_m, b)]
-        return tuple(out)
-
     def frob_t(self, a: Coeffs) -> Coeffs:
         """a^p = sum of a_i x^(ip), as a_i^p = a_i in F_p."""
         p = self.p
@@ -128,17 +116,15 @@ class FieldSpec(_FieldSpecFields):
         using chi(h g^j) = chi(h) chi(g)^j, so chi is computed only for g
         and for each coset seed h, and no primitive element is needed.
         There chi(a) = a^((q-1)/2) = N(a)^((p-1)/2) is the Legendre symbol
-        of the norm (Lidl and Niederreiter, *Finite Fields*, ch. 1-2).  For
-        a seed it is Res(f, a), by Euclid, and a zero resultant raises.  For
-        g it is the product of the m conjugates of g, which must equal
-        Res(f, g) = (-1)^m f(0) for g = x: this ties the Frobenius matrix to
-        the modulus.
+        of the norm (Lidl and Niederreiter, *Finite Fields*, ch. 1-2), which
+        is Res(f, a), by Euclid, for g as for each seed; a zero resultant
+        raises.  The table reads no Frobenius matrix.
         """
         q = self.size
         g = (0, 1) + (0,) * (self.m - 2) if self.m > 1 else (2,)
         nxt = _times_x_successors(self)
         table = bytearray(q)
-        flip = 0 if _norm_sign(self, g) > 0 else 3  # label ^ 3 swaps 2 and 1
+        flip = 0 if _seed_sign(self, g) > 0 else 3  # label ^ 3 swaps 2 and 1
         seed = table.find(0, 1)
         while seed != -1:
             label = start = 2 if _seed_sign(self, self.element_from_index(seed)) > 0 else 1
@@ -283,32 +269,14 @@ def _resultant(f: Coeffs, g: Coeffs, p: int) -> int:
     return res * pow(g[0], len(f) - 1, p) % p if g else 0
 
 
-def _norm_sign(field: FieldSpec, a: Coeffs) -> int:
-    """chi(a) for a nonzero a: the Legendre symbol of N(a) = a a^p ... a^(p^(m-1)).
-
-    The product of the conjugates must be Res(f, a) in F_p*: anything else
-    means the modulus is not irreducible or the Frobenius matrix is not
-    a -> a^p, an internal fault.
-    """
-    p = field.p
-    norm = conjugate = a
-    for _ in range(field.m - 1):
-        conjugate = field.frob_t(conjugate)
-        norm = field.mul_t(norm, conjugate)
-    if any(norm[1:]) or not norm[0]:
-        raise InternalCheckError("the norm of a nonzero element is not in F_p*")
-    if norm[0] != _resultant(field.modulus, a, p):
-        raise InternalCheckError("the product of the conjugates is not the resultant with the modulus")
-    return legendre_symbol(norm[0], p)
-
-
 def _seed_sign(field: FieldSpec, a: Coeffs) -> int:
-    """chi(a) for a nonzero a: the Legendre symbol of N(a) = Res(f, a).
+    """chi(a) for a nonzero a, g or a coset seed of the chi walk: the
+    Legendre symbol of N(a) = Res(f, a).
 
     A zero resultant means a shares a factor with the modulus, which is
     then not irreducible, an internal fault.
     """
     norm = _resultant(field.modulus, a, field.p)
     if not norm:
-        raise InternalCheckError("a coset seed shares a factor with the modulus")
+        raise InternalCheckError("g or a coset seed shares a factor with the modulus")
     return legendre_symbol(norm, field.p)

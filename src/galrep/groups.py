@@ -13,10 +13,10 @@ Galois image is the C_2-extension
 
 Elements are written in the normal form s^i t^j f^k, and nothing here
 multiplies them: conjugacy classes are written down from the (j, k)
-parameters, with sizes 1, p-1, p, 2 or 2p, and the class of an element is
-read off the same rules (``_class_list``, ``_class_rep``), so no orbit is
-ever enumerated.  The tests carry the group law and compare the classes
-with brute-force orbits.
+parameters, with sizes 1, p-1, p, 2 or 2p (``_class_list``), so no orbit is
+ever enumerated, and ``class_index`` gives the position of a class from its
+representative.  The tests carry the group law and the class of any
+element, and compare the classes with brute-force orbits.
 
 Character tables are built from the semidirect-product recipe for A x| H
 with A abelian (Serre, *Linear Representations of Finite Groups*, 8.2):
@@ -50,7 +50,8 @@ FULL = "full"
 
 def _checked(cls, fields: tuple, types: tuple):
     """A record of ``cls`` from fields of exactly ``types``: dump_json writes
-    the ints through int.__repr__, so True would be written as 1."""
+    a value by its exact type, so a True would be written as true where the
+    schema has an int."""
     if any(type(x) is not t for x, t in zip(fields, types)):
         raise UsageError("bad_field", f"the fields of {cls.__name__} are {[t.__name__ for t in types]}, "
                          f"got {fields!r}")
@@ -123,6 +124,9 @@ class ConjClass(_ConjClassFields):
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
+    def to_json_dict(self) -> dict:
+        return {"rep": list(self.rep), "size": self.size}
+
 
 def _class_list(group: GroupSpec) -> list[ConjClass]:
     """Class representatives and sizes, written down from the (j, k) parameters.
@@ -154,22 +158,6 @@ def _class_list(group: GroupSpec) -> list[ConjClass]:
     return classes
 
 
-def _class_rep(group: GroupSpec, x: El) -> El:
-    """The representative of the class of x, by the rules of ``_class_list``."""
-    p = group.p
-    i, j, k = x
-    if not k:
-        if j % (p - 1) == 0:
-            return El(1 if i else 0, j, 0)
-        if group.variant == FULL and j % 2:
-            j = min(j, (j + p - 1) % group.tau_order)
-        return El(0, j, 0)
-    if j % (p - 1) or not i:
-        return El(0, j % (p - 1), 1)
-    # (square i, j = 0) and (non-square i, j = p-1) are one class, the others the other
-    return El(1, 0 if (legendre_symbol(i, p) == 1) == (j == 0) else p - 1, 1)
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _classes_and_index(group: GroupSpec) -> tuple[tuple[ConjClass, ...], dict[El, int]]:
     """The classes, and the position of each representative among them."""
@@ -185,11 +173,13 @@ def conjugacy_classes(group: GroupSpec) -> tuple[ConjClass, ...]:
 SIGMA_PHI = El(1, 0, 1)  # s*f, the lex-least member of its class
 
 
-def class_index(group: GroupSpec, element: El) -> int:
-    """Position of the class of ``element`` in ``conjugacy_classes(group)``."""
-    if element.k and group.variant != FULL:
-        raise UsageError("bad_variant", f"{element} lives in the full variant")
-    return _classes_and_index(group)[1][_class_rep(group, element)]
+def class_index(group: GroupSpec, rep: El) -> int:
+    """Position in ``conjugacy_classes(group)`` of the class whose
+    representative is ``rep``; any other element raises."""
+    index = _classes_and_index(group)[1].get(rep)
+    if index is None:
+        raise UsageError("not_a_representative", f"{rep} represents no class of the {group.variant} group")
+    return index
 
 
 class CharacterRow(NamedTuple):
@@ -232,7 +222,7 @@ class CharacterTable:
             "b": self.group.b,
             "variant": self.group.variant,
             "order": self.group.order,
-            "classes": list(self.classes),
+            "classes": [cls.to_json_dict() for cls in self.classes],
             "rows": [row.to_json_dict() for row in self.rows],
         }
 

@@ -1,9 +1,12 @@
 """The one JSON writer of every report, table and error, and the only
 module that knows the byte format.  A dict is written as its ``entries``
 framed by ``document``, so a caller may keep the text of some entries.
+One record type, ``Cyclotomic``, is written from its fields, as a table
+holds O(p^2) of them; every other record gives its dict.
 
 It sits apart from the pipeline so that a command loads only what it runs:
-the CLI imports it at start-up, ahead of any command's modules.
+the CLI imports it at start-up, ahead of any command's modules, and it
+loads no module of galrep but ``cyclotomic``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import json
 
 from .cyclotomic import Cyclotomic
-from .groups import ConjClass
 
 _encode_str = json.encoder.encode_basestring_ascii  # the C escaper of the json module
 _LEAVES = {
@@ -28,13 +30,13 @@ def dump_json(obj) -> str:
 
     The bytes are those the json module's ``dumps(obj, indent=2,
     sort_keys=True)`` gives for the types reports are made of: dicts with str
-    keys, lists, str, int, bool and None, and two records written in place
-    of the dicts they stand for, so that no dict is built per value:
-    a ``Cyclotomic`` as ``{"coeffs": [int strings], "m": m}`` and a
-    ``ConjClass`` as ``{"rep": [i, j, k], "size": size}``.  Any other type,
-    other tuples included, raises TypeError.  (With an indent, the json
-    module encodes in pure Python, twice as slow, and leaves cyclic garbage
-    behind.)  ``document(entries(tree))`` is ``dump_json(tree)`` for a dict.
+    keys, lists, str, int, bool and None, and one record written in place of
+    the dict it stands for, so that no dict is built per value: a
+    ``Cyclotomic`` as ``{"coeffs": [int strings], "m": m}``.  Any other
+    type, other tuples and records included, raises TypeError.  (With an
+    indent, the json module encodes in pure Python, twice as slow, and
+    leaves cyclic garbage behind.)  ``document(entries(tree))`` is
+    ``dump_json(tree)`` for a dict.
     """
     return _encode(obj, "\n")
 
@@ -67,28 +69,14 @@ def _encode_cyclotomic(value: Cyclotomic, newline: str) -> str:
     return f'{{{inner}"coeffs": [{inner}  "{coeffs}"{inner}],{inner}"m": {value.m!r}{newline}}}'
 
 
-def _encode_class(cls: ConjClass, newline: str) -> str:
-    # chartab writes every class of a table here; classify writes psi's only
-    # once per model, as to_json keeps the text of the model's entries
-    inner = newline + "  "
-    write = int.__repr__  # ConjClass and El are built of ints only: groups._checked refuses other fields
-    (i, j, k), size = cls
-    return (f'{{{inner}"rep": [{inner}  {write(i)},{inner}  {write(j)},{inner}  {write(k)}{inner}],'
-            f'{inner}"size": {write(size)}{newline}}}')
-
-
-_RECORDS = {Cyclotomic: _encode_cyclotomic, ConjClass: _encode_class}
-
-
 def _encode(obj, newline: str) -> str:
     """``obj`` as JSON; ``newline`` starts each of its lines after the first."""
     kind = type(obj)
     leaf = _LEAVES.get(kind)
     if leaf is not None:
         return leaf(obj)
-    record = _RECORDS.get(kind)
-    if record is not None:
-        return record(obj, newline)
+    if kind is Cyclotomic:
+        return _encode_cyclotomic(obj, newline)
     inner = newline + "  "
     # each body is joined from a temporary list and framed in one f-string,
     # so a large table is held at most twice while it is written

@@ -123,11 +123,67 @@ CATALOGUE = [
            'rounding="ROUND_HALF_UP"',
            ("test_cli.py",),
            "float formatting rounds an exact tie half to even"),
-    Mutant("horner_without_the_top_fold", "gf.py",
-           "out = [(c + top * r + ai * bj) % p for c, r, bj in zip(out, x_m, b)]",
-           "out = [(c + ai * bj) % p for c, bj in zip(out, b)]",
+    Mutant("phi_divides_when_q_divides_n", "cyclotomic.py",
+           "            if n % q:\n",
+           "            if n % q == 0:\n",
+           ("test_cyclotomic.py",),
+           "Phi_(nq)(x) is Phi_n(x^q) for q | n, and Phi_n(x^q) / Phi_n(x) otherwise"),
+    Mutant("fold_skips_the_exponent_m", "cyclotomic.py",
+           "for e in range(m, len(acc)):",
+           "for e in range(m + 1, len(acc)):",
+           ("test_cyclotomic.py",),
+           "zeta_m^m = 1, so exponent m folds onto 0 like every exponent above it"),
+    Mutant("merged_class_of_size_p", "groups.py",
+           "classes.append(ConjClass(El(0, j, 0), 2 * p))",
+           "classes.append(ConjClass(El(0, j, 0), p))",
+           ("test_groups.py",),
+           "in the full group f merges the classes of t^j and t^(j + p-1), each of size p"),
+    Mutant("induced_row_plus_sign_off_the_identity", "groups.py",
+           "Cyclotomic.rational(p, -sign if i else sign * (p - 1))",
+           "Cyclotomic.rational(p, sign if i else sign * (p - 1))",
+           ("test_groups.py",),
+           "the b^a i run over all nonzero residues, whose zeta_p^(b^a i) sum to -1"),
+    Mutant("difference_power_sums_middle_term_unsigned", "padic.py",
+           "sums.append(2 * total + (-middle if half % 2 else middle))",
+           "sums.append(2 * total + middle)",
+           ("test_padic.py",),
+           "the middle term l = k/2 carries (-1)^(k/2) like every term of the sum"),
+    Mutant("newton_identities_drop_the_last_sum", "polys.py",
+           "total = sum(b[n - k + i] * sums[i] for i in range(1, k + 1))",
+           "total = sum(b[n - k + i] * sums[i] for i in range(1, k))",
+           ("test_padic.py",),
+           "Newton's k-th identity sums e_(k-i) p_i for i = 1..k"),
+    Mutant("primitive_root_of_any_order", "arith.py",
+           "if gcd(b, p) == 1 and multiplicative_order(b, p) == p - 1:",
+           "if gcd(b, p) == 1 and multiplicative_order(b, p) > 1:",
+           ("test_arith.py",),
+           "a primitive root mod p has order p - 1, not merely order above 1"),
+    Mutant("ben_or_without_its_last_degree", "gf.py",
+           "for d in range(1, field.m // 2 + 1):",
+           "for d in range(1, field.m // 2):",
            ("test_gf.py",),
-           "x times a degree m-1 element folds its top coefficient in by x^m mod f"),
+           "a reducible f of degree m has a factor of degree at most m/2, m/2 included"),
+    Mutant("chi_walk_always_flips", "gf.py",
+           "label ^= flip",
+           "label ^= 3",
+           ("test_gf.py",),
+           "chi(h g^(j+1)) = chi(h g^j) chi(g): the label flips only when g is a non-square"),
+    Mutant("multiplier_sign_inverted", "gf.py",
+           "flip = 0 if _seed_sign(self, g) > 0 else 3",
+           "flip = 3 if _seed_sign(self, g) > 0 else 0",
+           ("test_gf.py",),
+           "a square g keeps the label along its walk, a non-square g flips it"),
+    Mutant("trace_fiber_last_row_negated", "counting.py",
+           "spots = [-c * inverse % p]  # row c alone",
+           "spots = [c * inverse % p]  # row c alone",
+           ("test_counting.py",),
+           "the joined rows of a level are r = 0, -u, -2u, ..., so row c is spot -c/u"),
+    Mutant("fiber_check_reads_the_first_element", "counting.py",
+           "field.element_from_index(fiber.rindex(1))",
+           "field.element_from_index(fiber.index(1))",
+           ("test_counting.py",),
+           "the first element of the trace-0 fiber is 0, of trace 0 whatever the traces, so the curve count "
+           "would not check its fiber"),
 ]
 
 

@@ -2,7 +2,8 @@
 orders by taking each power, cyclotomic polynomials by dividing x^m - 1 by every Phi_d, integer powers of
 cyclotomic values, the quadratic Gauss sum from its definition, the
 character inner product, psi found by searching a whole character table,
-powers and the element list of a finite field, Euler's criterion,
+the class of any group element by the rules of the closed-form classes,
+products, powers, norms and the element list of a finite field, Euler's criterion,
 Rabin's irreducibility test over F_p, the irreducibility test of galrep's
 moduli as a yes/no answer, the twisted fixed-point count by direct scan of
 F_{p^(n*p)}, the plain data of a report tree, which ``json.dumps``
@@ -22,7 +23,7 @@ from galrep.arith import legendre_symbol, vp
 from galrep.counting import TwistedCountResult
 from galrep.cyclotomic import Cyclotomic
 from galrep.gf import FieldSpec, _ben_or, _has_root, build_field
-from galrep.groups import (FULL, INERTIA, SIGMA_PHI, ConjClass, build_group, character_table, class_index,
+from galrep.groups import (FULL, INERTIA, SIGMA_PHI, ConjClass, El, build_group, character_table, class_index,
                            faithful_kernel, gauss_sum)
 from galrep.padic import SingleClusterResult
 from galrep.polys import power_sums, trim
@@ -30,9 +31,10 @@ from galrep.polys import power_sums, trim
 
 def plain(tree):
     """``tree`` with each Cyclotomic as ``{"m", "coeffs"}`` (integer strings)
-    and each ConjClass as ``{"rep", "size"}``: the plain data for which
-    ``json.dumps(plain(tree), indent=2, sort_keys=True)`` is the bytes galrep
-    writes.  Other values are kept as they are, tuples included."""
+    and each ConjClass as ``{"rep", "size"}``, the dict of its
+    ``to_json_dict``: the plain data for which ``json.dumps(plain(tree),
+    indent=2, sort_keys=True)`` is the bytes galrep writes.  Other values are
+    kept as they are, tuples included."""
     kind = type(tree)
     if kind is dict:
         return {key: plain(value) for key, value in tree.items()}
@@ -122,15 +124,57 @@ def psi_by_table_search(p, n_parity):
     return candidates[0]
 
 
+def class_rep(group, x):
+    """The representative of the class of the element x, by the rules of
+    ``groups._class_list``: a second statement of them, which the tests
+    check against brute-force orbits."""
+    p = group.p
+    i, j, k = x
+    if not k:
+        if j % (p - 1) == 0:
+            return El(1 if i else 0, j, 0)
+        if group.variant == FULL and j % 2:
+            j = min(j, (j + p - 1) % group.tau_order)
+        return El(0, j, 0)
+    if j % (p - 1) or not i:
+        return El(0, j % (p - 1), 1)
+    # (square i, j = 0) and (non-square i, j = p-1) are one class, the others the other
+    return El(1, 0 if (legendre_symbol(i, p) == 1) == (j == 0) else p - 1, 1)
+
+
+def mul_t(field, a, b):
+    """a b in the field by Horner's rule in a: from a's top coefficient
+    down, x times the running product, then plus a_i b."""
+    p, x_m = field.p, field._x_m
+    out = [0] * field.m
+    for ai in reversed(a):
+        top = out.pop()
+        out.insert(0, 0)
+        if top or ai:
+            out = [(c + top * r + ai * bj) % p for c, r, bj in zip(out, x_m, b)]
+    return tuple(out)
+
+
 def pow_t(field, a, e):
     """a^e in the field for e >= 0, by square and multiply."""
     result = field.scalar_t(1)
     while e:
         if e & 1:
-            result = field.mul_t(result, a)
-        a = field.mul_t(a, a)
+            result = mul_t(field, result, a)
+        a = mul_t(field, a, a)
         e >>= 1
     return result
+
+
+def norm_by_conjugates(field, a):
+    """N(a) = a a^p ... a^(p^(m-1)) for a nonzero a, as an int of F_p*: the
+    product of the conjugates from the field's Frobenius matrix."""
+    norm = conjugate = a
+    for _ in range(field.m - 1):
+        conjugate = field.frob_t(conjugate)
+        norm = mul_t(field, norm, conjugate)
+    assert not any(norm[1:]) and norm[0], (a, norm)
+    return norm[0]
 
 
 def elements_t(field):
@@ -216,7 +260,7 @@ def naive_twisted_oracle(p, n):
     affine = 0
     for x in solutions:
         t = field.sub_t(pow_t(field, x, p), x)
-        affine += sum(1 for y in subfield if field.mul_t(y, y) == t)
+        affine += sum(1 for y in subfield if mul_t(field, y, y) == t)
     fixed = affine + 1
     return TwistedCountResult(p=p, n=n, affine_solutions=affine, fixed_points=fixed,
                               trace_sigma_frob=q + 1 - fixed)

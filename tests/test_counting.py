@@ -174,6 +174,18 @@ class TestCountCurve:
             count_curve(3, 20001)
         assert time.perf_counter() - started < 5
 
+    # with Tr(x) read one too high the fiber still holds q/p elements, and
+    # the tally gives wrong totals (3^4: 100 points, not 64) unless the
+    # check of the fiber's last element catches it
+    @pytest.mark.parametrize("p,m", [(3, 4), (3, 8), (5, 5), (7, 4), (13, 3), (5, 2)])
+    def test_wrong_traces_are_caught(self, monkeypatch, p, m):
+        import galrep.counting as counting
+
+        monkeypatch.setattr(counting, "power_sums",
+                            lambda a, count: [s + (j == 1) for j, s in enumerate(power_sums(a, count))])
+        with pytest.raises(InternalCheckError, match="another trace"):
+            count_curve(p, m)
+
 
 class TestTwistedCounts:
     @pytest.mark.parametrize(

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galrep import gf
+from galrep.arith import legendre_symbol
+from galrep.counting import _artin_schreier_tally
 from galrep.errors import InputError, InternalCheckError
-from galrep.gf import FieldSpec, _norm_sign, _seed_sign, _times_x_successors, build_field
-from oracles import elements_t, euler_sign, is_irreducible, pow_t, rabin_is_irreducible
+from galrep.gf import FieldSpec, _resultant, _seed_sign, _times_x_successors, build_field
+from oracles import elements_t, euler_sign, is_irreducible, mul_t, norm_by_conjugates, pow_t, rabin_is_irreducible
 from test_counting import literal_coset
 
 TABLE_VALUE = {0: 0, 1: 2, -1: 1}  # the character table's code for chi = 0, +1, -1
@@ -100,7 +102,7 @@ class TestBuildField:
 
 class TestModuli:
     # the six pairs hold 216 reducible moduli; a ring that is not a field
-    # must fail the walk or the norm check
+    # must fail the walk or a resultant check
     @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (3, 4), (5, 3), (7, 2)])
     def test_reducible_modulus_is_caught(self, p, m):
         reducible = reducible_polynomials(p, m)
@@ -135,11 +137,15 @@ class TestFrobenius:
         for a in elements_t(field):
             assert field.frob_t(a) == pow_t(field, a, p), a
 
+    # the product of the conjugates is the resultant with the modulus, and
+    # its Legendre symbol is Euler's criterion
     @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (5, 3), (7, 3), (13, 3)])
     def test_norm_sign_against_euler_oracle(self, p, m):
         field = build_field(p, m)
         for a in list(elements_t(field))[1:]:
-            assert _norm_sign(field, a) == euler_sign(field, a), a
+            norm = norm_by_conjugates(field, a)
+            assert norm == _resultant(field.modulus, a, p), a
+            assert legendre_symbol(norm, p) == euler_sign(field, a), a
 
 
 IRREDUCIBILITY_CASES = ([(3, m) for m in range(1, 7)] + [(5, m) for m in range(1, 5)]
@@ -160,6 +166,14 @@ class TestNormSigns:
         for a in list(elements_t(field))[1:]:
             assert _seed_sign(field, a) == euler_sign(field, a), a
 
+    # the walk's multiplier g = x (g = 2 over F_p), whose sign sets its flip
+    @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2), (3, 4), (5, 3), (5, 4), (3, 7), (7, 3), (3, 8),
+                                     (13, 3)])
+    def test_multiplier_against_its_norm_and_euler_oracle(self, p, m):
+        field = build_field(p, m)
+        g = X[:m] if m > 1 else (2,)
+        assert _seed_sign(field, g) == legendre_symbol(norm_by_conjugates(field, g), p) == euler_sign(field, g)
+
     # every monic g of degree 1..m-1 is a seed sharing the factor g with g h
     @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 2), (3, 4), (5, 3)])
     def test_shared_factor_raises(self, p, m):
@@ -173,16 +187,19 @@ class TestNormSigns:
                             _seed_sign(field, seed)
 
     # x^2 + 1 is irreducible over F_3, F_7 and F_11.  The identity matrix is
-    # a ring map of the field but not a -> a^p: with it the product of the
-    # conjugates of x is x^2 = -1, in F_p* but not N(x) = f(0) = 1, and x has
-    # order 4, so the walk would close with the wrong flip unnoticed
+    # a ring map of the field but not a -> a^p.  The chi table reads no
+    # matrix, so it stays right; the counters' fiber check sums the
+    # conjugates of the fiber's last element with it, and finds its trace
+    # wrong on the fibers of the curve count (trace 0) and the twisted one
     @pytest.mark.parametrize("p", [3, 7, 11])
     def test_frobenius_that_is_not_the_p_th_power_is_caught(self, p):
         field = FieldSpec(p, 2, (1, 0, 1))
         assert is_irreducible(field)
         field.__dict__["_frobenius_columns"] = ((1, 0), (0, 1))
-        with pytest.raises(InternalCheckError, match="not the resultant"):
-            field.chi_table()
+        assert list(field.chi_table()) == [TABLE_VALUE[quadratic_character(field, a)] for a in elements_t(field)]
+        for c in (0, -1):
+            with pytest.raises(InternalCheckError, match="another trace"):
+                _artin_schreier_tally(field, c)
 
 
 class TestFieldAxioms:
@@ -192,17 +209,17 @@ class TestFieldAxioms:
         # and in F_241, where m = 1 and the product is one residue
         for field in (build_field(3, 5), build_field(241, 1)):
             a, b, c = (field.element_from_index(i % field.size) for i in (ia, ib, ic))
-            assert field.mul_t(a, b) == field.mul_t(b, a)
-            assert field.mul_t(field.mul_t(a, b), c) == field.mul_t(a, field.mul_t(b, c))
-            assert field.mul_t(a, field.add_t(b, c)) == field.add_t(field.mul_t(a, b), field.mul_t(a, c))
-        assert build_field(241, 1).mul_t((ia % 241,), (ib % 241,)) == (ia * ib % 241,)
+            assert mul_t(field, a, b) == mul_t(field, b, a)
+            assert mul_t(field, mul_t(field, a, b), c) == mul_t(field, a, mul_t(field, b, c))
+            assert mul_t(field, a, field.add_t(b, c)) == field.add_t(mul_t(field, a, b), mul_t(field, a, c))
+        assert mul_t(build_field(241, 1), (ia % 241,), (ib % 241,)) == (ia * ib % 241,)
 
     @settings(max_examples=40, deadline=None)
     @given(ia=st.integers(1, 242))
     def test_inverses_f243(self, ia):
         field = build_field(3, 5)
         a = field.element_from_index(ia)
-        assert field.mul_t(a, pow_t(field, a, field.size - 2)) == field.scalar_t(1)
+        assert mul_t(field, a, pow_t(field, a, field.size - 2)) == field.scalar_t(1)
 
 
 class TestQuadraticCharacter:
@@ -211,7 +228,7 @@ class TestQuadraticCharacter:
         assert quadratic_character(field, (1,)) == 1
         assert quadratic_character(field, (0,)) == 0
         assert quadratic_character(field, (2,)) == -1
-        squares = {field.mul_t(a, a) for a in elements_t(field)}
+        squares = {mul_t(field, a, a) for a in elements_t(field)}
         for a in elements_t(field):
             expected = 0 if not any(a) else (1 if a in squares else -1)
             assert quadratic_character(field, a) == expected
@@ -256,7 +273,7 @@ class TestCharacterTable:
         nxt = _times_x_successors(field)
         assert len(nxt) == field.size
         for index, a in enumerate(elements_t(field)):
-            assert field.element_from_index(nxt[index]) == field.mul_t(a, X[:m])
+            assert field.element_from_index(nxt[index]) == mul_t(field, a, X[:m])
 
     # F_9 (flip 0, two cosets) and F_27 (flip 3, one coset): any changed
     # entry leaves an element without a predecessor, so its walk cannot close

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_orthogonal, gauss_sum_by_definition, psi_by_table_search
+from oracles import assert_orthogonal, class_rep, gauss_sum_by_definition, psi_by_table_search
 
 from galrep.arith import is_odd_prime
 from galrep.cyclotomic import Cyclotomic
@@ -76,7 +76,7 @@ def row(table, label):
 
 
 def value_at(table, r, element):
-    return r.values[class_index(table.group, element)]
+    return r.values[class_index(table.group, class_rep(table.group, element))]
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +195,7 @@ class TestConjugacyClasses:
         orbits, index = brute_force_classes(group)
         assert [(cls.rep, cls.size) for cls in conjugacy_classes(group)] == [(rep, len(o)) for rep, o in orbits]
         for x in GroupLaw(group).elements():
-            assert class_index(group, x) == index[x]
+            assert class_index(group, class_rep(group, x)) == index[x]
 
     @settings(max_examples=200, deadline=None)
     @given(p=st.sampled_from(PROPERTY_P), variant=st.sampled_from([INERTIA, FULL]), data=st.data())
@@ -208,7 +208,21 @@ class TestConjugacyClasses:
                       data.draw(st.integers(0, k)))
 
         x, g = element(), element()
-        assert class_index(group, GroupLaw(group).conjugate(g, x)) == class_index(group, x)
+        assert class_rep(group, GroupLaw(group).conjugate(g, x)) == class_rep(group, x)
+
+    # class_index takes representatives alone: every other element raises
+    @pytest.mark.parametrize("p", ALL_P)
+    @pytest.mark.parametrize("variant", [INERTIA, FULL])
+    def test_class_index_of_a_non_representative_raises(self, p, variant):
+        group = build_group(p, variant)
+        classes = conjugacy_classes(group)
+        for x in GroupLaw(group).elements():
+            if class_rep(group, x) == x:
+                assert classes[class_index(group, x)].rep == x
+            else:
+                with pytest.raises(UsageError) as err:
+                    class_index(group, x)
+                assert err.value.code == "not_a_representative"
 
     def test_class_count_equals_row_count(self):
         for variant in (INERTIA, FULL):

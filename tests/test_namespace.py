@@ -1,5 +1,6 @@
-"""What a fresh interpreter loads: ``import galrep`` loads no submodule, each
-CLI command loads only the modules it runs (decimal only for text output,
+"""What a fresh interpreter loads: ``import galrep`` loads no submodule,
+``import galrep.cli`` only the writer and what it needs, each CLI command
+loads only the modules it runs (decimal only for text output,
 which rounds through it), and the package namespace is
 bound in one piece on the first use of an exported name, with
 ``galrep.classify`` the function however the submodule of that name was
@@ -43,6 +44,13 @@ def test_import_galrep_loads_galrep_alone():
     assert fresh(f"import galrep\nprint(json.dumps({LOADED}))") == ["galrep"]
 
 
+# the writer's one record type is a Cyclotomic, so the CLI loads no other
+# module of the pipeline before a command runs
+def test_import_cli_loads_the_writer_and_cyclotomic_alone():
+    assert fresh(f"import galrep.cli\nprint(json.dumps({LOADED}))") == [
+        "galrep", "galrep.cli", "galrep.config", "galrep.cyclotomic", "galrep.errors", "galrep.json_writer"]
+
+
 CHARTAB = [["chartab", "--p", "7", "--group", "full"], ["chartab", "--p", "5", "--format", "text"]]
 COUNT = [["count", "--mode", "curve", "--p", "5", "--m", "2"], ["count", "--mode", "twisted", "--p", "5", "--n", "3"],
          ["count", "--mode", "curve", "--p", "5", "--m", "2", "--format", "text"]]
@@ -61,6 +69,11 @@ def test_chartab_loads_no_padic_classify_or_counting(argv):
 @pytest.mark.parametrize("argv", COUNT, ids=" ".join)
 def test_count_loads_neither_padic_nor_classify(argv):
     assert loaded_by(argv) & {"padic", "classify"} == set()
+
+
+@pytest.mark.parametrize("argv", COUNT, ids=" ".join)
+def test_count_loads_no_groups(argv):
+    assert "groups" not in loaded_by(argv)
 
 
 @pytest.mark.parametrize("argv", UNCOUNTED_CLASSIFY, ids=" ".join)
