@@ -29,9 +29,8 @@ _EXPORTS = {
     "errors": ("BudgetExceeded", "GalrepError", "InputError", "InternalCheckError", "UsageError"),
     "gf": ("FieldSpec", "build_field"),
     "groups": ("CharacterRow", "CharacterTable", "GroupSpec", "build_group", "character_table",
-               "conjugacy_classes", "faithful_kernel", "gauss_sum", "identify_psi"),
-    "padic": ("AssumptionReport", "BaseField", "InputPolynomial", "conductor_exponent", "difference_polynomial",
-              "irreducibility_certificate", "validate_assumptions"),
+               "conjugacy_classes", "gauss_sum", "identify_psi"),
+    "padic": ("AssumptionReport", "BaseField", "InputPolynomial", "conductor_exponent", "validate_assumptions"),
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

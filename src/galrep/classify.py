@@ -163,14 +163,7 @@ def _model_json_dict(inertia_group: GroupSummary, full_group: GroupSummary | Non
             "description": "unramified character, trivial on inertia",
             "frobenius_value": chi_frobenius,
         },
-        "psi": {
-            "label": psi.label,
-            "dimension": psi.dimension,
-            "faithful": psi.faithful,
-            "construction": psi.construction_json(),
-            "classes": [cls.to_json_dict() for cls in psi_classes],
-            "values": list(psi.values),
-        },
+        "psi": {**psi.to_json_dict(), "classes": [cls.to_json_dict() for cls in psi_classes]},
         "eigenvalues": [e.to_json_dict() for e in eigenvalues],
         "verification": verification.to_json_dict(),
     }

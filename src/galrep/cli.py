@@ -98,23 +98,22 @@ def render_value(value: Cyclotomic, p: int | None = None) -> str:
         from .arith import signed_p
         from .groups import gauss_sum
 
-        # r * (Gauss sum) for rational r renders as r*sqrt(+-p)
-        r = _rational_multiple(value, gauss_sum(p))
+        # r * (Gauss sum) for an integer r renders as r*sqrt(+-p)
+        square = signed_p(p)
+        r = _rational_multiple(value, gauss_sum(p), square)
         if r is not None:
-            return f"{_coeff_prefix(r)}√{signed_p(p)} ({_approx(value)})"
+            return f"{_coeff_prefix(r)}√{square} ({_approx(value)})"
     return f"{value} ({_approx(value)})"
 
 
-def _rational_multiple(value: Cyclotomic, base: Cyclotomic) -> int | None:
-    """The integer r with value == r * base, or None."""
-    # value == r * base iff value * conj(base) == r * (base * conj(base));
-    # base * conj(base) is a nonzero integer for the Gauss sum, and only an
-    # integral r keeps r * base in Z[zeta]
-    prod = value * base.conjugate()
-    if not prod.is_rational():
-        return None
-    r = Fraction(prod.as_rational(), (base * base.conjugate()).as_rational())
-    return r.numerator if r.denominator == 1 and value == base * r.numerator else None
+def _rational_multiple(value: Cyclotomic, gauss: Cyclotomic, square: int) -> int | None:
+    """The integer r with value == r * gauss, or None, for the Gauss sum
+    ``gauss`` of square ``square`` = +-p: as gauss != 0, value = r * gauss
+    exactly when value * gauss = r * square.  A rational product k is always
+    a multiple of square: value = (k / square) gauss lies in Z[zeta_p], and
+    the coordinate of gauss at 1 is +-1."""
+    prod = value * gauss
+    return prod.as_rational() // square if prod.is_rational() else None
 
 
 def _coeff_prefix(r: int) -> str:

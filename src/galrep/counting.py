@@ -54,14 +54,7 @@ class CountResult(NamedTuple):
     trace: int  # p^m + 1 - total
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": "curve",
-            "p": self.p,
-            "m": self.m,
-            "affine": self.affine,
-            "total": self.total,
-            "trace": self.trace,
-        }
+        return {"mode": "curve", **self._asdict()}
 
 
 class TwistedCountResult(NamedTuple):
@@ -72,14 +65,7 @@ class TwistedCountResult(NamedTuple):
     trace_sigma_frob: int  # p^n + 1 - fixed_points
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": "twisted",
-            "p": self.p,
-            "n": self.n,
-            "affine_solutions": self.affine_solutions,
-            "fixed_points": self.fixed_points,
-            "trace_sigma_frob": self.trace_sigma_frob,
-        }
+        return {"mode": "twisted", **self._asdict()}
 
 
 def _trace_fiber(p: int, traces: Sequence[int], c: int) -> bytes:
@@ -142,6 +128,8 @@ def count_curve(p: int, m: int, budgets: Budgets | None = None) -> CountResult:
     """Exact affine count of y^2 = x^p - x over F_{p^m}: t = 0 gives one
     point, a nonzero square two, a non-square none."""
     budgets = budgets or Budgets()
+    if type(m) is not int:  # the result writes m by its type: a True would be true
+        raise InputError("bad_degree", f"extension degree must be an int, got a {type(m).__name__}")
     if m < 1:
         raise InputError("bad_degree", f"extension degree must be >= 1, got {m}")
     if p > 2 and power_exceeds(p, m, budgets.curve_enum):
@@ -180,6 +168,8 @@ def count_twisted_fixed(p: int, n: int, budgets: Budgets | None = None) -> Twist
     closed form.  The coset budget caps q.
     """
     budgets = budgets or Budgets()
+    if type(n) is not int:  # the result writes n by its type: a True would be true
+        raise UsageError("n_must_be_odd", f"the twisted count needs an odd int n, got a {type(n).__name__}")
     if n % 2 == 0 or n < 1:
         raise UsageError("n_must_be_odd", f"the twisted count is only defined for odd n, got {n}")
     if p > 2 and power_exceeds(p, n, budgets.coset_q):

@@ -218,9 +218,7 @@ class CharacterTable:
 
     def to_json_dict(self) -> dict:
         return {
-            "p": self.group.p,
-            "b": self.group.b,
-            "variant": self.group.variant,
+            **self.group._asdict(),
             "order": self.group.order,
             "classes": [cls.to_json_dict() for cls in self.classes],
             "rows": [row.to_json_dict() for row in self.rows],
@@ -291,11 +289,6 @@ def _wild_rows(group: GroupSpec) -> list[CharacterRow]:
 def _kernel_size(classes: tuple[ConjClass, ...], values: tuple[Cyclotomic, ...], dimension: int) -> int:
     target = Cyclotomic.rational(values[0].m, dimension)
     return sum(cls.size for cls, v in zip(classes, values) if v == target)
-
-
-def faithful_kernel(group: GroupSpec, row: CharacterRow) -> int:
-    """Number of elements where the character reaches its dimension."""
-    return _kernel_size(conjugacy_classes(group), row.values, row.dimension)
 
 
 def _lifted_inertia_row(classes, roots, c: int) -> tuple[str, tuple[Cyclotomic, ...]]:

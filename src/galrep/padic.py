@@ -58,6 +58,8 @@ class InputPolynomial(_InputPolynomialFields):
     __slots__ = ()
 
     def __new__(cls, p: int, coeffs: tuple[Fraction, ...]):
+        for i, c in enumerate(coeffs):
+            _require_exact(c, i)
         require_odd_prime(p)
         if len(coeffs) != p + 1 or coeffs[-1] == 0:
             raise InputError(
@@ -83,15 +85,8 @@ class InputPolynomial(_InputPolynomialFields):
         ``[-]digits[/digits]``.  Anything else (floats, bools, None,
         containers, exponents, decimal points) is refused, as it is not an
         exact rational of bounded size."""
-        parsed = []
-        for i, c in enumerate(coeffs):
-            if type(c) is str:
-                c = _parse_rational(c, i)
-            elif type(c) not in (int, Fraction):
-                raise InputError("poly_parse", f"coefficient of x^{i} is a {type(c).__name__}, "
-                                 "not an int or a rational string")
-            parsed.append(Fraction(c))
-        return cls(p, tuple(parsed))
+        return cls(p, tuple(Fraction(_parse_rational(c, i) if type(c) is str else _require_exact(c, i))
+                            for i, c in enumerate(coeffs)))
 
     @classmethod
     def from_string(cls, p: int, text: str) -> "InputPolynomial":
@@ -119,6 +114,15 @@ class InputPolynomial(_InputPolynomialFields):
                 body = xs if mag == 1 else f"{mag}*{xs}"
             parts.append(f"{sign}{body}")
         return "".join(parts) or "0"
+
+
+def _require_exact(c, i: int):
+    """c itself when it is exactly an int or a Fraction, the coefficients
+    the p-adic code reads exactly and the report writes as rationals."""
+    if type(c) not in (int, Fraction):
+        raise InputError("poly_parse", f"coefficient of x^{i} is a {type(c).__name__}, "
+                         "not an int or a rational string")
+    return c
 
 
 _TERM_RE = re.compile(
@@ -203,6 +207,8 @@ class BaseField(_BaseFieldFields):
 
     def __new__(cls, p: int, n: int):
         require_odd_prime(p)
+        if type(n) is not int:  # the report writes n by its type: a True would be true
+            raise InputError("bad_inertia_degree", f"inertia degree must be an int, got a {type(n).__name__}")
         if n < 1:
             raise InputError("bad_inertia_degree", f"inertia degree must be >= 1, got {n}")
         return tuple.__new__(cls, (p, n))
@@ -255,22 +261,6 @@ def _certificate(model: list[int], d: int, p: int) -> tuple[list[int | None], in
     if k is not None and k % p and _one_segment(heights):
         return heights, k
     return None
-
-
-def irreducibility_certificate(f: InputPolynomial) -> str:
-    """Certify that f is irreducible over every unramified extension K of
-    Q_p, with K(root)/K totally ramified.
-
-    The certificate holds when the Newton polygon of some integer shift
-    f(x + c), 0 <= c < p, is one segment whose slope has denominator exactly
-    p: each root then generates a degree-p totally ramified extension, over
-    every unramified base (shifting by an integer changes neither the field
-    a root generates nor irreducibility).  Such a slope is positive, so only
-    the shift c = -f(0) mod p can give the certificate, and it is the one
-    tried, on the integer model.  Returns "undetermined" otherwise;
-    reducibility is never claimed.
-    """
-    return CERTIFIED if _certificate(*_integer_model(f), f.p) else UNDETERMINED
 
 
 def _ramification_polygon(valuations: list[int | None], k: int, p: int) -> list[int]:
@@ -350,21 +340,6 @@ def _difference_model(model: list[int]) -> list[int]:
     b = [0] * (deg + 1)
     b[::2] = polys.from_power_sums([deg // 2] + [S // 2 for S in even[1:]])
     return b
-
-
-def difference_polynomial(f: InputPolynomial) -> polys.Poly:
-    """Monic polynomial whose roots are the p(p-1) differences of roots of f.
-
-    The differences of roots of the integer model M are d times those of f,
-    so coefficient j of M's difference polynomial is divided by d^(D-j),
-    D = p(p-1).  The constant term is the product of the differences, which
-    is (-1)^(p(p-1)/2) disc f; it is zero exactly when f has a repeated
-    root.
-    """
-    model, d = _integer_model(f)
-    b = _difference_model(model)
-    deg = len(b) - 1
-    return [Fraction(c, d ** (deg - j)) for j, c in enumerate(b)]
 
 
 class SingleClusterResult(NamedTuple):

@@ -1,4 +1,4 @@
-"""Dense univariate polynomials over Q as ascending coefficient lists.
+"""Dense univariate integer polynomials as ascending coefficient lists.
 
 Everything here is exact.  Newton's identities convert between the
 coefficients of a monic integer polynomial and the power sums of its roots.
@@ -6,29 +6,19 @@ coefficients of a monic integer polynomial and the power sums of its roots.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalCheckError
 
-Poly = list[Fraction]
 
-
-def trim(c: Sequence[Fraction]) -> Poly:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def shift(a: Sequence[Fraction], h: Fraction) -> Poly:
+def shift(a: Sequence[int], h: int) -> list[int]:
     """Taylor shift: coefficients of a(x + h), integers when a and h are."""
     out = list(a)
     n = len(out)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
             out[j] += h * out[j + 1]
-    return trim(out)
+    return out
 
 
 def power_sums(a: Sequence[int], count: int) -> list[int]:

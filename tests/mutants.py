@@ -123,6 +123,11 @@ CATALOGUE = [
            'rounding="ROUND_HALF_UP"',
            ("test_cli.py",),
            "float formatting rounds an exact tie half to even"),
+    Mutant("gauss_multiple_by_the_conjugate", "cli.py",
+           "prod = value * gauss\n",
+           "prod = value * gauss.conjugate()\n",
+           ("test_cli.py",),
+           "r G times G is r(+-p), but times conj(G) = (-1|p) G it is -r(+-p) for p = 3 mod 4"),
     Mutant("phi_divides_when_q_divides_n", "cyclotomic.py",
            "            if n % q:\n",
            "            if n % q == 0:\n",

@@ -1,7 +1,8 @@
 """Test-side arithmetic that galrep itself does not need: multiplicative
 orders by taking each power, cyclotomic polynomials by dividing x^m - 1 by every Phi_d, integer powers of
 cyclotomic values, the quadratic Gauss sum from its definition, the
-character inner product, psi found by searching a whole character table,
+character inner product, the kernel of a character as a sum of class
+sizes, psi found by searching a whole character table,
 the class of any group element by the rules of the closed-form classes,
 products, powers, norms and the element list of a finite field, Euler's criterion,
 Rabin's irreducibility test over F_p, the irreducibility test of galrep's
@@ -24,9 +25,9 @@ from galrep.counting import TwistedCountResult
 from galrep.cyclotomic import Cyclotomic
 from galrep.gf import FieldSpec, _ben_or, _has_root, build_field
 from galrep.groups import (FULL, INERTIA, SIGMA_PHI, ConjClass, El, build_group, character_table, class_index,
-                           faithful_kernel, gauss_sum)
+                           gauss_sum)
 from galrep.padic import SingleClusterResult
-from galrep.polys import power_sums, trim
+from galrep.polys import power_sums
 
 
 def plain(tree):
@@ -109,14 +110,21 @@ def assert_orthogonal(table):
             assert Cyclotomic.from_terms(m, terms) == Cyclotomic.rational(m, expected), (r.label, s.label)
 
 
+def kernel_size(table, row):
+    """The order of the kernel of the character ``row`` of ``table``: the
+    sizes of the classes where it takes its value at the identity, summed."""
+    identity = [cls.rep for cls in table.classes].index(El(0, 0, 0))
+    return sum(cls.size for cls, value in zip(table.classes, row.values) if value == row.values[identity])
+
+
 def psi_by_table_search(p, n_parity):
     """psi as the whole table gives it: the rows of dimension p-1 whose
     kernel, sized over every class, is trivial, and for odd parity the one
     among them whose value at the class of s*f is minus the Gauss sum.  The
     search must pick exactly one row."""
     group = build_group(p, INERTIA if n_parity == "even" else FULL, p_bound=p)
-    candidates = [row for row in character_table(group).rows
-                  if row.dimension == p - 1 and faithful_kernel(group, row) == 1]
+    table = character_table(group)
+    candidates = [row for row in table.rows if row.dimension == p - 1 and kernel_size(table, row) == 1]
     if n_parity == "odd":
         idx = class_index(group, SIGMA_PHI)
         candidates = [row for row in candidates if row.values[idx] == -gauss_sum(p)]
@@ -191,15 +199,18 @@ def euler_sign(field, a):
     return -1
 
 
+def trim(c):
+    """The ascending coefficient list ``c`` without its zero leading terms."""
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
 def poly_gcd_is_one(a, b, p):
     """gcd(a, b) over F_p is a nonzero constant, by monic-normalising Euclid
     on ascending coefficient lists."""
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    a, b = trim(list(a)), trim(list(b))
+    a, b = trim(a), trim(b)
     while b:
         inv_lead = pow(b[-1], p - 2, p)
         db = len(b) - 1

@@ -159,6 +159,13 @@ class TestCountCurve:
         with pytest.raises(InputError):
             count_curve(4, 1)
 
+    @pytest.mark.parametrize("m", [True, 2.0])
+    def test_non_int_degree_refused(self, m):
+        # the result writes m by its type: a True would be written as true
+        with pytest.raises(InputError) as err:
+            count_curve(3, m)
+        assert err.value.code == "bad_degree"
+
     # every field with p^m <= 2500: m = 1 for each odd prime (walk by 2), and
     # fields such as F_25 and F_625 whose walk by x needs 8 cosets
     @pytest.mark.parametrize("m", range(1, 8))
@@ -235,6 +242,13 @@ class TestTwistedCounts:
     def test_even_n_rejected(self):
         with pytest.raises(UsageError):
             count_twisted_fixed(3, 2)
+
+    @pytest.mark.parametrize("n", [True, 3.0])
+    def test_non_int_n_rejected(self, n):
+        # the result writes n by its type: a True would be written as true
+        with pytest.raises(UsageError) as err:
+            count_twisted_fixed(3, n)
+        assert err.value.code == "n_must_be_odd"
 
     def test_budgets(self):
         with pytest.raises(BudgetExceeded):

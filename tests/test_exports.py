@@ -1,6 +1,6 @@
 """The package namespace: every exported name resolves, none twice, and
-every function, method and class of the package is used by the package or
-exported by it.  The package needs the standard library alone."""
+every function, method and class of the package, exported or not, is used
+by the package itself.  The package needs the standard library alone."""
 
 import ast
 import sys
@@ -19,10 +19,11 @@ def test_every_export_resolves_once():
     assert [name for name in galrep.__all__ if not hasattr(galrep, name)] == []
 
 
-# code that only the tests call belongs in tests/oracles.py
-def test_every_definition_is_used_or_exported():
+# code that only the tests call belongs in tests/oracles.py; an export is
+# no caller, so an exported function the pipeline never calls fails here too
+def test_every_definition_is_used_in_the_package():
     nodes = [node for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))]
-    named = set(galrep.__all__)
+    named = set()
     for node in nodes:
         if isinstance(node, ast.Name):
             named.add(node.id)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_orthogonal, class_rep, gauss_sum_by_definition, psi_by_table_search
+from oracles import assert_orthogonal, class_rep, gauss_sum_by_definition, kernel_size, psi_by_table_search
 
 from galrep.arith import is_odd_prime
 from galrep.cyclotomic import Cyclotomic
@@ -24,11 +24,11 @@ from galrep.groups import (
     El,
     GroupSpec,
     _induced_row,
+    _kernel_size,
     build_group,
     character_table,
     class_index,
     conjugacy_classes,
-    faithful_kernel,
     gauss_sum,
     identify_psi,
 )
@@ -294,27 +294,32 @@ class TestFaithfulness:
     def test_trivial_character_kernel_is_whole_group(self):
         group = build_group(5, INERTIA)
         table = character_table(group)
-        assert faithful_kernel(group, row(table, "tame0")) == group.order
+        assert kernel_size(table, row(table, "tame0")) == group.order
 
     def test_wild_plus_kernel_contains_nu(self):
         group = build_group(5, INERTIA)
         table = character_table(group)
         wild_plus = row(table, "wild+")
         assert not wild_plus.faithful
-        assert faithful_kernel(group, wild_plus) == 2
+        assert kernel_size(table, wild_plus) == 2
         assert value_at(table, wild_plus, GroupLaw(group).nu()) == Cyclotomic.rational(wild_plus.values[0].m, 4)
 
     def test_wild_minus_is_faithful(self):
         group = build_group(5, INERTIA)
-        assert faithful_kernel(group, row(character_table(group), "wild-")) == 1
+        table = character_table(group)
+        wild_minus = row(table, "wild-")
+        assert wild_minus.faithful
+        assert kernel_size(table, wild_minus) == 1
 
     @pytest.mark.parametrize("variant", [INERTIA, FULL])
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_flag_equals_kernel_of_every_row(self, p, variant):
         # the table sizes kernels of the induced rows only; the oracle sizes every row's
         group = build_group(p, variant, p_bound=p)
-        for r in character_table(group).rows:
-            assert (faithful_kernel(group, r) == 1) == r.faithful, r.label
+        table = character_table(group)
+        for r in table.rows:
+            assert _kernel_size(table.classes, r.values, r.dimension) == kernel_size(table, r), r.label
+            assert (kernel_size(table, r) == 1) == r.faithful, r.label
 
 
 class TestInducedCharacter:

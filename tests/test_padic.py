@@ -20,6 +20,7 @@ from galrep.errors import InputError, InternalCheckError, UsageError
 from galrep.padic import (
     CERTIFIED,
     _certificate,
+    _difference_model,
     _difference_power_sums,
     _integer_model,
     _one_segment,
@@ -29,8 +30,6 @@ from galrep.padic import (
     InputPolynomial,
     SingleClusterResult,
     conductor_exponent,
-    difference_polynomial,
-    irreducibility_certificate,
     parse_polynomial_string,
     validate_assumptions,
 )
@@ -46,10 +45,20 @@ def sympy_disc(coeffs):
     return Fraction(str(sympy.discriminant(sympy.Poly(expr, x))))
 
 
+def model_difference(f):
+    """The difference polynomial of f's integer model M = d^p f(x/d), the
+    one validate_assumptions builds: d is prime to p, so each coefficient
+    has the valuation of f's own difference polynomial's."""
+    return _difference_model(_integer_model(f)[0])
+
+
 def difference_disc(f):
-    """disc f read off the constant term of the difference polynomial."""
-    sign = -1 if (f.p * (f.p - 1) // 2) % 2 else 1
-    return sign * difference_polynomial(f)[0]
+    """disc f read off the constant term d^(p(p-1)) (-1)^(p(p-1)/2) disc f of
+    the model's difference polynomial."""
+    model, d = _integer_model(f)
+    deg = f.p * (f.p - 1)
+    sign = -1 if (deg // 2) % 2 else 1
+    return sign * Fraction(_difference_model(model)[0], d**deg)
 
 
 def shifted_eisenstein(p, units, c):
@@ -124,7 +133,7 @@ def oracle_report(f):
     certificate by a search over every shift, each computed on its own."""
     p = f.p
     v = vp(sympy_disc(f.coeffs), p)
-    single_cluster = single_cluster_by_hull(difference_polynomial(f), p)
+    single_cluster = single_cluster_by_hull(model_difference(f), p)
     slope = searched_slope(f)
     irreducibility = UNDETERMINED if slope is None else CERTIFIED
     gcd_condition = math.gcd(v, p - 1) == 1
@@ -182,6 +191,24 @@ class TestInputValidation:
         with pytest.raises(InputError):
             BaseField(5, 0)
 
+    @pytest.mark.parametrize("n", [True, 1.0, 2.0])
+    def test_base_field_refuses_a_non_int_degree(self, n):
+        # the report writes n by its type: a True would be written as true
+        with pytest.raises(InputError) as err:
+            BaseField(3, n)
+        assert err.value.code == "bad_inertia_degree"
+
+    @pytest.mark.parametrize("coeffs", [(Fraction(-3), 0, 0, True), (-3.0, 0, 0, 1)])
+    def test_constructor_refuses_inexact_coefficients(self, coeffs):
+        # a bool would be written as "True", a float fail inside classify;
+        # the constructor refuses them as from_coefficients does, word for word
+        with pytest.raises(InputError) as built:
+            InputPolynomial(3, coeffs)
+        with pytest.raises(InputError) as parsed:
+            InputPolynomial.from_coefficients(3, coeffs)
+        assert built.value.code == parsed.value.code == "poly_parse"
+        assert str(built.value) == str(parsed.value)
+
 
 class TestParser:
     @pytest.mark.parametrize(
@@ -221,8 +248,8 @@ class TestParser:
 
 
 class TestDiscriminant:
-    """disc f as (-1)^(p(p-1)/2) times the constant term of the difference
-    polynomial, against sympy."""
+    """disc f as (-1)^(p(p-1)/2) times the constant term of the integer
+    model's difference polynomial, over d^(p(p-1)), against sympy."""
 
     # disc(x^p - p) = (-1)^(p(p-1)/2) p^(2p-1), so v_p = 2p - 1
     @pytest.mark.parametrize(
@@ -336,25 +363,26 @@ class TestOneSegment:
 class TestIrreducibilityCertificate:
     def test_certified_all_unramified_bases(self):
         f = poly(5, "x^5-5")
-        assert irreducibility_certificate(f) == CERTIFIED
+        assert validate_assumptions(f).irreducibility == CERTIFIED
 
     def test_slope_zero_undetermined(self):
-        assert irreducibility_certificate(poly(5, "x^5+x+1")) == UNDETERMINED
+        assert validate_assumptions(poly(5, "x^5+x+1")).irreducibility == UNDETERMINED
 
     def test_non_coprime_slope_numerator(self):
         # one segment of valuation 5/5 = 1: certificate must not fire
-        assert irreducibility_certificate(poly(5, "x^5-3125")) == UNDETERMINED
+        assert validate_assumptions(poly(5, "x^5-3125")).irreducibility == UNDETERMINED
 
     def test_certified_non_eisenstein(self):
-        assert irreducibility_certificate(poly(5, "x^5-25")) == CERTIFIED
+        assert validate_assumptions(poly(5, "x^5-25")).irreducibility == CERTIFIED
 
     @settings(max_examples=25, deadline=None)
     @given(f=shifted_inputs())
     def test_same_as_search_over_every_shift(self, f):
         # the certificate tries one shift; searching all p of them must agree
         slope = searched_slope(f)
-        assert irreducibility_certificate(f) == (UNDETERMINED if slope is None else CERTIFIED)
-        assert certified_slope(validate_assumptions(f), f.p) == slope
+        report = validate_assumptions(f)
+        assert report.irreducibility == (UNDETERMINED if slope is None else CERTIFIED)
+        assert certified_slope(report, f.p) == slope
 
     def test_roots_of_valuation_above_one(self):
         # f = (x - c)^p - p^(p+1) + (p^(p+2)/den) x: the roots of f(x + c)
@@ -368,7 +396,8 @@ class TestIrreducibilityCertificate:
                     coeffs[0] -= p ** (p + 1)
                     coeffs[1] += Fraction(p ** (p + 2), den)
                     f = InputPolynomial(p, tuple(coeffs))
-                    if irreducibility_certificate(f) != CERTIFIED or validate_assumptions(f).slope_numerator != p + 1:
+                    report = validate_assumptions(f)
+                    if report.irreducibility != CERTIFIED or report.slope_numerator != p + 1:
                         missed.append((p, c, den))
         assert missed == []
 
@@ -386,7 +415,7 @@ class TestDifferenceRootValuations:
     )
     def test_single_cluster_values(self, p, text, w):
         f = poly(p, text)
-        result = single_cluster_by_hull(difference_polynomial(f), p)
+        result = single_cluster_by_hull(model_difference(f), p)
         assert result.status == "yes"
         assert result.w == w
         assert validate_assumptions(f).single_cluster == result
@@ -410,7 +439,7 @@ class TestDifferenceRootValuations:
             f = poly(p, coeffs)
         else:
             f = InputPolynomial.from_coefficients(p, coeffs)
-        assert difference_polynomial(f) == sympy_difference_polynomial(f)
+        assert_model_difference_against_sympy(f)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -422,7 +451,7 @@ class TestDifferenceRootValuations:
         # random monic p-integral f: denominators are prime to p
         coeffs = [Fraction(a, b) for a, b in zip(numerators[:p], denominators[:p])] + [1]
         f = InputPolynomial.from_coefficients(p, coeffs)
-        assert difference_polynomial(f) == sympy_difference_polynomial(f)
+        assert_model_difference_against_sympy(f)
 
     @settings(max_examples=20, deadline=None)
     @given(p=st.sampled_from([3, 5, 7, 13]), data=st.data())
@@ -449,13 +478,13 @@ class TestDifferenceRootValuations:
 
             monkeypatch.setattr("galrep.padic._difference_power_sums", perturbed)
             with pytest.raises(InternalCheckError, match=message):
-                difference_polynomial(poly(5, "x^5-5"))
+                model_difference(poly(5, "x^5-5"))
 
     def test_not_squarefree_raises(self):
         # a repeated root makes a zero difference: x divides the difference
         # polynomial, whose Newton polygon the oracle then refuses
         f = InputPolynomial.from_coefficients(5, [1, 1, -2, -2, 1, 1])
-        diff = difference_polynomial(f)
+        diff = model_difference(f)
         assert diff[0] == 0
         with pytest.raises(ValueError, match="x divides"):
             newton_polygon(diff, 5)
@@ -463,14 +492,25 @@ class TestDifferenceRootValuations:
         assert not report.squarefree and report.single_cluster.status == "not_computed"
 
 
-def sympy_difference_polynomial(f):
-    """Res_y(f(y), f(x + y)) / x^p, computed by sympy."""
+def sympy_difference_polynomial(coeffs):
+    """Res_y(g(y), g(x + y)) / x^p for the monic g of degree p with the
+    ascending ``coeffs``, computed by sympy."""
     x, y = sympy.symbols("x y")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f.coeffs))
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
     res = sympy.resultant(sympy.Poly(expr.subs(x, y), y), sympy.Poly(expr.subs(x, x + y), y))
-    quotient, remainder = sympy.div(sympy.Poly(sympy.expand(res), x), sympy.Poly(x**f.p, x))
+    quotient, remainder = sympy.div(sympy.Poly(sympy.expand(res), x), sympy.Poly(x**(len(coeffs) - 1), x))
     assert remainder.is_zero
     return [Fraction(str(c)) for c in reversed(quotient.all_coeffs())]
+
+
+def assert_model_difference_against_sympy(f):
+    """f's integer model is M = d^p f(x/d), monic in Z[x] with d prime to p,
+    and its difference polynomial is sympy's resultant of M."""
+    p = f.p
+    model, d = _integer_model(f)
+    assert d % p and all(type(c) is int for c in model)
+    assert [Fraction(c, d ** (p - i)) for i, c in enumerate(model)] == list(f.coeffs)
+    assert _difference_model(model) == sympy_difference_polynomial(model)
 
 
 def full_convolution_sums(s):
@@ -547,7 +587,7 @@ class TestValidateAssumptions:
         units = data.draw(st.lists(st.integers(-9, 9), min_size=p, max_size=p))
         powers = data.draw(st.lists(st.sampled_from([1, 1, p, p * p]), min_size=p, max_size=p))
         f = InputPolynomial.from_coefficients(p, [u * e for u, e in zip(units, powers)] + [1])
-        diff = difference_polynomial(f)
+        diff = model_difference(f)
         expected = single_cluster_by_hull(diff, p) if diff[0] else SingleClusterResult("not_computed")
         assert validate_assumptions(f).single_cluster == expected
 
@@ -570,8 +610,8 @@ class TestCertifiedFromValuations:
     @settings(max_examples=150, deadline=None)
     @given(f=certified_inputs())
     def test_report_equals_discriminant_route(self, f):
-        assert irreducibility_certificate(f) == CERTIFIED
         report, oracle = validate_assumptions(f), oracle_report(f)
+        assert report.irreducibility == CERTIFIED
         assert report == oracle
         assert report.to_json_dict() == oracle.to_json_dict()
 
