@@ -35,6 +35,9 @@ def is_odd_prime(n: int) -> bool:
 
 
 def require_odd_prime(p: int) -> None:
+    # exactly an int: is_prime(3.0) is True, and a float p fails later, in range and pow
+    if type(p) is not int:
+        raise InputError("p_not_odd_prime", f"p must be an odd prime, got a {type(p).__name__}")
     if not is_odd_prime(p):
         raise InputError("p_not_odd_prime", f"p must be an odd prime, got {p}")
 

@@ -26,7 +26,7 @@ from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError
 from .groups import (FULL, INERTIA, SIGMA_PHI, CharacterRow, GroupSpec, build_group, class_index, conjugacy_classes,
                      gauss_sum, identify_psi)
-from .json_writer import document, dump_json, entries
+from .json_writer import document, entries
 from .padic import AssumptionReport, BaseField, InputPolynomial, conductor_exponent
 
 SCHEMA_VERSION = 1
@@ -35,10 +35,10 @@ SCHEMA_VERSION = 1
 class ClassificationRefused(GalrepError):
     """The hypotheses could not all be certified; no answer is guessed."""
 
-    def __init__(self, failures: list[str], assumptions: AssumptionReport):
-        super().__init__(f"hypotheses not certified: {', '.join(failures)}")
-        self.failures = failures
+    def __init__(self, assumptions: AssumptionReport):
+        self.failures = assumptions.failed_conditions()
         self.assumptions = assumptions
+        super().__init__(f"hypotheses not certified: {', '.join(self.failures)}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,8 +134,7 @@ class ClassificationReport(NamedTuple):
                                                 *self.eigenvalues, self.verification)))
             model = _model_texts(model_types, *self._model())
         assumptions = self.assumptions
-        field_types = (*map(type, assumptions), *map(type, assumptions.single_cluster))
-        return document([*model, *_assumption_texts(assumptions, self.conductor, field_types),
+        return document([*model, *_assumption_texts(assumptions, self.conductor, tuple(map(type, assumptions))),
                          *entries({"input": self._input_json_dict()})])
 
 
@@ -184,8 +183,8 @@ def _model_texts(field_types: tuple, *model) -> tuple:
 
 
 # the text of the assumptions and conductor entries: a few hundred bytes per
-# record.  Keyed on the value and on the type of each field, as True == 1 and
-# 0.5 == Fraction(1, 2) but each is written its own way
+# record.  Keyed on the value and on the type of each field, as 7 == 7.0 and
+# True == 1 but each is read its own way
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
 def _assumption_texts(assumptions: AssumptionReport, conductor: int | None, field_types: tuple) -> tuple:
     return tuple(entries(_assumption_json_dict(assumptions, conductor)))
@@ -271,7 +270,7 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
     _check_printable(p, n)
     assumptions = padic.validate_assumptions(f)
     if not assumptions.maximal_inertia:
-        raise ClassificationRefused(assumptions.failed_conditions(), assumptions)
+        raise ClassificationRefused(assumptions)
     g = (p - 1) // 2
 
     psi = identify_psi(group)

@@ -207,14 +207,15 @@ def _input_line(f: InputPolynomial, n: int) -> str:
 
 
 def _assumption_lines(a: AssumptionReport) -> list[str]:
-    if a.disc_valuation is None:
+    flags = a.to_json_dict()
+    if flags["disc_valuation"] is None:
         disc = "  disc valuation: none (disc f = 0, a repeated root)"
     else:
-        disc = (f"  disc valuation = {a.disc_valuation} (odd: {a.disc_valuation_odd}, "
-                f"coprime to p-1: {a.gcd_condition})")
-    sc = a.single_cluster
-    return [disc, f"  irreducibility: {a.irreducibility}",
-            f"  single cluster: {sc.status}" + (f", common difference valuation {sc.w}" if sc.w is not None else "")]
+        disc = (f"  disc valuation = {flags['disc_valuation']} (odd: {flags['disc_valuation_odd']}, "
+                f"coprime to p-1: {flags['gcd_condition']})")
+    sc = flags["single_cluster"]
+    return [disc, f"  irreducibility: {flags['irreducibility']}",
+            f"  single cluster: {sc['status']}" + (f", common difference valuation {sc['w']}" if "w" in sc else "")]
 
 
 def _render_refusal_text(f: InputPolynomial, n: int, refusal: ClassificationRefused) -> str:

@@ -342,59 +342,55 @@ def _difference_model(model: list[int]) -> list[int]:
     return b
 
 
-class SingleClusterResult(NamedTuple):
-    status: str  # "yes" | "no" | "not_computed"
-    w: Fraction | None = None
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"status": self.status}
-        if self.w is not None:
-            out["w"] = str(self.w)
-        return out
+_CLUSTER_STATUS = {True: "yes", False: "no", None: "not_computed"}
 
 
 class AssumptionReport(NamedTuple):
-    """Outcome of all hypothesis checks for a maximal inertia image."""
+    """What ``validate_assumptions`` measured of f.  Every hypothesis flag
+    follows from these values, and ``to_json_dict`` is where each is read
+    off them."""
 
-    disc_valuation: int | None  # None when disc = 0
-    squarefree: bool
-    irreducibility: str
-    gcd_condition: bool  # gcd(v(disc), p-1) = 1
-    disc_valuation_odd: bool
-    single_cluster: SingleClusterResult
-    maximal_inertia: bool
-    slope_numerator: int | None  # the k of the certifying shift's root valuation k/p; not in the JSON
+    p: int
+    disc_valuation: int | None  # v(disc f); None when disc f = 0
+    one_cluster: bool | None  # all root differences share one valuation; None when disc f = 0
+    slope_numerator: int | None  # the k of the certifying shift's root valuation k/p; None when uncertified
+
+    def _coprime(self) -> bool:
+        """gcd(v(disc f), p - 1) = 1."""
+        v = self.disc_valuation
+        return v is not None and math.gcd(v, self.p - 1) == 1
+
+    @property
+    def maximal_inertia(self) -> bool:
+        """Irreducibility certified and v(disc f) coprime to p-1: a certified
+        f is irreducible, so squarefree, and one cluster."""
+        return self.slope_numerator is not None and self._coprime()
 
     def failed_conditions(self) -> list[str]:
-        failures = []
-        if not self.squarefree:
-            failures.append("squarefree")
-        if self.irreducibility != CERTIFIED:
-            failures.append("irreducibility")
-        if not self.gcd_condition:
-            failures.append("gcd_condition")
-        if self.single_cluster.status == "no":
-            failures.append("single_cluster")
-        return failures
+        flags = self.to_json_dict()
+        failed = {"squarefree": not flags["squarefree"], "irreducibility": flags["irreducibility"] != CERTIFIED,
+                  "gcd_condition": not flags["gcd_condition"],
+                  "single_cluster": flags["single_cluster"]["status"] == "no"}
+        return [name for name, fails in failed.items() if fails]
 
     def to_json_dict(self) -> dict:
+        p, v = self.p, self.disc_valuation
+        single_cluster: dict = {"status": _CLUSTER_STATUS[self.one_cluster]}
+        if self.one_cluster:  # the common valuation w of the p(p-1) differences, whose sum is v(disc f)
+            single_cluster["w"] = str(Fraction(v, p * (p - 1)))
         return {
-            "disc_valuation": None if self.disc_valuation is None else str(self.disc_valuation),
-            "squarefree": self.squarefree,
-            "irreducibility": self.irreducibility,
-            "gcd_condition": self.gcd_condition,
-            "disc_valuation_odd": self.disc_valuation_odd,
-            "single_cluster": self.single_cluster.to_json_dict(),
+            "disc_valuation": None if v is None else str(v),
+            "squarefree": v is not None,
+            "irreducibility": UNDETERMINED if self.slope_numerator is None else CERTIFIED,
+            "gcd_condition": self._coprime(),
+            "disc_valuation_odd": v is not None and v % 2 == 1,
+            "single_cluster": single_cluster,
             "maximal_inertia": self.maximal_inertia,
         }
 
 
 def validate_assumptions(f: InputPolynomial) -> AssumptionReport:
-    """Check every hypothesis needed for the maximal inertia image.
-
-    maximal_inertia is true exactly when irreducibility is certified, the
-    discriminant valuation is coprime to p-1, f is squarefree and the
-    single-cluster check did not come back negative.
+    """Measure v(disc f), the single-cluster check and the certificate's k.
 
     A certified f is decided from valuations alone.  It is irreducible of
     prime degree p, hence squarefree, and its Galois group is solvable and
@@ -417,35 +413,14 @@ def validate_assumptions(f: InputPolynomial) -> AssumptionReport:
         if not _one_segment(heights):
             raise InternalCheckError("ramification polygon of a certified input has several segments")
         # w = (heights[0] - heights[-1]) / (p(p-1)) + k/p; a wild root field of degree p has different exponent >= p
-        disc_valuation: int | None = heights[0] - heights[-1] + (p - 1) * k
+        disc_valuation = heights[0] - heights[-1] + (p - 1) * k
         if disc_valuation < p:
             raise InternalCheckError(f"v(disc f) = {disc_valuation} is below p = {p}, the least for a wild root field")
-        single_cluster = SingleClusterResult("yes", Fraction(disc_valuation, p * (p - 1)))
-    else:
-        k = None
-        heights = [vp(c, p) if c else None for c in _difference_model(model)]
-        disc_valuation = heights[0]  # None for a repeated root
-        if disc_valuation is None:
-            single_cluster = SingleClusterResult("not_computed")
-        elif _one_segment(heights):
-            # one segment, from (0, v(c_0)) to (p(p-1), 0): every difference has valuation w
-            single_cluster = SingleClusterResult("yes", Fraction(disc_valuation, p * (p - 1)))
-        else:
-            single_cluster = SingleClusterResult("no")
-    squarefree = disc_valuation is not None
-    v = disc_valuation if squarefree else 0
-    gcd_condition = squarefree and math.gcd(v, p - 1) == 1
-    return AssumptionReport(
-        disc_valuation=disc_valuation,
-        squarefree=squarefree,
-        irreducibility=CERTIFIED if certified else UNDETERMINED,
-        gcd_condition=gcd_condition,
-        disc_valuation_odd=v % 2 == 1,
-        single_cluster=single_cluster,
-        # a certified f is squarefree and one cluster
-        maximal_inertia=bool(certified) and gcd_condition,
-        slope_numerator=k,
-    )
+        return AssumptionReport(p, disc_valuation, True, k)
+    heights = [vp(c, p) if c else None for c in _difference_model(model)]
+    disc_valuation = heights[0]  # None for a repeated root
+    # one segment, from (0, v(c_0)) to (p(p-1), 0): every difference has valuation w
+    return AssumptionReport(p, disc_valuation, None if disc_valuation is None else _one_segment(heights), None)
 
 
 def conductor_exponent(report: AssumptionReport) -> int | None:

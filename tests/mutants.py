@@ -92,12 +92,25 @@ CATALOGUE = [
            ("test_padic.py",),
            "a zero coefficient is no point of the polygon, not a point of height 0"),
     Mutant("w_over_p_squared", "padic.py",
-           "every difference has valuation w\n"
-           "            single_cluster = SingleClusterResult(\"yes\", Fraction(disc_valuation, p * (p - 1)))",
-           "every difference has valuation w\n"
-           "            single_cluster = SingleClusterResult(\"yes\", Fraction(disc_valuation, p * p))",
+           'single_cluster["w"] = str(Fraction(v, p * (p - 1)))',
+           'single_cluster["w"] = str(Fraction(v, p * p))',
            ("test_padic.py",),
            "v(disc f) is the sum of the valuations of the p(p-1) root differences"),
+    Mutant("maximal_inertia_without_the_certificate", "padic.py",
+           "return self.slope_numerator is not None and self._coprime()",
+           "return self._coprime()",
+           ("test_padic.py",),
+           "x^5 - 1 is one cluster with v(disc f) = 5 prime to 4, but reducible"),
+    Mutant("no_cluster_read_as_yes", "padic.py",
+           'False: "no"',
+           'False: "yes"',
+           ("test_padic.py",),
+           "a difference polynomial of several segments means several clusters"),
+    Mutant("disc_valuation_odd_reads_even", "padic.py",
+           "v is not None and v % 2 == 1",
+           "v is not None and v % 2 == 0",
+           ("test_padic.py",),
+           "disc_valuation_odd is the parity of v(disc f)"),
     Mutant("model_text_keyed_by_value_alone", "classify.py",
            "model = _model_texts(model_types, *self._model())",
            "model = _model_texts((), *self._model())",

@@ -26,7 +26,6 @@ from galrep.cyclotomic import Cyclotomic
 from galrep.gf import FieldSpec, _ben_or, _has_root, build_field
 from galrep.groups import (FULL, INERTIA, SIGMA_PHI, ConjClass, El, build_group, character_table, class_index,
                            gauss_sum)
-from galrep.padic import SingleClusterResult
 from galrep.polys import power_sums
 
 
@@ -314,9 +313,10 @@ def newton_polygon(coeffs, p):
 def single_cluster_by_hull(diff, p):
     """The single-cluster check from the whole Newton polygon of a
     difference polynomial with nonzero constant term: one segment, whose
-    root valuation is the w all the differences share."""
+    root valuation is the w all the differences share, in the report's
+    JSON form."""
     segments = newton_polygon(diff, p)
-    return SingleClusterResult("yes", segments[0].root_valuation) if len(segments) == 1 else SingleClusterResult("no")
+    return {"status": "yes", "w": str(segments[0].root_valuation)} if len(segments) == 1 else {"status": "no"}
 
 
 def _det_mod_p(rows, p):

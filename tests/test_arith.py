@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import order_by_powers
 
 from galrep.arith import is_prime, multiplicative_order, smallest_primitive_root, vp
+from galrep.classify import classify
 from galrep.counting import count_curve, count_twisted_fixed
 from galrep.errors import InputError, UsageError
 from galrep.gf import build_field
@@ -40,6 +41,27 @@ def test_one_error_for_a_p_that_is_not_an_odd_prime(name, p):
     with pytest.raises(InputError) as err:
         ENTRY_POINTS[name](p)
     assert (err.value.code, str(err.value)) == ("p_not_odd_prime", f"p must be an odd prime, got {p}")
+
+
+# is_prime(3.0) is True: a float p must be refused before range or pow meet it
+FLOAT_P = {
+    "BaseField": lambda: BaseField(3.0, 1),
+    "InputPolynomial": lambda: InputPolynomial(3.0, (Fraction(-3), Fraction(0), Fraction(0), Fraction(1))),
+    "classify": lambda: classify(InputPolynomial(3.0, (Fraction(-3), Fraction(0), Fraction(0), Fraction(1))),
+                                 BaseField(3.0, 1)),
+    "count_curve": lambda: count_curve(3.0, 2),
+    "count_twisted_fixed": lambda: count_twisted_fixed(3.0, 1),
+    "build_group": lambda: build_group(3.0),
+    "gauss_sum": lambda: gauss_sum(3.0),
+    "build_field": lambda: build_field(3.0, 2),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_P)
+def test_a_float_p_is_refused(name):
+    with pytest.raises(InputError) as err:
+        FLOAT_P[name]()
+    assert (err.value.code, str(err.value)) == ("p_not_odd_prime", "p must be an odd prime, got a float")
 
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])

@@ -11,12 +11,13 @@ import pytest
 from oracles import plain, power
 
 from galrep.classify import (_SHARED_ITEMS, ClassificationRefused, _assumption_texts, _gauss_sum_power, _model_texts,
-                             classify, dump_json, verify_consistency)
+                             classify, verify_consistency)
 from galrep.config import CACHE_SIZE, Budgets
 from galrep.cyclotomic import Cyclotomic
 from galrep.errors import InputError
 from galrep.groups import FULL, SIGMA_PHI, build_group, class_index, gauss_sum
-from galrep.padic import BaseField, InputPolynomial, SingleClusterResult
+from galrep.json_writer import dump_json
+from galrep.padic import BaseField, InputPolynomial
 
 
 def model_input(p):
@@ -438,16 +439,18 @@ class TestSharedText:
         data = self._writes_its_own(odd_report, odd_report._replace(conductor=None))
         assert data["conductor"] == {"status": "not_computed"}
 
-    @pytest.mark.parametrize("field, value, equal", [
-        ("maximal_inertia", True, 1), ("squarefree", True, 1), ("gcd_condition", False, 0),
-        ("disc_valuation_odd", True, 1), ("disc_valuation", 7, 7.0),
-        ("single_cluster", SingleClusterResult("yes", Fraction(1, 2)), SingleClusterResult("yes", 0.5))])
+    @pytest.mark.parametrize("field, value, equal", [("disc_valuation", 7, 7.0), ("one_cluster", True, 1)])
     def test_equal_field_of_another_type_writes_its_own(self, odd_report, kept_assumptions, field, value, equal):
-        # True == 1 and 0.5 == Fraction(1, 2), but each is written its own way
+        # 7 == 7.0 and True == 1, but each is read its own way: gcd refuses a float
         first, second = (odd_report._replace(assumptions=odd_report.assumptions._replace(**{field: x}))
                          for x in (value, equal))
-        assert first.to_json() == oracle(first)
-        assert second.to_json() == dump_json(second.to_json_dict()) == oracle(second) != oracle(first)
+        assert first.to_json() == dump_json(first.to_json_dict()) == oracle(first)
+        if type(equal) is float:
+            for write in (second.to_json, lambda: dump_json(second.to_json_dict())):
+                with pytest.raises(TypeError):
+                    write()
+        else:
+            assert second.to_json() == dump_json(second.to_json_dict()) == oracle(second)
         assert kept_assumptions().misses == 2
 
     # a record of the model, a field of it, and a value equal to the field's that is written another way

@@ -39,7 +39,6 @@ RECORDS = {
     "El": lambda: groups.SIGMA_PHI,
     "ConjClass": lambda: groups.conjugacy_classes(groups.build_group(3))[0],
     "CharacterRow": lambda: _report().psi,
-    "SingleClusterResult": lambda: _report().assumptions.single_cluster,
     "AssumptionReport": lambda: _report().assumptions,
     "InputPolynomial": lambda: padic.InputPolynomial(3, (Fraction(-3), Fraction(0), Fraction(0), Fraction(1))),
     "BaseField": lambda: padic.BaseField(3, 1),

@@ -15,10 +15,10 @@ from sympy.polys.densearith import dup_mul, dup_rem
 
 from oracles import cyclotomic_polynomial_by_divisors, plain
 
-from galrep.classify import dump_json
 from galrep.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from galrep.errors import UsageError
 from galrep.groups import gauss_sum
+from galrep.json_writer import dump_json
 
 
 def zeta(m, e=1):

@@ -35,6 +35,19 @@ def test_every_definition_is_used_in_the_package():
     assert [name for name in defined if name not in named and not (name.startswith("__") and name.endswith("__"))] == []
 
 
+# a name is imported where it is used: one only the tests read is imported from where it is defined
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_used_in_its_module(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    assert sorted(imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}) == []
+
+
 # galrep runs on the standard library alone; mpmath, sympy and hypothesis are the tests' tools
 def test_every_import_is_standard_library_or_galrep():
     imported = set()

@@ -178,3 +178,24 @@ def test_one_hundred_invocations():
 @pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
 def test_stdout_and_exit_code_unchanged(argv):
     assert run_digest(argv) == GOLDEN[" ".join(argv)]
+
+
+# certified inputs beyond the accepted k = 1 ones above: two refused on
+# gcd_condition alone (v(disc f) = 6 and 9), and two accepted with k = 2 and
+# 3, whose conductor is not computed.  Recorded before the assumption report
+# was reduced to the values it measures.
+CERTIFIED_GOLDEN = {
+    "classify --p 5 --f x^5+5*x^2-5 --n 1 --format json": ("cd87ae9692959105a4b7bccec44cd6d9b1970394b7f226205f3785bc2dd5a31f", 3),
+    "classify --p 5 --f x^5+5*x^2-5 --n 1 --format text": ("eb9ea1fdc1306fa4c28c174963b17c7811474f9428d9abe80358a47061988557", 3),
+    "classify --p 7 --f x^7+7*x^3+7 --n 1 --format json": ("1fe2fad0f8ab2c67883621fc254ea592c9abac110533fd939fc4e77ce5799c19", 3),
+    "classify --p 7 --f x^7+7*x^3+7 --n 1 --format text": ("6259315b020393fea344f29804d077f12d9df8f39282890a8e432e0d52c68f33", 3),
+    "classify --p 5 --f x^5-25 --n 1 --format json": ("e36adff8b4672d823c81dd7cbda42bd1699d2748108980d2b3c8ddb14ccefff9", 0),
+    "classify --p 5 --f x^5-25 --n 1 --format text": ("ff80b3d977c4050f5bc0088c9a6df0751896dad058b5047fe385f413c4406896", 0),
+    "classify --p 5 --f x^5-125 --n 2 --format json": ("497170f5057c7d6ddaa68fc9b16f8eac871c6d8ca4aff7dac7f9c2cd877b4cad", 0),
+    "classify --p 5 --f x^5-125 --n 2 --format text": ("1074db7236b376aea16df024d9eaa5007051fd9f651a074a69068989af861bf5", 0),
+}
+
+
+@pytest.mark.parametrize("command", CERTIFIED_GOLDEN)
+def test_certified_refusal_or_slope_unchanged(command):
+    assert run_digest(command.split()) == CERTIFIED_GOLDEN[command]

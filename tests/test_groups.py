@@ -381,10 +381,10 @@ class TestGaussSum:
             assert gauss_sum.cache_info().hits == hits
 
     @pytest.mark.parametrize("call, error", [
-        (lambda: gauss_sum(3.0), (TypeError, "pow() 3rd argument not allowed unless all arguments are integers")),
-        (lambda: gauss_sum(True), (InputError, "p must be an odd prime, got True")),
+        (lambda: gauss_sum(3.0), (InputError, "p must be an odd prime, got a float")),
+        (lambda: gauss_sum(True), (InputError, "p must be an odd prime, got a bool")),
         (lambda: gauss_sum(9), (InputError, "p must be an odd prime, got 9")),
-        (lambda: build_group(3.0), (TypeError, "'float' object cannot be interpreted as an integer")),
+        (lambda: build_group(3.0), (InputError, "p must be an odd prime, got a float")),
     ], ids=["gauss_sum(3.0)", "gauss_sum(True)", "gauss_sum(9)", "build_group(3.0)"])
     def test_a_bad_p_raises_after_p_3_is_cached(self, call, error):
         # 3.0 equals 3 and hashes alike, so a cache keyed on the value alone would answer for it

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from oracles import plain
 
 import galrep.cli as cli
-from galrep.classify import ClassificationReport, Eigenvalue, GroupSummary, classify, dump_json
+from galrep.classify import ClassificationReport, Eigenvalue, GroupSummary, classify
 from galrep.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from galrep.errors import UsageError
 from galrep.groups import CharacterRow, ConjClass, El
-from galrep.json_writer import document, entries
+from galrep.json_writer import document, dump_json, entries
 from galrep.padic import BaseField, InputPolynomial
 
 

@@ -92,7 +92,7 @@ CLASSIFY_IS_THE_FUNCTION = ("import galrep, types\n"
 
 
 def test_classify_stays_the_function_after_its_submodule_loads():
-    assert fresh("from galrep.classify import dump_json\n" + CLASSIFY_IS_THE_FUNCTION) == [True, True]
+    assert fresh("from galrep.classify import ClassificationReport\n" + CLASSIFY_IS_THE_FUNCTION) == [True, True]
 
 
 def test_classify_stays_the_function_after_the_cli_classifies():

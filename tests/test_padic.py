@@ -28,7 +28,6 @@ from galrep.padic import (
     AssumptionReport,
     BaseField,
     InputPolynomial,
-    SingleClusterResult,
     conductor_exponent,
     parse_polynomial_string,
     validate_assumptions,
@@ -121,6 +120,11 @@ def searched_slope(f):
     return None
 
 
+def flags(f):
+    """The hypothesis flags of f's assumption report, as its JSON writes them."""
+    return validate_assumptions(f).to_json_dict()
+
+
 def certified_slope(report, p):
     """The root valuation k/p of the report's certifying shift, or None."""
     k = report.slope_numerator
@@ -128,25 +132,25 @@ def certified_slope(report, p):
 
 
 def oracle_report(f):
-    """The assumption report by the discriminant route: sympy's
-    discriminant, the difference polynomial's Newton polygon and the
-    certificate by a search over every shift, each computed on its own."""
+    """The assumption report's JSON flags, and the slope numerator k, by the
+    discriminant route: sympy's discriminant, the difference polynomial's
+    Newton polygon and the certificate by a search over every shift, each
+    flag computed on its own."""
     p = f.p
     v = vp(sympy_disc(f.coeffs), p)
     single_cluster = single_cluster_by_hull(model_difference(f), p)
     slope = searched_slope(f)
     irreducibility = UNDETERMINED if slope is None else CERTIFIED
     gcd_condition = math.gcd(v, p - 1) == 1
-    return AssumptionReport(
-        disc_valuation=v,
-        squarefree=True,
-        irreducibility=irreducibility,
-        gcd_condition=gcd_condition,
-        disc_valuation_odd=v % 2 == 1,
-        single_cluster=single_cluster,
-        maximal_inertia=irreducibility == CERTIFIED and gcd_condition and single_cluster.status != "no",
-        slope_numerator=None if slope is None else slope.numerator,
-    )
+    return {
+        "disc_valuation": str(v),
+        "squarefree": True,
+        "irreducibility": irreducibility,
+        "gcd_condition": gcd_condition,
+        "disc_valuation_odd": v % 2 == 1,
+        "single_cluster": single_cluster,
+        "maximal_inertia": irreducibility == CERTIFIED and gcd_condition and single_cluster["status"] != "no",
+    }, None if slope is None else slope.numerator
 
 
 class TestInputValidation:
@@ -363,17 +367,17 @@ class TestOneSegment:
 class TestIrreducibilityCertificate:
     def test_certified_all_unramified_bases(self):
         f = poly(5, "x^5-5")
-        assert validate_assumptions(f).irreducibility == CERTIFIED
+        assert flags(f)["irreducibility"] == CERTIFIED
 
     def test_slope_zero_undetermined(self):
-        assert validate_assumptions(poly(5, "x^5+x+1")).irreducibility == UNDETERMINED
+        assert flags(poly(5, "x^5+x+1"))["irreducibility"] == UNDETERMINED
 
     def test_non_coprime_slope_numerator(self):
         # one segment of valuation 5/5 = 1: certificate must not fire
-        assert validate_assumptions(poly(5, "x^5-3125")).irreducibility == UNDETERMINED
+        assert flags(poly(5, "x^5-3125"))["irreducibility"] == UNDETERMINED
 
     def test_certified_non_eisenstein(self):
-        assert validate_assumptions(poly(5, "x^5-25")).irreducibility == CERTIFIED
+        assert flags(poly(5, "x^5-25"))["irreducibility"] == CERTIFIED
 
     @settings(max_examples=25, deadline=None)
     @given(f=shifted_inputs())
@@ -381,7 +385,7 @@ class TestIrreducibilityCertificate:
         # the certificate tries one shift; searching all p of them must agree
         slope = searched_slope(f)
         report = validate_assumptions(f)
-        assert report.irreducibility == (UNDETERMINED if slope is None else CERTIFIED)
+        assert report.to_json_dict()["irreducibility"] == (UNDETERMINED if slope is None else CERTIFIED)
         assert certified_slope(report, f.p) == slope
 
     def test_roots_of_valuation_above_one(self):
@@ -397,7 +401,7 @@ class TestIrreducibilityCertificate:
                     coeffs[1] += Fraction(p ** (p + 2), den)
                     f = InputPolynomial(p, tuple(coeffs))
                     report = validate_assumptions(f)
-                    if report.irreducibility != CERTIFIED or report.slope_numerator != p + 1:
+                    if report.to_json_dict()["irreducibility"] != CERTIFIED or report.slope_numerator != p + 1:
                         missed.append((p, c, den))
         assert missed == []
 
@@ -416,9 +420,8 @@ class TestDifferenceRootValuations:
     def test_single_cluster_values(self, p, text, w):
         f = poly(p, text)
         result = single_cluster_by_hull(model_difference(f), p)
-        assert result.status == "yes"
-        assert result.w == w
-        assert validate_assumptions(f).single_cluster == result
+        assert result == {"status": "yes", "w": str(w)}
+        assert flags(f)["single_cluster"] == result
         # v(disc) is the sum of the p(p-1) difference valuations
         disc = sympy_disc(f.coeffs)
         assert p * (p - 1) * w == Fraction(_vp(disc, p))
@@ -489,7 +492,9 @@ class TestDifferenceRootValuations:
         with pytest.raises(ValueError, match="x divides"):
             newton_polygon(diff, 5)
         report = validate_assumptions(f)
-        assert not report.squarefree and report.single_cluster.status == "not_computed"
+        assert (report.disc_valuation, report.one_cluster) == (None, None)
+        assert not report.to_json_dict()["squarefree"]
+        assert report.to_json_dict()["single_cluster"] == {"status": "not_computed"}
 
 
 def sympy_difference_polynomial(coeffs):
@@ -532,24 +537,36 @@ def _vp(x, p):
 class TestValidateAssumptions:
     def test_model_family_passes(self):
         report = validate_assumptions(poly(5, "x^5-5"))
+        assert report == (5, 9, True, 1)
         assert report.maximal_inertia
-        assert report.disc_valuation == 9
-        assert report.gcd_condition and report.disc_valuation_odd
-        assert report.single_cluster.status == "yes"
+        assert report.to_json_dict() == {
+            "disc_valuation": "9", "squarefree": True, "irreducibility": CERTIFIED, "gcd_condition": True,
+            "disc_valuation_odd": True, "single_cluster": {"status": "yes", "w": "9/20"}, "maximal_inertia": True}
         assert report.failed_conditions() == []
 
     def test_undetermined_input_fails(self):
         report = validate_assumptions(poly(5, "x^5+x+1"))
         assert not report.maximal_inertia
-        assert report.irreducibility == UNDETERMINED
+        assert report.to_json_dict()["irreducibility"] == UNDETERMINED
         assert "irreducibility" in report.failed_conditions()
+
+    def test_the_report_is_its_measurements(self):
+        assert AssumptionReport._fields == ("p", "disc_valuation", "one_cluster", "slope_numerator")
+
+    def test_reducible_input_fails_on_irreducibility_alone(self):
+        # x^5 - 1 has the root 1, yet its roots form one cluster and v(disc f) = 5 is prime to 4
+        report = validate_assumptions(poly(5, "x^5-1"))
+        assert report == (5, 5, True, None)
+        assert report.to_json_dict()["gcd_condition"]
+        assert report.failed_conditions() == ["irreducibility"]
+        assert not report.maximal_inertia
 
     def test_repeated_roots_fail(self):
         f = InputPolynomial.from_coefficients(5, [1, 1, -2, -2, 1, 1])
         report = validate_assumptions(f)
-        assert not report.squarefree
+        assert not report.to_json_dict()["squarefree"]
         assert report.disc_valuation is None
-        assert report.single_cluster.status == "not_computed"
+        assert report.to_json_dict()["single_cluster"]["status"] == "not_computed"
         assert "squarefree" in report.failed_conditions()
 
     def test_p_mismatch(self, monkeypatch):
@@ -566,8 +583,9 @@ class TestValidateAssumptions:
     def test_even_disc_valuation_fails_gcd(self):
         # v(disc) = 8 here, so gcd with p-1 = 4 is 4
         report = validate_assumptions(poly(5, "x^5-5*x^4+5"))
-        assert not report.gcd_condition
-        assert not report.disc_valuation_odd
+        assert report.disc_valuation == 8
+        assert not report.to_json_dict()["gcd_condition"]
+        assert not report.to_json_dict()["disc_valuation_odd"]
         assert not report.maximal_inertia
 
     @settings(max_examples=30, deadline=None)
@@ -575,9 +593,9 @@ class TestValidateAssumptions:
     def test_gcd_condition_implies_odd_valuation(self, coeffs):
         # p - 1 is even, so coprimality forces oddness; checked on random cubics
         f = InputPolynomial.from_coefficients(3, coeffs + [1])
-        report = validate_assumptions(f)
-        if report.gcd_condition:
-            assert report.disc_valuation_odd
+        flagged = flags(f)
+        if flagged["gcd_condition"]:
+            assert flagged["disc_valuation_odd"]
 
     @settings(max_examples=60, deadline=None)
     @given(p=st.sampled_from([3, 5, 7]), data=st.data())
@@ -588,8 +606,8 @@ class TestValidateAssumptions:
         powers = data.draw(st.lists(st.sampled_from([1, 1, p, p * p]), min_size=p, max_size=p))
         f = InputPolynomial.from_coefficients(p, [u * e for u, e in zip(units, powers)] + [1])
         diff = model_difference(f)
-        expected = single_cluster_by_hull(diff, p) if diff[0] else SingleClusterResult("not_computed")
-        assert validate_assumptions(f).single_cluster == expected
+        expected = single_cluster_by_hull(diff, p) if diff[0] else {"status": "not_computed"}
+        assert flags(f)["single_cluster"] == expected
 
     @settings(max_examples=30, deadline=None)
     @given(coeffs=st.lists(st.integers(min_value=-20, max_value=20), min_size=3, max_size=3))
@@ -597,10 +615,10 @@ class TestValidateAssumptions:
         # v(disc) is the sum of all difference valuations, so a single shared
         # valuation w forces v(disc) = p(p-1) w
         f = InputPolynomial.from_coefficients(3, coeffs + [1])
-        report = validate_assumptions(f)
-        if report.squarefree and report.single_cluster.status == "yes":
+        flagged = flags(f)
+        if flagged["squarefree"] and flagged["single_cluster"]["status"] == "yes":
             disc = sympy_disc(f.coeffs)
-            assert Fraction(_vp(disc, 3)) == 6 * report.single_cluster.w
+            assert Fraction(_vp(disc, 3)) == 6 * Fraction(flagged["single_cluster"]["w"])
 
 
 class TestCertifiedFromValuations:
@@ -610,10 +628,10 @@ class TestCertifiedFromValuations:
     @settings(max_examples=150, deadline=None)
     @given(f=certified_inputs())
     def test_report_equals_discriminant_route(self, f):
-        report, oracle = validate_assumptions(f), oracle_report(f)
-        assert report.irreducibility == CERTIFIED
-        assert report == oracle
-        assert report.to_json_dict() == oracle.to_json_dict()
+        report, (oracle, k) = validate_assumptions(f), oracle_report(f)
+        assert oracle["irreducibility"] == CERTIFIED
+        assert report.to_json_dict() == oracle
+        assert (report.p, report.slope_numerator, report.maximal_inertia) == (f.p, k, oracle["maximal_inertia"])
 
     def test_polygon_of_two_segments_raises(self, monkeypatch):
         # heights at x^1..x^5 in units of 1/5: (2, 2) lies below the chord from (1, 10) to (5, 0)
@@ -626,7 +644,7 @@ class TestCertifiedFromValuations:
         monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, k, p: [10, 8, 5, 3, 0])
         report = validate_assumptions(poly(5, "x^5-5"))
         assert report.disc_valuation == 10 + 4 * 1
-        assert report.single_cluster == SingleClusterResult("yes", Fraction(14, 20))
+        assert report.to_json_dict()["single_cluster"] == {"status": "yes", "w": "7/10"}
 
     def test_disc_valuation_below_the_wild_bound_raises(self, monkeypatch):
         # a flat polygon gives w = k/p, so v(disc f) = (p-1)k = 4 < p: no wild extension has it
