@@ -1,13 +1,13 @@
 """Small exact number-theory helpers used across the package.
 
-Rational numbers are ``fractions.Fraction`` throughout (always in lowest
-terms with positive denominator, arithmetic exact); this module adds the
-p-adic valuation and the handful of mod-p utilities everything else needs.
+Every helper here works on ints: the p-adic valuation of a nonzero int
+and the handful of mod-p utilities everything else needs.  A rational
+appears only as a coefficient of an input polynomial that is not an
+integer, and the p-adic code reads its p-integrality off its denominator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -42,16 +42,13 @@ def require_odd_prime(p: int) -> None:
         raise InputError("p_not_odd_prime", f"p must be an odd prime, got {p}")
 
 
-def vp(x: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational.  A Fraction is in lowest terms,
-    so p divides its numerator or its denominator, not both."""
-    if type(x) is not int:
-        x = Fraction(x)
-        if x.denominator % p == 0:
-            return -vp(x.denominator, p)
-        x = x.numerator
+def vp(x: int, p: int) -> int:
+    """p-adic valuation of a nonzero int.  Anything else raises: the loop
+    below would give Fraction(1, p) the valuation 0, not -1."""
     if not x:
         raise UsageError("valuation_of_zero", "v_p(0) is undefined")
+    if type(x) is not int:
+        raise UsageError("valuation_of_non_int", f"v_p takes an int, got a {type(x).__name__}")
     v = 0
     while x % p == 0:
         x //= p

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import padic
 from .arith import power_exceeds, signed_p
-from .config import CACHE_SIZE, Budgets
+from .config import CACHE_SIZE, DEFAULT_BUDGETS, Budgets
 from .cyclotomic import Cyclotomic
 from .errors import BudgetExceeded, GalrepError, InputError, InternalCheckError
 from .groups import (FULL, INERTIA, SIGMA_PHI, CharacterRow, GroupSpec, build_group, class_index, conjugacy_classes,
@@ -240,7 +240,7 @@ def verify_consistency(p: int, n: int, budgets: Budgets | None = None) -> Verifi
     "ok" only when all three agree; any disagreement is reported as
     "mismatch", never raised.  The closed form is compared but not in the JSON.
     """
-    budgets = budgets or Budgets()
+    budgets = budgets or DEFAULT_BUDGETS
     group = build_group(p, FULL, budgets.group_p_bound)
     # the count's budgets are decided from the exponent: they bound n before G^n is formed
     counted = _twisted_trace(p, n, budgets)
@@ -263,7 +263,7 @@ def classify(f: InputPolynomial, K: BaseField, budgets: Budgets | None = None) -
     """
     if f.p != K.p:
         raise InputError("p_mismatch", f"polynomial p = {f.p} but base field p = {K.p}")
-    budgets = budgets or Budgets()
+    budgets = budgets or DEFAULT_BUDGETS
     p, n = f.p, K.n
     # the bound checks are cheap: refuse an out-of-bound p or n before any p-adic work
     group = build_group(p, FULL if n % 2 else INERTIA, budgets.group_p_bound)

@@ -12,7 +12,9 @@ approximations for readability.
 
 Start-up loads only argparse, the budgets, the errors and the JSON writer;
 each command imports the modules it runs when it runs, so ``chartab`` never
-loads the p-adic or counting code, and ``count`` never loads classify.
+loads the p-adic or counting code, and ``count`` never loads classify.  No
+run loads fractions unless a coefficient is not an integer, and only text
+output loads decimal.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .config import Budgets
@@ -53,14 +54,14 @@ def _approx(value: Cyclotomic) -> str:
     twice_imag = value - conj
     if m % 4 == 0:
         twice_imag *= value.root_of_unity(m, 3 * m // 4)
-    exact = [Fraction(t.as_rational(), 2) if t.is_rational() else None for t in (value + conj, twice_imag)]
-    texts = [None if q is None else _ten_digits(q) if q else "" for q in exact]
+    exact = [t.as_rational() if t.is_rational() else None for t in (value + conj, twice_imag)]
+    texts = [None if q is None else _ten_digits(q, 2) if q else "" for q in exact]
     bits = 64
     while None in texts:
         re, im, err = value.enclose(bits)
         for i, x in enumerate((re, im)):
             if texts[i] is None and abs(x) > err:  # both ends nonzero, of one sign
-                low, high = (_ten_digits(Fraction(x + d, 1 << bits)) for d in (-err, err))
+                low, high = (_ten_digits(x + d, 1 << bits) for d in (-err, err))
                 if low == high:
                     texts[i] = low
         bits *= 2
@@ -70,15 +71,15 @@ def _approx(value: Cyclotomic) -> str:
     return f"{real}{'+' if real and imag[0] != '-' else ''}{imag}i"
 
 
-def _ten_digits(q: Fraction) -> str:
-    """``format(q, ".10g")`` for a nonzero rational, rounded half to even
-    from its exact value by decimal's division, so no size overflows to
-    ``inf``.  decimal loads here, on the text path only."""
+def _ten_digits(num: int, den: int) -> str:
+    """``format(num / den, ".10g")`` for ints num != 0 and den > 0, rounded
+    half to even from the exact quotient by decimal's division, so no size
+    overflows to ``inf``.  decimal loads here, on the text path only."""
     from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 
     context = Context(prec=10, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    _, digits, exponent = context.divide(Decimal(abs(q.numerator)), Decimal(q.denominator)).as_tuple()
-    e = exponent + len(digits) - 1  # |q| rounds to 0.mantissa * 10^(e+1)
+    _, digits, exponent = context.divide(Decimal(abs(num)), Decimal(den)).as_tuple()
+    e = exponent + len(digits) - 1  # |num/den| rounds to 0.mantissa * 10^(e+1)
     mantissa = "".join(map(str, digits)).rstrip("0")
     if e < -4 or e >= 10:  # the exponents float formatting writes in scientific notation
         text = mantissa[0] + (f".{mantissa[1:]}" if mantissa[1:] else "") + f"e{e:+03d}"
@@ -87,7 +88,25 @@ def _ten_digits(q: Fraction) -> str:
     else:
         whole, frac = mantissa[:e + 1].ljust(e + 1, "0"), mantissa[e + 1:]
         text = f"{whole}.{frac}" if frac else whole
-    return f"-{text}" if q < 0 else text
+    return f"-{text}" if num < 0 else text
+
+
+def _sum_text(terms) -> str:
+    """The sum of c*term over the (c, term) pairs, in the order given, with
+    each zero c left out: a term "" stands for 1, a unit c writes its sign
+    alone, and an empty sum is "0"."""
+    parts = []
+    for c, term in terms:
+        if c:
+            mag = abs(c)
+            body = term if mag == 1 and term else f"{mag}*{term}" if term else str(mag)
+            parts.append(("-" if c < 0 else "+" if parts else "") + body)
+    return "".join(parts) or "0"
+
+
+def _power(name: str, e: int) -> str:
+    """name^e as a term of ``_sum_text``: "" for e = 0."""
+    return "" if e == 0 else name if e == 1 else f"{name}^{e}"
 
 
 def render_value(value: Cyclotomic, p: int | None = None) -> str:
@@ -102,8 +121,8 @@ def render_value(value: Cyclotomic, p: int | None = None) -> str:
         square = signed_p(p)
         r = _rational_multiple(value, gauss_sum(p), square)
         if r is not None:
-            return f"{_coeff_prefix(r)}√{square} ({_approx(value)})"
-    return f"{value} ({_approx(value)})"
+            return f"{_sum_text([(r, f'√{square}')])} ({_approx(value)})"
+    return f"{_sum_text((c, _power(f'z{value.m}', e)) for e, c in enumerate(value.coeffs))} ({_approx(value)})"
 
 
 def _rational_multiple(value: Cyclotomic, gauss: Cyclotomic, square: int) -> int | None:
@@ -114,14 +133,6 @@ def _rational_multiple(value: Cyclotomic, gauss: Cyclotomic, square: int) -> int
     the coordinate of gauss at 1 is +-1."""
     prod = value * gauss
     return prod.as_rational() // square if prod.is_rational() else None
-
-
-def _coeff_prefix(r: int) -> str:
-    if r == 1:
-        return ""
-    if r == -1:
-        return "-"
-    return f"{r}*"
 
 
 # each budget flag: the Budgets field it sets, and its help
@@ -203,7 +214,8 @@ def _render_classification_text(report: ClassificationReport) -> str:
 
 
 def _input_line(f: InputPolynomial, n: int) -> str:
-    return f"p = {f.p}, f = {f}, residue degree n = {n} ({'even' if n % 2 == 0 else 'odd'})"
+    terms = _sum_text((f.coeffs[k], _power("x", k)) for k in range(f.p, -1, -1))
+    return f"p = {f.p}, f = {terms}, residue degree n = {n} ({'even' if n % 2 == 0 else 'odd'})"
 
 
 def _assumption_lines(a: AssumptionReport) -> list[str]:

@@ -40,7 +40,7 @@ from itertools import chain, compress
 from typing import NamedTuple, Sequence
 
 from .arith import power_exceeds, require_odd_prime
-from .config import Budgets
+from .config import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceeded, InputError, InternalCheckError, UsageError
 from .gf import Coeffs, FieldSpec, build_field
 from .polys import power_sums
@@ -127,7 +127,7 @@ def _artin_schreier_tally(field: FieldSpec, c: int) -> list[int]:
 def count_curve(p: int, m: int, budgets: Budgets | None = None) -> CountResult:
     """Exact affine count of y^2 = x^p - x over F_{p^m}: t = 0 gives one
     point, a nonzero square two, a non-square none."""
-    budgets = budgets or Budgets()
+    budgets = budgets or DEFAULT_BUDGETS
     if type(m) is not int:  # the result writes m by its type: a True would be true
         raise InputError("bad_degree", f"extension degree must be an int, got a {type(m).__name__}")
     if m < 1:
@@ -167,7 +167,7 @@ def count_twisted_fixed(p: int, n: int, budgets: Budgets | None = None) -> Twist
     ``classify.verify_consistency`` compares it with the prediction and the
     closed form.  The coset budget caps q.
     """
-    budgets = budgets or Budgets()
+    budgets = budgets or DEFAULT_BUDGETS
     if type(n) is not int:  # the result writes n by its type: a True would be true
         raise UsageError("n_must_be_odd", f"the twisted count needs an odd int n, got a {type(n).__name__}")
     if n % 2 == 0 or n < 1:

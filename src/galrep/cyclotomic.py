@@ -221,9 +221,6 @@ class Cyclotomic(_CyclotomicFields):
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
@@ -242,20 +239,3 @@ class Cyclotomic(_CyclotomicFields):
         return (sum(c * x for c, (x, _) in zip(self.coeffs, table)),
                 sum(c * y for c, (_, y) in zip(self.coeffs, table)), sum(map(abs, self.coeffs)))
 
-    # -- serialization -----------------------------------------------------
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                sign = "-" if c < 0 else ("+" if parts else "")
-                power = f"z{self.m}" if e == 1 else f"z{self.m}^{e}"
-                parts.append(f"{sign}{mag}{power}")
-        return "".join(parts)

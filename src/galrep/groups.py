@@ -40,7 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import legendre_symbol, require_odd_prime, smallest_primitive_root
-from .config import CACHE_SIZE
+from .config import CACHE_SIZE, DEFAULT_BUDGETS
 from .cyclotomic import Cyclotomic
 from .errors import InputError, InternalCheckError, UsageError
 
@@ -91,7 +91,7 @@ class GroupSpec(NamedTuple):
         return 2 * n if self.variant == FULL else n
 
 
-def build_group(p: int, variant: str = INERTIA, p_bound: int = 13) -> GroupSpec:
+def build_group(p: int, variant: str = INERTIA, p_bound: int = DEFAULT_BUDGETS.group_p_bound) -> GroupSpec:
     """Group of the given variant with the smallest primitive root as b,
     searched once per p."""
     if variant not in (INERTIA, FULL):

@@ -36,12 +36,14 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import polys
 from .arith import require_odd_prime, vp
 from .errors import InputError, InternalCheckError, UsageError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 CERTIFIED = "certified_totally_ramified"
 UNDETERMINED = "undetermined"
@@ -49,17 +51,17 @@ UNDETERMINED = "undetermined"
 
 class _InputPolynomialFields(NamedTuple):
     p: int
-    coeffs: tuple[Fraction, ...]  # ascending, coeffs[p] == 1
+    coeffs: tuple[int | Fraction, ...]  # ascending, coeffs[p] == 1
 
 
 class InputPolynomial(_InputPolynomialFields):
-    """A monic degree-p polynomial with p-integral rational coefficients."""
+    """A monic degree-p polynomial with p-integral rational coefficients,
+    each an int when it is an integer and a Fraction otherwise."""
 
     __slots__ = ()
 
-    def __new__(cls, p: int, coeffs: tuple[Fraction, ...]):
-        for i, c in enumerate(coeffs):
-            _require_exact(c, i)
+    def __new__(cls, p: int, coeffs: Sequence[int | Fraction]):
+        coeffs = tuple([_require_exact(c, i) for i, c in enumerate(coeffs)])
         require_odd_prime(p)
         if len(coeffs) != p + 1 or coeffs[-1] == 0:
             raise InputError(
@@ -69,24 +71,20 @@ class InputPolynomial(_InputPolynomialFields):
         if coeffs[-1] != 1:
             raise InputError("not_monic", "leading coefficient must be 1")
         for i, c in enumerate(coeffs):
-            if c and vp(c, p) < 0:
-                raise InputError(
-                    "non_integral_coefficient",
-                    f"coefficient of x^{i} has negative {p}-adic valuation",
-                )
+            if c.denominator % p == 0:  # in lowest terms: v_p(c) < 0 exactly when p divides the denominator
+                raise InputError("non_integral_coefficient", f"coefficient of x^{i} has negative {p}-adic valuation")
         return tuple.__new__(cls, (p, coeffs))
 
     # the base class's _make, which _replace calls, would skip the checks
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
-    def from_coefficients(cls, p: int, coeffs: Sequence[Fraction | int | str]) -> "InputPolynomial":
+    def from_coefficients(cls, p: int, coeffs: Sequence[int | Fraction | str]) -> "InputPolynomial":
         """Coefficients from degree 0 up: ints, Fractions or rational strings
         ``[-]digits[/digits]``.  Anything else (floats, bools, None,
         containers, exponents, decimal points) is refused, as it is not an
         exact rational of bounded size."""
-        return cls(p, tuple(Fraction(_parse_rational(c, i) if type(c) is str else _require_exact(c, i))
-                            for i, c in enumerate(coeffs)))
+        return cls(p, [_parse_rational(c, i) if type(c) is str else _require_exact(c, i) for i, c in enumerate(coeffs)])
 
     @classmethod
     def from_string(cls, p: int, text: str) -> "InputPolynomial":
@@ -94,35 +92,20 @@ class InputPolynomial(_InputPolynomialFields):
         # before allocating: the list has one entry per exponent, so a huge one would exhaust memory
         if max(terms, default=0) != p:
             raise InputError("degree_mismatch", f"'{text}' does not have degree {p}")
-        coeffs = [Fraction(0)] * (p + 1)
-        for k, c in terms.items():
-            coeffs[k] = Fraction(c)
-        return cls(p, tuple(coeffs))
-
-    def __str__(self) -> str:
-        parts = []
-        for k in range(self.p, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                body = xs if mag == 1 else f"{mag}*{xs}"
-            parts.append(f"{sign}{body}")
-        return "".join(parts) or "0"
+        return cls(p, [terms.get(k, 0) for k in range(p + 1)])
 
 
-def _require_exact(c, i: int):
-    """c itself when it is exactly an int or a Fraction, the coefficients
-    the p-adic code reads exactly and the report writes as rationals."""
-    if type(c) not in (int, Fraction):
+def _require_exact(c, i: int) -> int | Fraction:
+    """The coefficient c, exactly an int or a Fraction, as an int when it is
+    an integer.  fractions loads only for a coefficient that is not an int."""
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+
+    if type(c) is not Fraction:
         raise InputError("poly_parse", f"coefficient of x^{i} is a {type(c).__name__}, "
                          "not an int or a rational string")
-    return c
+    return c.numerator if c.denominator == 1 else c
 
 
 _TERM_RE = re.compile(
@@ -147,9 +130,9 @@ def _parse_int(digits: str) -> int:
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_rational(text: str, i: int) -> Fraction:
+def _parse_rational(text: str, i: int) -> int | Fraction:
     """A rational string [-]digits[/digits], each number read through the
-    digit cap of ``_parse_int``."""
+    digit cap of ``_parse_int``: an int when the denominator is 1."""
     match = _RATIONAL_RE.fullmatch(text)
     if not match:
         raise InputError("poly_parse", f"coefficient of x^{i} is not a rational [-]digits[/digits]: {text[:40]!r}")
@@ -157,6 +140,10 @@ def _parse_rational(text: str, i: int) -> Fraction:
     denominator = _parse_int(den or "1")
     if not denominator:
         raise InputError("poly_parse", f"coefficient of x^{i} has denominator 0")
+    if denominator == 1:
+        return _parse_int(num)
+    from fractions import Fraction
+
     return Fraction(_parse_int(num), denominator)
 
 
@@ -236,7 +223,7 @@ def _integer_model(f: InputPolynomial) -> tuple[list[int], int]:
     # tuple, and the resized tuples pile up in CPython's per-size free lists
     d = math.lcm(*[c.denominator for c in f.coeffs])
     if d == 1:  # integer coefficients, as most inputs have: M is f
-        return [c.numerator for c in f.coeffs], 1
+        return list(f.coeffs), 1
     return [c.numerator * d ** (p - i) // c.denominator for i, c in enumerate(f.coeffs)], d
 
 
@@ -377,7 +364,9 @@ class AssumptionReport(NamedTuple):
         p, v = self.p, self.disc_valuation
         single_cluster: dict = {"status": _CLUSTER_STATUS[self.one_cluster]}
         if self.one_cluster:  # the common valuation w of the p(p-1) differences, whose sum is v(disc f)
-            single_cluster["w"] = str(Fraction(v, p * (p - 1)))
+            pairs = p * (p - 1)
+            g = math.gcd(v, pairs)  # w = v/pairs in lowest terms, written as str(Fraction) writes it
+            single_cluster["w"] = str(v // g) if g == pairs else f"{v // g}/{pairs // g}"
         return {
             "disc_valuation": None if v is None else str(v),
             "squarefree": v is not None,

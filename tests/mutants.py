@@ -92,8 +92,8 @@ CATALOGUE = [
            ("test_padic.py",),
            "a zero coefficient is no point of the polygon, not a point of height 0"),
     Mutant("w_over_p_squared", "padic.py",
-           'single_cluster["w"] = str(Fraction(v, p * (p - 1)))',
-           'single_cluster["w"] = str(Fraction(v, p * p))',
+           "pairs = p * (p - 1)",
+           "pairs = p * p",
            ("test_padic.py",),
            "v(disc f) is the sum of the valuations of the p(p-1) root differences"),
     Mutant("maximal_inertia_without_the_certificate", "padic.py",
@@ -136,6 +136,21 @@ CATALOGUE = [
            'rounding="ROUND_HALF_UP"',
            ("test_cli.py",),
            "float formatting rounds an exact tie half to even"),
+    Mutant("sum_without_plus_signs", "cli.py",
+           '("-" if c < 0 else "+" if parts else "")',
+           '("-" if c < 0 else "")',
+           ("test_cli.py",),
+           "a positive term after the first is joined to the sum by a +"),
+    Mutant("unit_coefficient_written", "cli.py",
+           "term if mag == 1 and term else",
+           "term if mag == 0 and term else",
+           ("test_cli.py",),
+           "a coefficient of +-1 writes its sign alone: x, not 1*x"),
+    Mutant("integrality_read_off_the_numerator", "padic.py",
+           "if c.denominator % p == 0:",
+           "if c.numerator % p == 0:",
+           ("test_padic.py",),
+           "a coefficient in lowest terms has negative valuation exactly when p divides its denominator"),
     Mutant("gauss_multiple_by_the_conjugate", "cli.py",
            "prod = value * gauss\n",
            "prod = value * gauss.conjugate()\n",

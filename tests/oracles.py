@@ -11,8 +11,11 @@ F_{p^(n*p)}, the plain data of a report tree, which ``json.dumps``
 writes as the oracle of galrep's JSON writer, the general lower hull of
 a Newton polygon with every segment, where galrep asks only whether the
 polygon is one segment, the number of y in F_q with Tr(y^2) = c from the
-trace form's determinant, and ten significant digits of a rational by an
-exponent search and a rounded Fraction, where galrep asks decimal."""
+trace form's determinant, ten significant digits of a rational by an
+exponent search and a rounded Fraction, where galrep asks decimal, the
+p-adic valuation of a rational, where galrep's ``vp`` takes ints alone,
+and the text renderers galrep's records once carried, which its CLI's one
+writer of sums of terms replaced."""
 
 import math
 from collections import Counter
@@ -276,6 +279,13 @@ def naive_twisted_oracle(p, n):
                               trace_sigma_frob=q + 1 - fixed)
 
 
+def rational_vp(x, p):
+    """The p-adic valuation of a nonzero int or Fraction: that of its
+    numerator less that of its denominator."""
+    x = Fraction(x)
+    return vp(x.numerator, p) - vp(x.denominator, p)
+
+
 class Segment(NamedTuple):
     root_valuation: Fraction
     multiplicity: int
@@ -307,7 +317,7 @@ def newton_polygon(coeffs, p):
         raise ValueError("a Newton polygon needs degree >= 1")
     if coeffs[0] == 0:
         raise ValueError("x divides the polynomial")
-    return lower_hull([(i, vp(c, p)) for i, c in enumerate(coeffs) if c])
+    return lower_hull([(i, rational_vp(c, p)) for i, c in enumerate(coeffs) if c])
 
 
 def single_cluster_by_hull(diff, p):
@@ -385,3 +395,50 @@ def ten_digits_by_search(q):
         whole, frac = mantissa[:e + 1].ljust(e + 1, "0"), mantissa[e + 1:]
         text = f"{whole}.{frac}" if frac else whole
     return f"-{text}" if q < 0 else text
+
+
+def polynomial_text(f):
+    """The text of an input polynomial, x^p down to the constant, as
+    ``InputPolynomial.__str__`` once wrote it."""
+    parts = []
+    for k in range(f.p, -1, -1):
+        c = f.coeffs[k]
+        if not c:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            xs = "x" if k == 1 else f"x^{k}"
+            body = xs if mag == 1 else f"{mag}*{xs}"
+        parts.append(f"{sign}{body}")
+    return "".join(parts) or "0"
+
+
+def cyclotomic_text(value):
+    """The text of a value of Z[zeta_m], z_m^e in ascending e, as
+    ``Cyclotomic.__str__`` once wrote it."""
+    if not any(value.coeffs):
+        return "0"
+    parts = []
+    for e, c in enumerate(value.coeffs):
+        if not c:
+            continue
+        if e == 0:
+            parts.append(str(c))
+        else:
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            sign = "-" if c < 0 else ("+" if parts else "")
+            power = f"z{value.m}" if e == 1 else f"z{value.m}^{e}"
+            parts.append(f"{sign}{mag}{power}")
+    return "".join(parts)
+
+
+def coeff_prefix(r):
+    """What the CLI once wrote before √±p for the multiple r of the Gauss sum."""
+    if r == 1:
+        return ""
+    if r == -1:
+        return "-"
+    return f"{r}*"

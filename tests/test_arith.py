@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import order_by_powers
+from oracles import order_by_powers, rational_vp
 
 from galrep.arith import is_prime, multiplicative_order, smallest_primitive_root, vp
 from galrep.classify import classify
@@ -71,8 +71,8 @@ PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13])
 @given(p=PRIMES, a=st.integers(-10**6, 10**6), r=st.integers(0, 11), e=st.integers(0, 40))
 def test_valuation_of_an_int_is_that_of_its_fraction(p, a, r, e):
     n = (a * p + r % (p - 1) + 1) * p**e  # p**e times a unit, negative ones included
-    assert vp(n, p) == vp(Fraction(n), p) == e
-    assert vp(Fraction(1, n), p) == -e
+    assert vp(n, p) == rational_vp(Fraction(n), p) == e
+    assert rational_vp(Fraction(1, n), p) == -e
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0)])
@@ -80,6 +80,14 @@ def test_valuation_of_zero_raises(zero):
     with pytest.raises(UsageError) as err:
         vp(zero, 5)
     assert err.value.code == "valuation_of_zero"
+
+
+# read as an int, Fraction(1, 3) would get the valuation 0 at 3, not -1
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(3), 3.0, True], ids=["1/3", "Fraction 3", "float", "bool"])
+def test_valuation_of_a_non_int_raises(x):
+    with pytest.raises(UsageError) as err:
+        vp(x, 3)
+    assert err.value.code == "valuation_of_non_int"
 
 
 PRIMES_BELOW_200 = [m for m in range(2, 200) if is_prime(m)]

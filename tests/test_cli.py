@@ -13,10 +13,10 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import power, ten_digits_by_search
+from oracles import coeff_prefix, cyclotomic_text, polynomial_text, power, ten_digits_by_search
 
 
 import galrep
@@ -27,6 +27,7 @@ from galrep.arith import signed_p
 from galrep.classify import Verification, _twisted_trace
 from galrep.config import Budgets
 from galrep.cyclotomic import Cyclotomic
+from galrep.padic import InputPolynomial
 
 
 # a child interpreter imports the galrep these tests import, installed or not
@@ -200,6 +201,47 @@ class TestClassifyBuildsNoTable:
         assert [run(capsys, *argv) for argv in self.ARGVS] == expected
 
 
+# small and large coefficients, units of both signs and many zeros
+COEFFICIENTS = st.one_of(st.sampled_from([0, 0, 0, 1, -1]), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def written_polynomials(draw):
+    """Monic f with zero, unit, integral and Fraction coefficients, the
+    constant term zero about one time in three; denominators are prime to p."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    rationals = st.builds(Fraction, st.integers(-50, 50), st.sampled_from([2, 4, 11, 13]))
+    coeffs = draw(st.lists(st.one_of(COEFFICIENTS, rationals), min_size=p, max_size=p))
+    if draw(st.integers(0, 2)) == 0:
+        coeffs[0] = 0
+    return InputPolynomial.from_coefficients(p, coeffs + [1])
+
+
+class TestTextWriter:
+    """The CLI's one writer of sums of terms writes what the records'
+    renderers wrote: the input line, cyclotomic values and r*√±p."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=written_polynomials())
+    def test_input_line_as_the_polynomial_wrote_it(self, f):
+        assert cli._input_line(f, 3) == f"p = {f.p}, f = {polynomial_text(f)}, residue degree n = 3 (odd)"
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.sampled_from([3, 4, 5, 8, 12, 13, 24]), data=st.data())
+    def test_value_as_the_cyclotomic_wrote_it(self, m, data):
+        d = len(Cyclotomic.zero(m).coeffs)
+        value = Cyclotomic(m, tuple(data.draw(st.lists(COEFFICIENTS, min_size=d, max_size=d))))
+        text = cyclotomic_text(value)
+        assert cli.render_value(value) == (text if value.is_rational() else f"{text} ({cli._approx(value)})")
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.sampled_from([3, 5, 7, 11, 13]), data=st.data())
+    def test_gauss_multiple_as_the_prefix_wrote_it(self, p, data):
+        r = data.draw(st.one_of(st.sampled_from([1, -1, p, -p]), st.integers(-10**6, 10**6).filter(bool)))
+        value = groups.gauss_sum(p) * r
+        assert cli.render_value(value, p) == f"{coeff_prefix(r)}√{signed_p(p)} ({cli._approx(value)})"
+
+
 class TestTextApproximations:
     """The numeric tags of r*sqrt(+-p) for large r: a real value prints no
     imaginary part and an imaginary one no real part, nothing overflows, and
@@ -241,7 +283,7 @@ class TestTextApproximations:
         value = power(Cyclotomic.from_terms(5, {1: 1, 4: 1}), k)
         assert max(value.coeffs) > 10 ** (k // 5)
         with mpmath.workdps(60):
-            assert cli._approx(value) == cli._ten_digits(fraction(((mpmath.sqrt(5) - 1) / 2) ** k))
+            assert cli._approx(value) == cli._ten_digits(*fraction(((mpmath.sqrt(5) - 1) / 2) ** k).as_integer_ratio())
 
     def test_a_tiny_nonzero_part_is_printed(self):
         # 1 + i ((sqrt(5) - 1)/2)^60 in Z[zeta_20]: the imaginary part is about 2.9e-13
@@ -251,7 +293,7 @@ class TestTextApproximations:
 
     @given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
     def test_ten_digits_agree_with_float_formatting(self, x):
-        assert cli._ten_digits(Fraction(x)) == format(x, ".10g")
+        assert cli._ten_digits(*x.as_integer_ratio()) == format(x, ".10g")
 
     # random rationals, exact ties of the tenth digit (ten digits and a half,
     # or the last of 10^10 - 1 and a half, which carries), and exponents past +-400
@@ -262,7 +304,7 @@ class TestTextApproximations:
         st.builds(lambda n, d, e: Fraction(n, d) * Fraction(10) ** e, st.integers(-10**12, 10**12).filter(bool),
                   st.integers(1, 10**12), st.sampled_from([-1000, -401, -400, -5, -4, 9, 10, 400, 401, 1000]))))
     def test_ten_digits_agree_with_the_exponent_search(self, q):
-        assert cli._ten_digits(q) == ten_digits_by_search(q)
+        assert cli._ten_digits(q.numerator, q.denominator) == ten_digits_by_search(q)
 
     @pytest.mark.parametrize("k", [200, 400])
     def test_a_near_tie_is_rounded_from_the_exact_value(self, k):

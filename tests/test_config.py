@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import galrep
-from galrep.config import Budgets
+from galrep.config import DEFAULT_BUDGETS, Budgets
+from galrep.errors import InputError
 
 # galrep.classify is the function, so the modules are looked up by name
 classify, config, counting, cyclotomic, gf, groups, padic = (
@@ -20,6 +21,36 @@ def test_defaults():
     assert budgets.coset_q == 10**6
     assert budgets.group_p_bound == 13
     assert len(Budgets._fields) == 3
+    # the one default, which build_group's bound reads too
+    assert budgets == DEFAULT_BUDGETS
+    assert groups.build_group.__defaults__[-1] == DEFAULT_BUDGETS.group_p_bound
+
+
+# each entry point with the budgets it is given; none of them reads every field
+BUDGETED = {
+    "classify": lambda budgets: galrep.classify(padic.InputPolynomial.from_string(5, "x^5-5"), padic.BaseField(5, 1),
+                                                budgets),
+    "count_curve": lambda budgets: counting.count_curve(3, 2, budgets),
+    "count_twisted_fixed": lambda budgets: counting.count_twisted_fixed(3, 1, budgets),
+}
+
+
+# a float has no bit_length, a True was written into a skip reason, and
+# a str or None failed on its first comparison
+@pytest.mark.parametrize("entry", sorted(BUDGETED))
+@pytest.mark.parametrize("value", [1e6, True, "1000000", None], ids=["float", "bool", "str", "None"])
+@pytest.mark.parametrize("field", Budgets._fields)
+def test_a_budget_that_is_not_an_int_is_refused(field, value, entry):
+    with pytest.raises(InputError) as err:
+        BUDGETED[entry](Budgets(**{field: value}))
+    assert (err.value.code, str(err.value)) == ("budget_not_int",
+                                                f"budget {field} must be an int, got a {type(value).__name__}")
+
+
+def test_replace_keeps_the_check():
+    with pytest.raises(InputError) as err:
+        DEFAULT_BUDGETS._replace(coset_q=1e6)
+    assert err.value.code == "budget_not_int"
 
 
 def _report():

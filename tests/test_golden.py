@@ -12,10 +12,13 @@ recorded here anew.
 import contextlib
 import hashlib
 import io
+from fractions import Fraction
 
 import pytest
 
 import galrep.cli as cli
+from galrep.classify import classify
+from galrep.padic import BaseField, InputPolynomial
 
 ODD_PRIMES_TO_23 = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -199,3 +202,39 @@ CERTIFIED_GOLDEN = {
 @pytest.mark.parametrize("command", CERTIFIED_GOLDEN)
 def test_certified_refusal_or_slope_unchanged(command):
     assert run_digest(command.split()) == CERTIFIED_GOLDEN[command]
+
+
+# accepted inputs with coefficients that are not integers, whose input line
+# and "input" entry write them as rationals.  Recorded before integral
+# coefficients were held as ints.
+RATIONAL_GOLDEN = {
+    'classify --p 5 --f ["-5/2",0,0,"5/3",0,1] --n 1 --format json': ("15b0d2e10851d331e754f4b2f7afb75b293b912100b8f41838bcefe6708df626", 0),
+    'classify --p 5 --f ["-5/2",0,0,"5/3",0,1] --n 1 --format text': ("054e59503408588c44cf8e98c05771bf7fa7bff737ef1d1d6001e1f9498d7fae", 0),
+    'classify --p 5 --f ["-5/2",0,0,"5/3",0,1] --n 2 --format json': ("db422d635e210c383c024c24fb07862150f7507ba8915e9857e64dcae65f2759", 0),
+    'classify --p 5 --f ["-5/2",0,0,"5/3",0,1] --n 2 --format text': ("8173eda04d4d4da039570b75eb652fab0e1b7c70475e5f3659be075a19e0ab25", 0),
+    'classify --p 7 --f ["7/2","14/3",0,0,0,0,0,1] --n 1 --format json': ("09350be60bf0c8c571554d9563ad75ad4f7300ad88308d554c960e5a3b1b2e6f", 0),
+    'classify --p 7 --f ["7/2","14/3",0,0,0,0,0,1] --n 1 --format text': ("693e317275be438d3e8e0fbc704e0c83fd34c44d4eca2d04766819688d586828", 0),
+    'classify --p 3 --f ["3/2","-3/4",0,1] --n 1 --format json': ("4397e6b5ac1b331f32cd948794175f723710b18bc944b5c026245a1a28c30c05", 0),
+    'classify --p 3 --f ["3/2","-3/4",0,1] --n 1 --format text': ("b31695921f8ef719bd4dc6192b092f2d367efd33ec725c0faabe9e296dec8590", 0),
+}
+
+
+@pytest.mark.parametrize("command", RATIONAL_GOLDEN)
+def test_rational_coefficients_unchanged(command):
+    assert run_digest(command.split()) == RATIONAL_GOLDEN[command]
+
+
+# integral rationals, as strings or as Fractions, are the ints of x^5 - 5
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_integral_rational_strings_print_as_integers(fmt):
+    argv = ["classify", "--p", "5", "--f", '["-10/2",0,0,0,0,"3/3"]', "--n", "1", "--format", fmt]
+    assert run_digest(argv) == GOLDEN[f"classify --p 5 --f x^5-5 --n 1 --format {fmt}"]
+
+
+@pytest.mark.parametrize("coeffs", [["-10/2", 0, 0, 0, 0, "3/3"], [Fraction(-5), 0, 0, 0, 0, Fraction(1)]],
+                         ids=["strings", "Fractions"])
+def test_integral_rationals_are_held_as_ints(coeffs):
+    f, x5, K = InputPolynomial.from_coefficients(5, coeffs), InputPolynomial.from_string(5, "x^5-5"), BaseField(5, 1)
+    assert [type(c) for c in f.coeffs] == [int] * 6
+    assert classify(f, K).to_json() == classify(x5, K).to_json()
+    assert cli._render_classification_text(classify(f, K)) == cli._render_classification_text(classify(x5, K))

@@ -1,10 +1,10 @@
 """What a fresh interpreter loads: ``import galrep`` loads no submodule,
 ``import galrep.cli`` only the writer and what it needs, each CLI command
-loads only the modules it runs (decimal only for text output,
-which rounds through it), and the package namespace is
-bound in one piece on the first use of an exported name, with
-``galrep.classify`` the function however the submodule of that name was
-loaded."""
+loads only the modules it runs (fractions only for a coefficient that is
+not an integer, decimal only for text output, which rounds through it),
+and the package namespace is bound in one piece on the first use of an
+exported name, with ``galrep.classify`` the function however the
+submodule of that name was loaded."""
 
 import json
 import os
@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import galrep
-import galrep.cli as cli
 
 # a child interpreter imports the galrep these tests import, installed or not
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -130,17 +129,28 @@ def test_a_name_set_before_the_first_use_stays():
                  "print(json.dumps(galrep.count_curve))") == "patched"
 
 
-# fractions imports decimal on Python 3.11 and 3.12, so the child drops it
-# from sys.modules first: what a command then loads anew, it imported itself.
-# The CLI module binds no name of decimal, so it is not imported at start-up
-DECIMAL_LOADED_BY = ("import contextlib, io\nimport galrep.cli as cli\ndel sys.modules['decimal']\n"
-                     "with contextlib.redirect_stdout(io.StringIO()):\n    code = cli.main({argv!r})\n"
-                     "print(json.dumps([code, 'decimal' in sys.modules]))")
+# fractions imports numbers and decimal, and decimal imports numbers: a
+# coefficient that is not an integer needs fractions, and the text output
+# rounds through decimal, but no other run loads any of the three
+RATIONALS_LOADED_BY = ("import contextlib, io\nimport galrep.cli as cli\n"
+                       "with contextlib.redirect_stdout(io.StringIO()):\n    code = cli.main({argv!r})\n"
+                       "print(json.dumps([code, sorted({{'fractions', 'numbers', 'decimal'}} & set(sys.modules))]))")
+
+JSON_RUNS = [["classify", "--p", "5", "--f", "x^5-5", "--n", "1"],
+             ["classify", "--p", "5", "--f", "[-5,0,0,0,0,1]", "--n", "1"],
+             ["verify"], ["chartab", "--p", "5"], ["count", "--mode", "curve", "--p", "5", "--m", "2"]]
 
 
-@pytest.mark.parametrize("text", [False, True], ids=["json", "text"])
-def test_only_text_output_loads_decimal(text):
-    argv = ["classify", "--p", "5", "--f", "x^5-5", "--n", "1"] + ["--format", "text"] * text
-    assert fresh(DECIMAL_LOADED_BY.format(argv=argv)) == [0, text]
-    assert [name for name, value in vars(cli).items()
-            if value is sys.modules["decimal"] or getattr(value, "__module__", None) == "decimal"] == []
+@pytest.mark.parametrize("argv", JSON_RUNS, ids=" ".join)
+def test_json_output_loads_no_rationals(argv):
+    assert fresh(RATIONALS_LOADED_BY.format(argv=argv)) == [0, []]
+
+
+def test_text_output_loads_decimal_alone():
+    argv = ["classify", "--p", "5", "--f", "x^5-5", "--n", "1", "--format", "text"]
+    assert fresh(RATIONALS_LOADED_BY.format(argv=argv)) == [0, ["decimal", "numbers"]]
+
+
+def test_a_rational_coefficient_loads_fractions():
+    argv = ["classify", "--p", "5", "--f", '["-5/2",0,0,"5/3",0,1]', "--n", "1"]
+    assert fresh(RATIONALS_LOADED_BY.format(argv=argv)) == [0, ["decimal", "fractions", "numbers"]]

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import lower_hull, newton_polygon, single_cluster_by_hull
+from oracles import lower_hull, newton_polygon, rational_vp, single_cluster_by_hull
 
 from galrep import polys
 from galrep.arith import vp
@@ -137,7 +137,7 @@ def oracle_report(f):
     Newton polygon and the certificate by a search over every shift, each
     flag computed on its own."""
     p = f.p
-    v = vp(sympy_disc(f.coeffs), p)
+    v = rational_vp(sympy_disc(f.coeffs), p)
     single_cluster = single_cluster_by_hull(model_difference(f), p)
     slope = searched_slope(f)
     irreducibility = UNDETERMINED if slope is None else CERTIFIED
@@ -188,6 +188,16 @@ class TestInputValidation:
     def test_prime_to_p_denominator_allowed(self):
         f = InputPolynomial.from_coefficients(5, [Fraction(1, 3), 0, 0, 0, 0, 1])
         assert f.coeffs[0] == Fraction(1, 3)
+        assert [type(c) for c in f.coeffs] == [Fraction] + [int] * 5
+
+    def test_integral_coefficients_are_ints(self):
+        # every route to a coefficient: the string, ints, int strings, integral Fractions and rational strings,
+        # the constructor and _replace
+        built = [poly(5, "x^5-5"), InputPolynomial.from_coefficients(5, [-5, "0", Fraction(0), "0/7", 0, "3/3"]),
+                 InputPolynomial(5, (Fraction(-10, 2), 0, 0, 0, 0, Fraction(1))), poly(5, "x^5-5")._replace(p=5)]
+        for f in built:
+            assert f == (5, (-5, 0, 0, 0, 0, 1))
+            assert [type(c) for c in f.coeffs] == [int] * 6
 
     def test_base_field_validation(self):
         with pytest.raises(InputError):
@@ -242,6 +252,12 @@ class TestParser:
     def test_rational_strings(self):
         f = InputPolynomial.from_coefficients(5, ["-7/3", "0", "10/4", 0, Fraction(1, 2), "1"])
         assert f.coeffs == (Fraction(-7, 3), 0, Fraction(5, 2), 0, Fraction(1, 2), 1)
+
+    def test_entries_are_checked_in_order(self):
+        # strings and other entries alike: the first bad one is the one reported
+        with pytest.raises(InputError) as err:
+            InputPolynomial.from_coefficients(3, [1.5, "abc", 0, 1])
+        assert str(err.value) == "coefficient of x^0 is a float, not an int or a rational string"
 
     @pytest.mark.parametrize("text", ["-3e5000", "1e10000000", "1.5", "1/0", "-", "1/", "/2", "--1", "+1",
                                       " 1", "1 ", "1_0", "\u0663", "9" * 5000, "1/" + "9" * 5000])
@@ -424,7 +440,7 @@ class TestDifferenceRootValuations:
         assert flags(f)["single_cluster"] == result
         # v(disc) is the sum of the p(p-1) difference valuations
         disc = sympy_disc(f.coeffs)
-        assert p * (p - 1) * w == Fraction(_vp(disc, p))
+        assert p * (p - 1) * w == rational_vp(disc, p)
 
     @pytest.mark.parametrize(
         "p,coeffs",
@@ -528,12 +544,6 @@ def full_convolution_sums(s):
     ]
 
 
-def _vp(x, p):
-    from galrep.arith import vp
-
-    return vp(x, p)
-
-
 class TestValidateAssumptions:
     def test_model_family_passes(self):
         report = validate_assumptions(poly(5, "x^5-5"))
@@ -618,7 +628,7 @@ class TestValidateAssumptions:
         flagged = flags(f)
         if flagged["squarefree"] and flagged["single_cluster"]["status"] == "yes":
             disc = sympy_disc(f.coeffs)
-            assert Fraction(_vp(disc, 3)) == 6 * Fraction(flagged["single_cluster"]["w"])
+            assert rational_vp(disc, 3) == 6 * Fraction(flagged["single_cluster"]["w"])
 
 
 class TestCertifiedFromValuations:
@@ -719,9 +729,9 @@ class TestConductorExponent:
         eisenstein = False
         for c in range(p):
             g = polys.shift(list(f.coeffs), Fraction(c))
-            if all(a == 0 or vp(a, p) >= 1 for a in g[:-1]) and g[0] != 0 and vp(g[0], p) == 1:
+            if all(a == 0 or rational_vp(a, p) >= 1 for a in g[:-1]) and g[0] != 0 and rational_vp(g[0], p) == 1:
                 eisenstein = True
-        expected = vp(sympy_disc(f.coeffs), p) if eisenstein else None
+        expected = rational_vp(sympy_disc(f.coeffs), p) if eisenstein else None
         assert conductor_exponent(report) == expected
 
     def test_not_monogenic_not_computed(self):
