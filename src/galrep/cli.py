@@ -185,9 +185,9 @@ def _render_classification_text(report: ClassificationReport) -> str:
     from .groups import SIGMA_PHI
 
     p, n = report.p, report.n
-    lines = [_input_line(report.f, n), f"assumptions: maximal inertia image of order {2 * p * (p - 1)}",
-             *_assumption_lines(report.assumptions)]
     ig = report.inertia_group
+    lines = [_input_line(report.f, n), f"assumptions: maximal inertia image of order {ig.order}",
+             *_assumption_lines(report.assumptions)]
     lines.append(f"inertia group: order {ig.order} (b = {ig.b}), {ig.class_count} classes")
     if report.full_group:
         fg = report.full_group

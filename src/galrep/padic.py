@@ -23,13 +23,13 @@ as reducible; classification refuses to proceed on an undetermined
 certificate.
 
 A certified f is decided from coefficient valuations alone: all its root
-differences share one valuation w, which the ramification polygon gives
-(Greve and Pauli, "Ramification polygons, splitting fields, and Galois
-groups of Eisenstein polynomials", 2012), and v(disc f) = p(p-1)w.  Only an
-uncertified f pays for the degree-p(p-1) difference polynomial, whose
-constant term is (-1)^(p(p-1)/2) disc f and whose Newton polygon decides
-the single-cluster check.  Each of these three polygons is asked only
-whether it is one segment, which one chord test answers with no hull built.
+differences share one valuation, and v(disc f) = p v(g'(beta)) for a root
+beta of the certificate's shifted model g, as the terms j g_j beta^(j-1)
+of g'(beta) have distinct valuations.  Only an uncertified f pays for the
+degree-p(p-1) difference polynomial, whose constant term is
+(-1)^(p(p-1)/2) disc f and whose Newton polygon decides the single-cluster
+check.  Each Newton polygon here is asked only whether it is one segment,
+which one chord test answers with no hull built.
 """
 
 from __future__ import annotations
@@ -250,30 +250,6 @@ def _certificate(model: list[int], d: int, p: int) -> tuple[list[int | None], in
     return None
 
 
-def _ramification_polygon(valuations: list[int | None], k: int, p: int) -> list[int]:
-    """Heights of the points (i, v(c_i)), i = 1..p, of the Newton polygon
-    of g(beta(x + 1)) / x = sum c_i x^(i-1), beta a root of g of valuation
-    k/p, in units of 1/p, from the valuations ``_certificate`` gives.
-
-    Its roots are (beta' - beta) / beta over the other roots beta' of g
-    (Greve and Pauli, "Ramification polygons, splitting fields, and Galois
-    groups of Eisenstein polynomials", 2012).  The coefficient c_i,
-    1 <= i <= p, is the sum of g_j beta^j C(j, i) over j >= i, whose terms
-    have valuations v(g_j) + jk/p + v(C(j, i)).  Their fractional parts jk/p
-    are distinct, so the coefficient's valuation is their minimum, read off
-    without any arithmetic in K(beta).  C(j, i) is a unit for j < p, and
-    C(p, i) has valuation 1 for 0 < i < p.  In units of 1/p every height is
-    an integer.
-    """
-    heights = [k * p]  # i = p: beta^p
-    low = heights[0] + p  # the j = p term for i < p
-    for i in range(p - 1, 0, -1):
-        if valuations[i] is not None:
-            low = min(low, valuations[i] * p + i * k)
-        heights.append(low)
-    return heights[::-1]
-
-
 def _difference_power_sums(s: Sequence[int]) -> list[int]:
     """The even power sums S_0, S_2, .. S_D of the D = len(s) - 1 nonzero
     root differences, from the power sums s_0 = p, s_1, .. of the roots.
@@ -386,24 +362,33 @@ def validate_assumptions(f: InputPolynomial) -> AssumptionReport:
     transitive, so it lies in AGL(1, p), whose normal C_p = <sigma> acts
     regularly on the roots.  Each sigma^m(b) - b is a sum of conjugates of
     sigma(b) - b and back, so all p(p-1) root differences share one
-    valuation w, read off the ramification polygon (Greve and Pauli, 2012).
-    Then the roots form one cluster and v(disc f) = p(p-1)w.  Any other f
-    is decided from the difference polynomial of its integer model, built
-    once: its constant term c_0 = d^(p(p-1)) (-1)^(p(p-1)/2) disc f is
-    nonzero exactly when f is squarefree, gives v(disc f) = v(c_0), and,
-    when nonzero, its Newton polygon decides the single-cluster check.
+    valuation: the roots form one cluster.  v(disc f) is that of disc g,
+    g = M(x + dc) the certificate's shift, as d is prime to p.  For a root
+    beta of g, of valuation k/p, disc g = +-N(g'(beta)), a product of p
+    conjugates of one valuation, so v(disc f) = p v(g'(beta)).  The terms
+    j g_j beta^(j-1) of g'(beta) have valuations v(j g_j) + (j-1)k/p, with
+    v(j) = 0 for j < p and 1 for j = p.  As p does not divide k, their
+    fractional parts are distinct, so v(g'(beta)) is their minimum:
+
+        v(disc f) = min(p + (p-1)k, p v(g_j) + (j-1)k over 0 < j < p, g_j != 0).
+
+    Any other f is decided from the difference polynomial of its integer
+    model, built once: its constant term c_0 = d^(p(p-1)) (-1)^(p(p-1)/2)
+    disc f is nonzero exactly when f is squarefree, gives v(disc f) =
+    v(c_0), and, when nonzero, its Newton polygon decides the single-cluster
+    check.
     """
     p = f.p
     model, d = _integer_model(f)
     certified = _certificate(model, d, p)
     if certified:
         valuations, k = certified
-        heights = _ramification_polygon(valuations, k, p)
-        if not _one_segment(heights):
-            raise InternalCheckError("ramification polygon of a certified input has several segments")
-        # w = (heights[0] - heights[-1]) / (p(p-1)) + k/p; a wild root field of degree p has different exponent >= p
-        disc_valuation = heights[0] - heights[-1] + (p - 1) * k
-        if disc_valuation < p:
+        # p v(g'(beta)): the j = p term p beta^(p-1), then each j g_j beta^(j-1) with j < p a unit
+        disc_valuation = p + (p - 1) * k
+        for j, v in enumerate(valuations[1:p], 1):  # a loop, as min() over a list costs about 0.5 us more
+            if v is not None and (term := p * v + (j - 1) * k) < disc_valuation:
+                disc_valuation = term
+        if disc_valuation < p:  # a wild root field of degree p has different exponent >= p
             raise InternalCheckError(f"v(disc f) = {disc_valuation} is below p = {p}, the least for a wild root field")
         return AssumptionReport(p, disc_valuation, True, k)
     heights = [vp(c, p) if c else None for c in _difference_model(model)]

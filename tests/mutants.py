@@ -121,11 +121,11 @@ CATALOGUE = [
            "c = -model[0] * d % p",
            ("test_padic.py",),
            "f(0) = M(0)/d^p and d^p = d mod p, so the shift is -M(0)/d"),
-    Mutant("ramification_polygon_reads_the_next_valuation", "padic.py",
-           "if valuations[i] is not None:\n            low = min(low, valuations[i] * p + i * k)",
-           "if valuations[i + 1] is not None:\n            low = min(low, valuations[i + 1] * p + i * k)",
+    Mutant("derivative_term_of_beta_to_the_j", "padic.py",
+           "p * v + (j - 1) * k",
+           "p * v + j * k",
            ("test_padic.py",),
-           "c_i sums the terms g_j beta^j C(j, i) for j >= i, from j = i"),
+           "the term j g_j beta^(j-1) of g'(beta) has valuation v(g_j) + (j-1)k/p"),
     Mutant("document_without_closing_newline", "json_writer.py",
            'parts[-1] = newline + "}"',
            'parts[-1] = "}"',

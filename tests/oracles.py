@@ -1,8 +1,8 @@
 """Test-side arithmetic that galrep itself does not need: multiplicative
 orders by taking each power, cyclotomic polynomials by dividing x^m - 1 by every Phi_d, integer powers of
-cyclotomic values, the quadratic Gauss sum from its definition, the
-character inner product, the kernel of a character as a sum of class
-sizes, psi found by searching a whole character table,
+cyclotomic values, the quadratic Gauss sum from its definition and its
+square +-p, the character inner product, the kernel of a character as a
+sum of class sizes, psi found by searching a whole character table,
 the class of any group element by the rules of the closed-form classes,
 products, powers, norms and the element list of a finite field, Euler's criterion,
 Rabin's irreducibility test over F_p, the irreducibility test of galrep's
@@ -85,6 +85,12 @@ def order_by_powers(a, m):
     """The multiplicative order of the unit a mod m: the least k >= 1 with
     pow(a, k, m) == 1, each power taken anew."""
     return next(k for k in range(1, m + 1) if pow(a, k, m) == 1 % m)
+
+
+def signed_p(p):
+    """(-1)^((p-1)/2) p, the square of the quadratic Gauss sum: p when
+    (p-1)/2 is even, -p when it is odd."""
+    return -p if (p - 1) // 2 % 2 else p
 
 
 def gauss_sum_by_definition(p):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import sympy
 
-from oracles import assert_orthogonal, naive_twisted_oracle, plain, single_cluster_by_hull
+from oracles import assert_orthogonal, naive_twisted_oracle, plain, signed_p, single_cluster_by_hull
 
 import galrep.cli as cli
 from galrep.classify import classify, verify_consistency
@@ -23,10 +23,6 @@ from galrep.padic import (BaseField, InputPolynomial, _difference_model, _intege
 from galrep.arith import vp
 
 PRIMES = [3, 5, 7, 11, 13]
-
-
-def signed_p(p):
-    return -p if (p - 1) // 2 % 2 else p
 
 
 def report_pass(n, text):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import plain, power
+from oracles import plain, power, signed_p
 
 from galrep.classify import (_SHARED_ITEMS, ClassificationRefused, _assumption_texts, _gauss_sum_power, _model_texts,
                              classify, verify_consistency)
@@ -22,10 +22,6 @@ from galrep.padic import BaseField, InputPolynomial
 
 def model_input(p):
     return InputPolynomial.from_string(p, f"x^{p}-{p}")
-
-
-def signed_p(p):
-    return -p if (p - 1) // 2 % 2 else p
 
 
 @pytest.fixture(scope="module")

@@ -18,11 +18,7 @@ from galrep.counting import _artin_schreier_tally, _trace_fiber, count_curve, co
 from galrep.errors import BudgetExceeded, InputError, InternalCheckError, UsageError
 from galrep.gf import FieldSpec, build_field
 from galrep.polys import power_sums
-from oracles import count_by_trace_form, elements_t, naive_twisted_oracle, pow_t
-
-
-def signed_p(p):
-    return -p if (p - 1) // 2 % 2 else p
+from oracles import count_by_trace_form, elements_t, naive_twisted_oracle, pow_t, signed_p
 
 
 def euler_curve_affine(field):

@@ -88,9 +88,13 @@ def shifted_inputs(draw):
 def certified_inputs(draw):
     """Monic f = g(x - c) over Q, g of one Newton slope k/p with gcd(k, p) = 1:
     f(x + c) is Eisenstein for k = 1 and certified but not Eisenstein for
-    k = 2, 3.  |c| <= 20 and every denominator is prime to p."""
+    k = 2, 3, p + 1 and 2p - 1, the last two of slope above 1 at every p.
+    |c| <= 20 for k < p.  For k > p, roots of valuation k/p > 1 keep it
+    under the certificate's shift by c mod p only when c differs from that
+    residue by a multiple of p^2, so c is the residue plus -p^2, 0 or p^2.
+    Every denominator is prime to p."""
     p = draw(st.sampled_from([3, 5, 7, 11, 13]))
-    k = draw(st.sampled_from([k for k in (1, 2, 3) if math.gcd(k, p) == 1]))
+    k = draw(st.sampled_from([k for k in (1, 2, 3, p + 1, 2 * p - 1) if math.gcd(k, p) == 1]))
     denominators = st.sampled_from([d for d in (1, 2, 3, 4, 7, 10) if d % p])
     # on or above the segment from (0, k) to (p, 0), and on it at x^0
     g = [Fraction(p**k * draw(st.sampled_from([-2, -1, 1, 2])), draw(denominators))]
@@ -98,6 +102,8 @@ def certified_inputs(draw):
         g.append(Fraction(p ** -(-k * (p - i) // p) * draw(st.integers(-3, 3)), draw(denominators)))
     g.append(Fraction(1))
     c = draw(st.integers(min_value=-20, max_value=20))
+    if k > p:
+        c = c % p + p * p * draw(st.integers(-1, 1))
     f = [Fraction(0)] * (p + 1)
     for i, a in enumerate(g):
         for j in range(i + 1):
@@ -632,8 +638,8 @@ class TestValidateAssumptions:
 
 
 class TestCertifiedFromValuations:
-    """Certified inputs are decided from the ramification polygon; the
-    discriminant route is their oracle."""
+    """Certified inputs are decided from the certificate's valuations, with
+    v(disc f) = p v(g'(beta)); the discriminant route is their oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(f=certified_inputs())
@@ -643,22 +649,9 @@ class TestCertifiedFromValuations:
         assert report.to_json_dict() == oracle
         assert (report.p, report.slope_numerator, report.maximal_inertia) == (f.p, k, oracle["maximal_inertia"])
 
-    def test_polygon_of_two_segments_raises(self, monkeypatch):
-        # heights at x^1..x^5 in units of 1/5: (2, 2) lies below the chord from (1, 10) to (5, 0)
-        monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, k, p: [10, 2, 2, 2, 0])
-        with pytest.raises(InternalCheckError, match="several segments"):
-            validate_assumptions(poly(5, "x^5-5"))
-
-    def test_polygon_with_a_point_on_the_chord_is_one_segment(self, monkeypatch):
-        # heights at x^1..x^5 in units of 1/5: (3, 5) lies on the chord from (1, 10) to (5, 0)
-        monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, k, p: [10, 8, 5, 3, 0])
-        report = validate_assumptions(poly(5, "x^5-5"))
-        assert report.disc_valuation == 10 + 4 * 1
-        assert report.to_json_dict()["single_cluster"] == {"status": "yes", "w": "7/10"}
-
     def test_disc_valuation_below_the_wild_bound_raises(self, monkeypatch):
-        # a flat polygon gives w = k/p, so v(disc f) = (p-1)k = 4 < p: no wild extension has it
-        monkeypatch.setattr("galrep.padic._ramification_polygon", lambda g, k, p: [5] * 5)
+        # k = 1 and v(g_1) = 0 give v(disc f) = p v(g_1) + 0 k = 0 < p: no wild extension has it
+        monkeypatch.setattr("galrep.padic._certificate", lambda model, d, p: ([1, 0, None, None, None, 0], 1))
         with pytest.raises(InternalCheckError, match="below p"):
             validate_assumptions(poly(5, "x^5-5"))
 
