@@ -217,33 +217,31 @@ def _check_printable(p: int, n: int) -> None:
                          f"the Frobenius eigenvalues have size {p}^{n // 2}, more than {limit} digits")
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _twisted_trace(p: int, n: int, budgets: Budgets) -> int:
-    """The counted trace, once per (p, n, budgets): like psi, it depends on
-    the model curve alone, not on the input.  Only odd n are counted, so the
-    finite-field counters load here, on the first count."""
-    from .counting import count_twisted_fixed
-
-    return count_twisted_fixed(p, n, budgets).trace_sigma_frob
-
-
 def _twisted_closed_form(p: int, n: int) -> int:
     """The twisted trace -(+-p)^((n+1)/2) for odd n, +-p = 1 mod 4."""
     return -(signed_p(p) ** ((n + 1) // 2))
 
 
+# the verdict per (p, n, budgets): like psi, it depends on the model curve
+# alone, not on the input.  Typed, as True == 1 but the counter refuses a
+# True for n.  A refusal or a skip (BudgetExceeded) raises, so is not kept.
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def verify_consistency(p: int, n: int, budgets: Budgets | None = None) -> Verification:
     """Compare the counted twisted trace with tr psi(s*f) * chi(Frob) and
-    with the closed form -(+-p)^((n+1)/2).
+    with the closed form -(+-p)^((n+1)/2), once per (p, n, budgets).
 
     All three are exact integers from independent routes, and the status is
     "ok" only when all three agree; any disagreement is reported as
     "mismatch", never raised.  The closed form is compared but not in the JSON.
+    Only odd n are counted, so the finite-field counters load here, on the
+    first count.
     """
+    from .counting import count_twisted_fixed
+
     budgets = budgets or DEFAULT_BUDGETS
     group = build_group(p, FULL, budgets.group_p_bound)
     # the count's budgets are decided from the exponent: they bound n before G^n is formed
-    counted = _twisted_trace(p, n, budgets)
+    counted = count_twisted_fixed(p, n, budgets).trace_sigma_frob
     trace_psi = identify_psi(group).values[class_index(group, SIGMA_PHI)]
     predicted_cyclo = trace_psi * _gauss_sum_power(p, n)
     if not predicted_cyclo.is_rational():

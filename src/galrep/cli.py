@@ -12,7 +12,8 @@ approximations for readability.
 
 Start-up loads only argparse, the budgets, the errors and the JSON writer;
 each command imports the modules it runs when it runs, so ``chartab`` never
-loads the p-adic or counting code, and ``count`` never loads classify.  No
+loads the p-adic or counting code, ``count`` never loads classify, and
+``classify`` loads neither classify nor groups for an argument error.  No
 run loads fractions unless a coefficient is not an integer, and only text
 output loads decimal.
 """
@@ -25,7 +26,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .config import Budgets
+from .config import Budgets, check_p_bound
 from .errors import CodedError, InputError, InternalCheckError
 from .json_writer import dump_json
 
@@ -255,14 +256,15 @@ def _render_chartab_text(table) -> str:
 
 
 def _cmd_classify(args) -> int:
-    from .classify import ClassificationRefused, classify
-    from .groups import check_p_bound
     from .padic import BaseField
 
     budgets = _budgets_from(args)
     check_p_bound(args.p, budgets.group_p_bound)  # before --f, which holds p + 1 coefficients
     f = _parse_poly(args.p, args.f)
     K = BaseField(args.p, args.n)
+    # the pipeline loads once the arguments are read, so an argument error exits 2 without it
+    from .classify import ClassificationRefused, classify
+
     try:
         report = classify(f, K, budgets)
     except ClassificationRefused as exc:

@@ -14,10 +14,11 @@ from typing import NamedTuple
 from .errors import InputError
 
 # entries kept by each of the package's caches (per conductor, per prime, per
-# group, per model, per assumption record): the classify inputs under the
-# default group bound, p <= 13 and n <= 2, need 5 primes (the Gauss sum and
-# the primitive root), 10 models and 18 certified Eisenstein records (the
-# assumption text)
+# group, per model, per gate verdict, per assumption record): the classify
+# inputs under the default group bound, p <= 13 and n <= 2, need 5 primes
+# (the Gauss sum and the primitive root), 10 models, 5 verdicts (odd n, one
+# per (p, n, budgets)) and 18 certified Eisenstein records (the assumption
+# text)
 CACHE_SIZE = 20
 
 
@@ -46,3 +47,11 @@ class Budgets(_BudgetsFields):
 
 
 DEFAULT_BUDGETS = Budgets()
+
+
+def check_p_bound(p: int, p_bound: int) -> None:
+    """Refuse a p above the bound for groups and tables.  It is compared
+    before p is tested for primality, as trial division on a p of many
+    digits would take minutes."""
+    if p > p_bound:
+        raise InputError("p_beyond_bound", f"p = {p} exceeds the configured bound {p_bound}")

@@ -40,9 +40,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import legendre_symbol, require_odd_prime, smallest_primitive_root
-from .config import CACHE_SIZE, DEFAULT_BUDGETS
+from .config import CACHE_SIZE, DEFAULT_BUDGETS, check_p_bound
 from .cyclotomic import Cyclotomic
-from .errors import InputError, InternalCheckError, UsageError
+from .errors import InternalCheckError, UsageError
 
 INERTIA = "inertia"
 FULL = "full"
@@ -99,14 +99,6 @@ def build_group(p: int, variant: str = INERTIA, p_bound: int = DEFAULT_BUDGETS.g
     check_p_bound(p, p_bound)
     require_odd_prime(p)
     return GroupSpec(p=p, b=smallest_primitive_root(p), variant=variant)
-
-
-def check_p_bound(p: int, p_bound: int) -> None:
-    """Refuse a p above the bound for groups and tables.  It is compared
-    before p is tested for primality, as trial division on a p of many
-    digits would take minutes."""
-    if p > p_bound:
-        raise InputError("p_beyond_bound", f"p = {p} exceeds the configured bound {p_bound}")
 
 
 class _ConjClassFields(NamedTuple):

@@ -60,6 +60,12 @@ CATALOGUE = [
            "match = predicted == closed_form",
            ("test_cli.py",),
            "the consistency gate must compare the count, or it cannot fail on a broken counter"),
+    Mutant("verdict_cache_untyped", "classify.py",
+           "@lru_cache(maxsize=CACHE_SIZE, typed=True)\ndef verify_consistency(",
+           "@lru_cache(maxsize=CACHE_SIZE)\ndef verify_consistency(",
+           ("test_classify.py",),
+           "True == 1 with one hash, so an untyped cache returns the verdict of n = 1 for n = True, which the "
+           "counter refuses"),
     Mutant("psi_chosen_by_plus_g", "groups.py",
            "target = -gauss_sum(group.p)",
            "target = gauss_sum(group.p)",

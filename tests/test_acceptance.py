@@ -173,3 +173,24 @@ def test_criterion_11_determinism(capsys):
     assert verify_runs[0] == verify_runs[1]
     with capsys.disabled():
         report_pass(11, "byte-identical JSON across repeated runs")
+
+
+def test_criterion_12_certificate_sought_after_one_shift(capsys):
+    # f = (x + 1)^3 - 162 and its translate f(x - 1) = x^3 - 162, whose one
+    # Newton segment has slope 4/3.  The certificate is sought after the
+    # shift by c = -f(0) mod 3 in [0, 3) alone: c = 2 for f, where the roots
+    # of f(x + 2) have valuation 1 and certify nothing, so f is refused
+    def run(f):
+        code = cli.main(["classify", "--p", "3", "--f", f, "--n", "1"])
+        return code, json.loads(capsys.readouterr().out)
+
+    code, data = run("x^3+3*x^2+3*x-161")
+    assert code == 3
+    assert data["refused"]["failures"] == ["irreducibility"]
+    assert data["refused"]["assumptions"]["irreducibility"] == "undetermined"
+    code, data = run("x^3-162")
+    assert code == 0
+    assert data["assumptions"]["irreducibility"] == "certified_totally_ramified"
+    assert data["verification"]["match"] is True
+    with capsys.disabled():
+        report_pass(12, "x^3-162 classified, its translate x^3+3*x^2+3*x-161 refused as undetermined")

@@ -35,7 +35,7 @@ CACHES = {
     "galrep.classify._assumption_texts",
     "galrep.classify._largest_printable",
     "galrep.classify._model_texts",
-    "galrep.classify._twisted_trace",
+    "galrep.classify.verify_consistency",
     "galrep.cyclotomic._unit_circle",
     "galrep.cyclotomic.cyclotomic_polynomial",
     "galrep.groups._classes_and_index",

@@ -14,7 +14,7 @@ from galrep.classify import (_SHARED_ITEMS, ClassificationRefused, _assumption_t
                              classify, verify_consistency)
 from galrep.config import CACHE_SIZE, Budgets
 from galrep.cyclotomic import Cyclotomic
-from galrep.errors import InputError
+from galrep.errors import InputError, UsageError
 from galrep.groups import FULL, SIGMA_PHI, build_group, class_index, gauss_sum
 from galrep.json_writer import dump_json
 from galrep.padic import BaseField, InputPolynomial
@@ -228,7 +228,7 @@ class TestConsistencyGate:
         assert v.status == "ok" and v.match
         assert v.trace_predicted == predicted == v.trace_counted
 
-    def test_wrong_closed_form_alone_is_a_mismatch(self, monkeypatch):
+    def test_wrong_closed_form_alone_is_a_mismatch(self, monkeypatch, fresh_verdicts):
         module = sys.modules["galrep.classify"]
         closed_form = module._twisted_closed_form
         monkeypatch.setattr(module, "_twisted_closed_form", lambda p, n: closed_form(p, n) + 1)
@@ -238,10 +238,11 @@ class TestConsistencyGate:
 
 
 class TestCountedTraceCache:
-    def test_counted_once_per_p_and_n(self, monkeypatch):
-        module = sys.modules["galrep.classify"]
+    """verify_consistency keeps its verdict per (p, n, budgets)."""
+
+    def test_counted_once_per_p_and_n(self, monkeypatch, fresh_verdicts):
         calls = []
-        counting_module = sys.modules["galrep.counting"]  # _twisted_trace imports from it when it counts
+        counting_module = sys.modules["galrep.counting"]  # verify_consistency imports from it when it counts
         count = counting_module.count_twisted_fixed
 
         def counting(p, n, budgets=None):
@@ -249,13 +250,23 @@ class TestCountedTraceCache:
             return count(p, n, budgets)
 
         monkeypatch.setattr(counting_module, "count_twisted_fixed", counting)
-        module._twisted_trace.cache_clear()
-        try:
-            reports = [classify(model_input(5), BaseField(5, 1)).to_json() for _ in range(3)]
-            assert calls == [(5, 1)]
-            assert reports[0] == reports[1] == reports[2]
-        finally:
-            module._twisted_trace.cache_clear()
+        reports = [classify(model_input(5), BaseField(5, 1)).to_json() for _ in range(3)]
+        assert calls == [(5, 1)]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_smaller_coset_budget_skips_after_the_default_is_kept(self, fresh_verdicts):
+        default = classify(model_input(5), BaseField(5, 3)).verification
+        assert default.status == "ok"
+        small = classify(model_input(5), BaseField(5, 3), Budgets(coset_q=124)).verification
+        assert (small.status, small.reason) == ("skipped", "subfield size 5^3 exceeds the coset budget 124")
+        assert classify(model_input(5), BaseField(5, 3)).verification == default
+
+    def test_true_for_n_is_refused_after_one_is_kept(self, fresh_verdicts):
+        # True == 1 and hash(True) == hash(1): an untyped cache would return the verdict of n = 1
+        assert verify_consistency(5, 1).status == "ok"
+        with pytest.raises(UsageError) as err:
+            verify_consistency(5, True)
+        assert err.value.code == "n_must_be_odd"
 
 
 def record_calls(monkeypatch, name):

@@ -24,7 +24,7 @@ import galrep.cli as cli
 import galrep.counting as counting
 import galrep.groups as groups
 from galrep.arith import signed_p
-from galrep.classify import Verification, _twisted_trace
+from galrep.classify import Verification, verify_consistency
 from galrep.config import Budgets
 from galrep.cyclotomic import Cyclotomic
 from galrep.padic import InputPolynomial
@@ -188,7 +188,7 @@ class TestClassifyBuildsNoTable:
                for n in ("1", "2") for fmt in ("json", "text")),
              ["verify"], ["verify", "--format", "text"]]
 
-    def test_same_output_with_character_table_refused(self, capsys, monkeypatch):
+    def test_same_output_with_character_table_refused(self, capsys, monkeypatch, fresh_verdicts):
         expected = [run(capsys, *argv) for argv in self.ARGVS]
         assert [code for code, _ in expected] == [0] * len(self.ARGVS)
 
@@ -197,7 +197,9 @@ class TestClassifyBuildsNoTable:
 
         for module in (groups, galrep):
             monkeypatch.setattr(module, "character_table", refuse)
-        groups.identify_psi.cache_clear()  # so psi is built anew, with the table refused
+        # so psi is built anew, and the gate reads it, with the table refused
+        groups.identify_psi.cache_clear()
+        verify_consistency.cache_clear()
         assert [run(capsys, *argv) for argv in self.ARGVS] == expected
 
 
@@ -421,7 +423,7 @@ class TestVerifyCommand:
 
 class TestHonestMismatch:
     @pytest.fixture()
-    def tally_off_by_one(self, monkeypatch):
+    def tally_off_by_one(self, monkeypatch, fresh_verdicts):
         tally = counting._artin_schreier_tally
 
         def off_by_one(field, base):
@@ -429,9 +431,6 @@ class TestHonestMismatch:
             return [zero, non_square, square + 1]
 
         monkeypatch.setattr(counting, "_artin_schreier_tally", off_by_one)
-        _twisted_trace.cache_clear()
-        yield
-        _twisted_trace.cache_clear()
 
     def test_verify_reports_the_mismatch(self, capsys, tally_off_by_one):
         code, out = run(capsys, "verify", "--p", "3", "--n", "1")
@@ -453,7 +452,7 @@ class TestClosedFormMismatch:
     JSON keeps its schema."""
 
     @pytest.fixture(autouse=True)
-    def closed_form_off_by_one(self, monkeypatch):
+    def closed_form_off_by_one(self, monkeypatch, fresh_verdicts):
         module = sys.modules["galrep.classify"]  # galrep.classify is also the function's name
         closed_form = module._twisted_closed_form
         monkeypatch.setattr(module, "_twisted_closed_form", lambda p, n: closed_form(p, n) + 1)

@@ -30,13 +30,20 @@ def fresh(code: str):
     return json.loads(result.stdout)
 
 
+def cli_run(argv: list[str]) -> tuple[int, str, set[str]]:
+    """The exit code and stdout of a CLI run of ``argv``, and the galrep
+    submodules it loads, by their short names."""
+    code, out, modules = fresh("import contextlib, io\nimport galrep.cli as cli\nout = io.StringIO()\n"
+                               f"with contextlib.redirect_stdout(out):\n    code = cli.main({argv!r})\n"
+                               f"print(json.dumps([code, out.getvalue(), {LOADED}]))")
+    return code, out, {name.partition(".")[2] for name in modules} - {""}
+
+
 def loaded_by(argv: list[str]) -> set[str]:
-    """The galrep submodules a CLI run of ``argv`` loads, by their short names."""
-    code, modules = fresh("import contextlib, io\nimport galrep.cli as cli\n"
-                          f"with contextlib.redirect_stdout(io.StringIO()):\n    code = cli.main({argv!r})\n"
-                          f"print(json.dumps([code, {LOADED}]))")
+    """The galrep submodules a CLI run of ``argv`` that answers or refuses loads."""
+    code, _, modules = cli_run(argv)
     assert code in (0, 3), argv
-    return {name.partition(".")[2] for name in modules} - {""}
+    return modules
 
 
 def test_import_galrep_loads_galrep_alone():
@@ -83,6 +90,18 @@ def test_uncounted_classify_loads_no_counter(argv):
 def test_odd_classify_loads_the_counter():
     # the guard above would pass on a classify that never counts
     assert {"counting", "gf"} <= loaded_by(["classify", "--p", "5", "--f", "x^5-5", "--n", "1"])
+
+
+# the cheap checks come first: an argument error exits 2 before the pipeline loads
+ARGUMENT_ERRORS = [(["classify", "--p", "9", "--f", "x^9-9", "--n", "1"], "p_not_odd_prime"),
+                   (["classify", "--p", "5", "--f", "x^5-", "--n", "1"], "poly_parse")]
+
+
+@pytest.mark.parametrize("argv,error", ARGUMENT_ERRORS, ids=[error for _, error in ARGUMENT_ERRORS])
+def test_classify_argument_error_loads_neither_classify_nor_groups(argv, error):
+    code, out, modules = cli_run(argv)
+    assert (code, json.loads(out)["error"]["code"]) == (2, error)
+    assert modules & {"classify", "groups"} == set()
 
 
 CLASSIFY_IS_THE_FUNCTION = ("import galrep, types\n"
